@@ -1,5 +1,6 @@
 #include "core/p2p_system.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -63,6 +64,13 @@ NodeId P2PSystem::add_document(const std::vector<TermId>& doc_terms,
           "P2PSystem::add_document: out-link to missing document");
     }
   }
+  // A document's terms are a set: a repeated term would post the
+  // document twice under it and break the postings/terms agreement.
+  std::vector<TermId> distinct = doc_terms;
+  std::sort(distinct.begin(), distinct.end());
+  if (std::adjacent_find(distinct.begin(), distinct.end()) != distinct.end()) {
+    throw std::invalid_argument("P2PSystem::add_document: repeated term");
+  }
   const NodeId id = graph_.add_document(out_links);
   placement_.add_document(
       id, static_cast<PeerId>(rng_.bounded(config_.num_peers)));
@@ -73,24 +81,9 @@ NodeId P2PSystem::add_document(const std::vector<TermId>& doc_terms,
   // §3.1: seed with the initial constant, send updates to out-links,
   // then reconverge the new document itself (no in-links => rank 1-d).
   const std::vector<double> before = ranks_;
-  const Digraph snapshot = graph_.freeze();
-  IncrementalPagerank engine(snapshot, ranks_, config_.pagerank,
-                             &placement_);
-  auto stats = engine.seed_and_propagate(id);
-  std::vector<NodeId> touched = engine.last_touched();
-  const double true_rank = 1.0 - config_.pagerank.damping;
-  const double correction = true_rank - ranks_[id];
-  ranks_[id] = true_rank;
-  if (snapshot.out_degree(id) > 0 && correction != 0.0) {
-    const double fwd = config_.pagerank.damping * correction /
-                       static_cast<double>(snapshot.out_degree(id));
-    for (const NodeId w : snapshot.out_neighbors(id)) {
-      const auto more = engine.inject(w, fwd);
-      stats.cross_peer_messages += more.cross_peer_messages;
-      touched.insert(touched.end(), engine.last_touched().begin(),
-                     engine.last_touched().end());
-    }
-  }
+  IncrementalPagerank engine(graph_, ranks_, config_.pagerank, &placement_);
+  std::vector<NodeId> touched;
+  const auto stats = engine.integrate_insert(id, &touched);
   meter_.record_messages(stats.cross_peer_messages,
                          PagerankUpdate::kWireBytes);
 
@@ -108,9 +101,7 @@ void P2PSystem::remove_document(NodeId doc) {
     throw std::invalid_argument("P2PSystem::remove_document: not live");
   }
   const std::vector<double> before = ranks_;
-  const Digraph snapshot = graph_.freeze();
-  IncrementalPagerank engine(snapshot, ranks_, config_.pagerank,
-                             &placement_);
+  IncrementalPagerank engine(graph_, ranks_, config_.pagerank, &placement_);
   const auto stats = engine.propagate_delete(doc);
   meter_.record_messages(stats.cross_peer_messages,
                          PagerankUpdate::kWireBytes);

@@ -62,7 +62,9 @@ class P2PSystem {
   std::uint64_t converge();
 
   /// Insert a document with the given index terms and out-links
-  /// (§3.1 + §4.7). Returns its id. Requires converge() first.
+  /// (§3.1 + §4.7). Returns its id. Requires converge() first. Throws
+  /// std::invalid_argument, before any mutation, on an out-link to a
+  /// missing document or a repeated term.
   NodeId add_document(const std::vector<TermId>& terms,
                       const std::vector<NodeId>& out_links);
 

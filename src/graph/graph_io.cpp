@@ -2,7 +2,9 @@
 
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace dprank {
@@ -10,6 +12,9 @@ namespace dprank {
 namespace {
 constexpr std::uint64_t kMagic = 0x44505247'52415048ULL;  // "DPRGRAPH"
 constexpr std::uint32_t kVersion = 1;
+// magic, version, node count, edge count; then 8 bytes per edge.
+constexpr std::uint64_t kHeaderBytes = 8 + 4 + 8 + 8;
+constexpr std::uint64_t kEdgeBytes = 2 * sizeof(NodeId);
 
 template <typename T>
 void write_pod(std::ostream& os, const T& v) {
@@ -52,6 +57,17 @@ Digraph load_graph(const std::filesystem::path& path) {
   }
   const auto n = read_pod<std::uint64_t>(is);
   const auto m = read_pod<std::uint64_t>(is);
+  // The header is untrusted: bound both counts before allocating.
+  if (n > std::numeric_limits<NodeId>::max()) {
+    throw std::runtime_error("load_graph: node count " + std::to_string(n) +
+                             " exceeds the 32-bit NodeId range");
+  }
+  const std::uint64_t body = std::filesystem::file_size(path) - kHeaderBytes;
+  if (m > body / kEdgeBytes) {
+    throw std::runtime_error("load_graph: edge count " + std::to_string(m) +
+                             " exceeds what the file's " +
+                             std::to_string(body) + "-byte body holds");
+  }
   std::vector<Edge> edges;
   edges.reserve(m);
   for (std::uint64_t i = 0; i < m; ++i) {

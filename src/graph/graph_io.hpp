@@ -15,7 +15,9 @@ namespace dprank {
 
 void save_graph(const Digraph& g, const std::filesystem::path& path);
 
-/// Throws std::runtime_error on missing file or format mismatch.
+/// Throws std::runtime_error on missing file or format mismatch, and,
+/// before allocating, on a header whose node count exceeds the NodeId
+/// range or whose edge count exceeds what the file's body can hold.
 [[nodiscard]] Digraph load_graph(const std::filesystem::path& path);
 
 /// Load `path` if it exists, else generate with `make`, save, and return.

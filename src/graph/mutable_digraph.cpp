@@ -8,6 +8,8 @@
 
 namespace dprank {
 
+// A CSR's out-lists are strictly sorted and its counting-sort in-lists
+// list sources in ascending order, so the copies start in invariant order.
 MutableDigraph::MutableDigraph(const Digraph& g)
     : out_(g.num_nodes()), in_(g.num_nodes()), num_edges_(g.num_edges()) {
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
@@ -35,35 +37,44 @@ NodeId MutableDigraph::add_document(const std::vector<NodeId>& out_links) {
 
 bool MutableDigraph::has_edge(NodeId u, NodeId v) const {
   const auto& nbrs = out_[u];
-  return std::find(nbrs.begin(), nbrs.end(), v) != nbrs.end();
+  return std::binary_search(nbrs.begin(), nbrs.end(), v);
 }
 
 bool MutableDigraph::add_edge(NodeId u, NodeId v) {
-  if (u == v || has_edge(u, v)) return false;
-  out_[u].push_back(v);
-  in_[v].push_back(u);
+  if (u == v) return false;
+  auto& nbrs = out_[u];
+  const auto it = std::lower_bound(nbrs.begin(), nbrs.end(), v);
+  if (it != nbrs.end() && *it == v) return false;
+  nbrs.insert(it, v);
+  auto& srcs = in_[v];
+  srcs.insert(std::lower_bound(srcs.begin(), srcs.end(), u), u);
   ++num_edges_;
   return true;
 }
 
 bool MutableDigraph::remove_edge(NodeId u, NodeId v) {
   auto& nbrs = out_[u];
-  const auto it = std::find(nbrs.begin(), nbrs.end(), v);
-  if (it == nbrs.end()) return false;
+  const auto it = std::lower_bound(nbrs.begin(), nbrs.end(), v);
+  if (it == nbrs.end() || *it != v) return false;
   nbrs.erase(it);
   auto& srcs = in_[v];
-  srcs.erase(std::find(srcs.begin(), srcs.end(), u));
+  srcs.erase(std::lower_bound(srcs.begin(), srcs.end(), u));
   --num_edges_;
   return true;
 }
 
 std::uint64_t MutableDigraph::isolate_node(NodeId v) {
-  // Copy the lists: remove_edge mutates them while we iterate.
-  const std::vector<NodeId> outs = out_[v];
-  for (const NodeId w : outs) remove_edge(v, w);
-  const std::vector<NodeId> ins = in_[v];
-  for (const NodeId u : ins) remove_edge(u, v);
-  return outs.size() + ins.size();
+  // Drop v from each neighbour's mirror list, then clear v's own lists.
+  const auto unlink = [v](std::vector<NodeId>& list) {
+    list.erase(std::lower_bound(list.begin(), list.end(), v));
+  };
+  for (const NodeId w : out_[v]) unlink(in_[w]);
+  for (const NodeId u : in_[v]) unlink(out_[u]);
+  const std::uint64_t removed = out_[v].size() + in_[v].size();
+  out_[v].clear();
+  in_[v].clear();
+  num_edges_ -= removed;
+  return removed;
 }
 
 void MutableDigraph::validate() const {
@@ -72,48 +83,57 @@ void MutableDigraph::validate() const {
   const NodeId n = num_nodes();
   DPRANK_INVARIANT(in_.size() == out_.size(), kSub,
                    "out/in adjacency cover different node counts");
-  // Gather both directions as (u, v) edge lists; the mirrors must be the
-  // same set, each side free of self-loops and duplicates.
-  std::vector<std::pair<NodeId, NodeId>> fwd;
-  std::vector<std::pair<NodeId, NodeId>> bwd;
-  fwd.reserve(num_edges_);
-  bwd.reserve(num_edges_);
+  // Every list strictly ascending (so duplicate-free) and in range, and
+  // no out-list holds its own node.
+  EdgeId out_sum = 0;
+  EdgeId in_sum = 0;
   for (NodeId u = 0; u < n; ++u) {
-    for (const NodeId v : out_[u]) {
-      DPRANK_INVARIANT(v < n, kSub,
+    const std::vector<NodeId>& outs = out_[u];
+    for (std::size_t i = 0; i < outs.size(); ++i) {
+      DPRANK_INVARIANT(outs[i] < n, kSub,
                        "out-neighbor out of range at node " +
                            std::to_string(u));
-      DPRANK_INVARIANT(v != u, kSub,
+      DPRANK_INVARIANT(outs[i] != u, kSub,
                        "self-loop stored at node " + std::to_string(u));
-      fwd.emplace_back(u, v);
+      DPRANK_INVARIANT(i == 0 || outs[i - 1] < outs[i], kSub,
+                       "out-list not strictly ascending at node " +
+                           std::to_string(u));
     }
-    for (const NodeId w : in_[u]) {
-      DPRANK_INVARIANT(w < n, kSub,
+    const std::vector<NodeId>& ins = in_[u];
+    for (std::size_t i = 0; i < ins.size(); ++i) {
+      DPRANK_INVARIANT(ins[i] < n, kSub,
                        "in-neighbor out of range at node " +
                            std::to_string(u));
-      bwd.emplace_back(w, u);
+      DPRANK_INVARIANT(i == 0 || ins[i - 1] < ins[i], kSub,
+                       "in-list not strictly ascending at node " +
+                           std::to_string(u));
+    }
+    out_sum += outs.size();
+    in_sum += ins.size();
+  }
+  DPRANK_INVARIANT(out_sum == num_edges_, kSub,
+                   "out-degree sum does not match the edge count");
+  DPRANK_INVARIANT(in_sum == num_edges_, kSub,
+                   "in-degree sum does not match the edge count");
+  // Mirror: every out-edge u->v is found in in_[v]. Both sides are sets
+  // of num_edges_ entries, so this injection is the exact bijection.
+  for (NodeId u = 0; u < n; ++u) {
+    for (const NodeId v : out_[u]) {
+      DPRANK_INVARIANT(std::binary_search(in_[v].begin(), in_[v].end(), u),
+                       kSub,
+                       "in-adjacency is not an exact mirror of the "
+                       "out-adjacency at edge " + std::to_string(u) + "->" +
+                           std::to_string(v));
     }
   }
-  DPRANK_INVARIANT(fwd.size() == num_edges_, kSub,
-                   "out-degree sum does not match the edge count");
-  DPRANK_INVARIANT(bwd.size() == num_edges_, kSub,
-                   "in-degree sum does not match the edge count");
-  std::sort(fwd.begin(), fwd.end());
-  std::sort(bwd.begin(), bwd.end());
-  DPRANK_INVARIANT(std::adjacent_find(fwd.begin(), fwd.end()) == fwd.end(),
-                   kSub, "duplicate edge stored in the out-adjacency");
-  DPRANK_INVARIANT(fwd == bwd, kSub,
-                   "in-adjacency is not an exact mirror of the "
-                   "out-adjacency");
 }
 
 Digraph MutableDigraph::freeze() const {
-  std::vector<Edge> edges;
-  edges.reserve(num_edges_);
-  for (NodeId u = 0; u < num_nodes(); ++u) {
-    for (const NodeId v : out_[u]) edges.push_back({u, v});
-  }
-  return Digraph::from_edges(num_nodes(), std::move(edges));
+  // The out-lists are already the strictly ascending runs the builder
+  // wants, so this is a linear copy.
+  Digraph::Builder builder(num_nodes(), num_edges_);
+  for (NodeId u = 0; u < num_nodes(); ++u) builder.add_node(u, out_[u]);
+  return std::move(builder).finalize();
 }
 
 }  // namespace dprank

@@ -8,6 +8,14 @@
 // the right layout for the large static sweeps, but mutation needs
 // adjacency lists; MutableDigraph provides them and converts to/from
 // Digraph so the two engines can share graphs.
+//
+// Ascending-order invariant: every out-list and in-list is kept strictly
+// ascending. add_edge inserts at lower_bound and has_edge / remove_edge
+// binary-search, so the graph's state depends only on its edge set, not
+// on the order the edges arrived in. Its out-lists are therefore exactly
+// those of freeze(), a linear copy into CSR, and a cascade walking this
+// graph in place (IncrementalPagerank over MutableDigraph) visits
+// neighbours in the same order as one walking the frozen snapshot.
 
 #include <cstdint>
 #include <vector>
@@ -30,10 +38,12 @@ class MutableDigraph {
   /// be inlinks already pointing to it", §4.7). Returns its id.
   NodeId add_document(const std::vector<NodeId>& out_links);
 
-  /// Add edge u->v. Returns false (no-op) for self-loops and duplicates.
+  /// Add edge u->v, inserted in ascending position on both sides.
+  /// Returns false (no-op) for self-loops and duplicates.
   bool add_edge(NodeId u, NodeId v);
 
-  /// Remove edge u->v if present; returns whether it existed.
+  /// Remove edge u->v if present (binary search); returns whether it
+  /// existed.
   bool remove_edge(NodeId u, NodeId v);
 
   /// Remove all edges incident to v (both directions), modelling a
@@ -62,9 +72,11 @@ class MutableDigraph {
   }
   [[nodiscard]] EdgeId num_edges() const { return num_edges_; }
 
+  /// u's out-links, strictly ascending.
   [[nodiscard]] const std::vector<NodeId>& out_neighbors(NodeId u) const {
     return out_[u];
   }
+  /// v's in-link sources, strictly ascending.
   [[nodiscard]] const std::vector<NodeId>& in_neighbors(NodeId v) const {
     return in_[v];
   }
@@ -76,14 +88,17 @@ class MutableDigraph {
   }
   [[nodiscard]] bool has_edge(NodeId u, NodeId v) const;
 
-  /// Snapshot to CSR.
+  /// Snapshot to CSR: a linear Digraph::Builder copy of the (already
+  /// sorted) out-lists, equal array for array to Digraph::from_edges of
+  /// the same edge set. O(V+E).
   [[nodiscard]] Digraph freeze() const;
 
-  /// Structural invariant walk (contracts.hpp; subsystem "graph"): the
-  /// out- and in-adjacency lists are exact mirrors (u->v stored in
-  /// out_[u] exactly once iff u stored in in_[v] exactly once), no
-  /// self-loops or duplicate edges survive a mutation, every neighbor id
-  /// is in range, and both degree sums equal num_edges(). O(E log E).
+  /// Structural invariant walk (contracts.hpp; subsystem "graph"): every
+  /// out- and in-list is strictly ascending (hence duplicate-free) with
+  /// in-range ids, no out-list holds a self-loop, both degree sums equal
+  /// num_edges(), and the lists are exact mirrors: each out-edge u->v is
+  /// found by binary search in in_[v], which with the equal sums makes
+  /// the two sides the same set. O(E log D) for maximum in-degree D.
   /// Throws contracts::ContractViolation on the first violation; no-op
   /// when contracts are compiled out. The §4.7 incremental-update tests
   /// call this after every randomized insert/delete.

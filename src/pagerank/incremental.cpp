@@ -12,10 +12,10 @@ namespace {
 constexpr std::uint32_t kMaxCascadeDepth = 1'000'000;
 }  // namespace
 
-IncrementalPagerank::IncrementalPagerank(const Digraph& g,
-                                         std::vector<double>& ranks,
-                                         const PagerankOptions& options,
-                                         const Placement* placement)
+template <typename Graph>
+IncrementalPagerank<Graph>::IncrementalPagerank(
+    const Graph& g, std::vector<double>& ranks,
+    const PagerankOptions& options, const Placement* placement)
     : graph_(g), ranks_(ranks), options_(options), placement_(placement) {
   if (ranks.size() != g.num_nodes()) {
     throw std::invalid_argument("IncrementalPagerank: rank vector size");
@@ -23,7 +23,8 @@ IncrementalPagerank::IncrementalPagerank(const Digraph& g,
   covered_epoch_.assign(g.num_nodes(), 0);
 }
 
-PropagationStats IncrementalPagerank::run_cascade(
+template <typename Graph>
+PropagationStats IncrementalPagerank<Graph>::run_cascade(
     std::vector<WorkItem> queue, bool restore) {
   ++epoch_;
   undo_log_.clear();
@@ -45,10 +46,11 @@ PropagationStats IncrementalPagerank::run_cascade(
   return stats;
 }
 
-void IncrementalPagerank::deliver(const WorkItem& item,
-                                  PropagationStats& stats,
-                                  std::vector<WorkItem>& queue,
-                                  bool restore) {
+template <typename Graph>
+void IncrementalPagerank<Graph>::deliver(const WorkItem& item,
+                                         PropagationStats& stats,
+                                         std::vector<WorkItem>& queue,
+                                         bool restore) {
   const NodeId v = item.node;
   if (restore && covered_epoch_[v] != epoch_) {
     undo_log_.emplace_back(v, ranks_[v]);
@@ -80,14 +82,16 @@ void IncrementalPagerank::deliver(const WorkItem& item,
   }
 }
 
-void IncrementalPagerank::touch_seed(NodeId node) {
+template <typename Graph>
+void IncrementalPagerank<Graph>::touch_seed(NodeId node) {
   if (covered_epoch_[node] != epoch_) {
     covered_epoch_[node] = epoch_;
     last_touched_.push_back(node);
   }
 }
 
-PropagationStats IncrementalPagerank::seed_and_propagate(NodeId node) {
+template <typename Graph>
+PropagationStats IncrementalPagerank<Graph>::seed_and_propagate(NodeId node) {
   if (node >= graph_.num_nodes()) {
     throw std::out_of_range("seed_and_propagate: bad node");
   }
@@ -100,7 +104,8 @@ PropagationStats IncrementalPagerank::seed_and_propagate(NodeId node) {
   return stats;
 }
 
-PropagationStats IncrementalPagerank::probe_insert(NodeId node) {
+template <typename Graph>
+PropagationStats IncrementalPagerank<Graph>::probe_insert(NodeId node) {
   if (node >= graph_.num_nodes()) {
     throw std::out_of_range("probe_insert: bad node");
   }
@@ -114,7 +119,41 @@ PropagationStats IncrementalPagerank::probe_insert(NodeId node) {
   return stats;
 }
 
-PropagationStats IncrementalPagerank::propagate_delete(NodeId node) {
+template <typename Graph>
+PropagationStats IncrementalPagerank<Graph>::integrate_insert(
+    NodeId node, std::vector<NodeId>* touched) {
+  const auto collect = [&] {
+    if (touched != nullptr) {
+      touched->insert(touched->end(), last_touched_.begin(),
+                      last_touched_.end());
+    }
+  };
+  // §3.1: seed with the initial constant and send updates to out-links...
+  PropagationStats stats = seed_and_propagate(node);
+  collect();
+  // ...then "the system eventually reconverges": the new document has no
+  // in-links yet, so its own recompute settles at (1-d); the correction
+  // relative to the seed propagates like any other update.
+  const double true_rank = 1.0 - options_.damping;
+  const double correction = true_rank - ranks_[node];
+  ranks_[node] = true_rank;
+  const auto deg = graph_.out_degree(node);
+  if (deg == 0 || correction == 0.0) return stats;
+  const double fwd =
+      options_.damping * correction / static_cast<double>(deg);
+  for (const NodeId w : graph_.out_neighbors(node)) {
+    const PropagationStats more = inject(w, fwd);
+    collect();
+    stats.updates_delivered += more.updates_delivered;
+    stats.cross_peer_messages += more.cross_peer_messages;
+    stats.nodes_covered += more.nodes_covered;
+    stats.path_length = std::max(stats.path_length, more.path_length + 1);
+  }
+  return stats;
+}
+
+template <typename Graph>
+PropagationStats IncrementalPagerank<Graph>::propagate_delete(NodeId node) {
   if (node >= graph_.num_nodes()) {
     throw std::out_of_range("propagate_delete: bad node");
   }
@@ -129,11 +168,12 @@ PropagationStats IncrementalPagerank::propagate_delete(NodeId node) {
   return stats;
 }
 
-PropagationStats IncrementalPagerank::propagate_full_delete(MutableDigraph& g,
-                                                            NodeId node) {
+template <typename Graph>
+PropagationStats IncrementalPagerank<Graph>::propagate_full_delete(
+    MutableDigraph& g, NodeId node) {
   if (g.num_nodes() != graph_.num_nodes()) {
     throw std::invalid_argument(
-        "propagate_full_delete: graph is not the snapshot source");
+        "propagate_full_delete: graph is not the one this engine walks");
   }
   if (node >= graph_.num_nodes()) {
     throw std::out_of_range("propagate_full_delete: bad node");
@@ -144,14 +184,17 @@ PropagationStats IncrementalPagerank::propagate_full_delete(MutableDigraph& g,
   return stats;
 }
 
-PropagationStats IncrementalPagerank::inject(NodeId node, double delta) {
+template <typename Graph>
+PropagationStats IncrementalPagerank<Graph>::inject(NodeId node,
+                                                    double delta) {
   if (node >= graph_.num_nodes()) {
     throw std::out_of_range("inject: bad node");
   }
   return run_cascade({{node, delta, 0}}, false);
 }
 
-PropagationStats IncrementalPagerank::inject_batch(
+template <typename Graph>
+PropagationStats IncrementalPagerank<Graph>::inject_batch(
     std::vector<std::pair<NodeId, double>> deltas) {
   for (const auto& [node, delta] : deltas) {
     (void)delta;
@@ -175,9 +218,10 @@ PropagationStats IncrementalPagerank::inject_batch(
   return run_cascade(std::move(items), false);
 }
 
-std::vector<IncrementalPagerank::WorkItem>
-IncrementalPagerank::make_seed_items(NodeId node, double rank_value,
-                                     std::uint64_t& cross_out) {
+template <typename Graph>
+std::vector<typename IncrementalPagerank<Graph>::WorkItem>
+IncrementalPagerank<Graph>::make_seed_items(NodeId node, double rank_value,
+                                            std::uint64_t& cross_out) {
   std::vector<WorkItem> items;
   const auto deg = graph_.out_degree(node);
   if (deg == 0) return items;
@@ -196,6 +240,9 @@ IncrementalPagerank::make_seed_items(NodeId node, double rank_value,
   return items;
 }
 
+template class IncrementalPagerank<Digraph>;
+template class IncrementalPagerank<MutableDigraph>;
+
 PropagationStats insert_document(MutableDigraph& g,
                                  std::vector<double>& ranks,
                                  const std::vector<NodeId>& out_links,
@@ -204,36 +251,14 @@ PropagationStats insert_document(MutableDigraph& g,
   const NodeId id = g.add_document(out_links);
   ranks.push_back(options.initial_rank);
   if (new_id_out != nullptr) *new_id_out = id;
-  const Digraph snapshot = g.freeze();
-  IncrementalPagerank engine(snapshot, ranks, options);
-  // §3.1: seed with the initial constant and send updates to out-links...
-  PropagationStats stats = engine.seed_and_propagate(id);
-  // ...then "the system eventually reconverges": the new document has no
-  // in-links yet, so its own recompute settles at (1-d); the correction
-  // relative to the seed propagates like any other update.
-  const double true_rank = 1.0 - options.damping;
-  const double correction = true_rank - ranks[id];
-  ranks[id] = true_rank;
-  if (snapshot.out_degree(id) > 0 && correction != 0.0) {
-    const double fwd = options.damping * correction /
-                       static_cast<double>(snapshot.out_degree(id));
-    for (const NodeId w : snapshot.out_neighbors(id)) {
-      const auto more = engine.inject(w, fwd);
-      stats.updates_delivered += more.updates_delivered;
-      stats.cross_peer_messages += more.cross_peer_messages;
-      stats.nodes_covered += more.nodes_covered;  // upper bound; may recount
-      stats.path_length = std::max(stats.path_length,
-                                   more.path_length + 1);
-    }
-  }
-  return stats;
+  IncrementalPagerank engine(g, ranks, options);
+  return engine.integrate_insert(id);
 }
 
 PropagationStats delete_document(MutableDigraph& g,
                                  std::vector<double>& ranks, NodeId node,
                                  const PagerankOptions& options) {
-  const Digraph snapshot = g.freeze();
-  IncrementalPagerank engine(snapshot, ranks, options);
+  IncrementalPagerank engine(g, ranks, options);
   return engine.propagate_full_delete(g, node);
 }
 

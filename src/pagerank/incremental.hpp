@@ -31,6 +31,18 @@
 // rank: the deleted document's own rank is zeroed in the same call that
 // isolates it, so no query can serve a rank for a document that no
 // longer exists.
+//
+// One cascade, two graph types: IncrementalPagerank<Graph> walks either a
+// CSR Digraph (the Table 4 sweeps, `dprank_cli insert`) or the live
+// MutableDigraph a write has just mutated (the stream coordinator,
+// P2PSystem, insert_document / delete_document), so a write pays for the
+// documents its cascade reaches, not for a CSR rebuild of the whole
+// graph. MutableDigraph keeps its adjacency lists ascending, so both
+// walks visit the same neighbours in the same order and agree bit for
+// bit with a cascade over the live graph's freeze(). The engine reads its
+// graph through a reference and sizes its bookkeeping to the node count
+// at construction: a live engine is valid only until the graph's next
+// mutation (propagate_full_delete's own isolation ends it too).
 
 #include <cstdint>
 #include <utility>
@@ -50,18 +62,20 @@ struct PropagationStats {
   std::uint32_t path_length = 0;         // longest chain of forwards
 };
 
-/// Increment propagator over a converged rank vector. Operates on a CSR
-/// graph for the Table 4 sweeps; `probe` mode restores ranks afterwards
-/// so thousands of independent inserts can be measured cheaply.
+/// Increment propagator over a converged rank vector, walking `Graph`
+/// (Digraph or MutableDigraph; see the header comment). `probe` mode
+/// restores ranks afterwards so thousands of independent inserts can be
+/// measured cheaply.
+template <typename Graph>
 class IncrementalPagerank {
  public:
   /// `placement` may be nullptr; cross_peer_messages is then zero and all
   /// updates count as deliveries only.
-  IncrementalPagerank(const Digraph& g, std::vector<double>& ranks,
+  IncrementalPagerank(const Graph& g, std::vector<double>& ranks,
                       const PagerankOptions& options,
                       const Placement* placement = nullptr);
-  IncrementalPagerank(Digraph&&, std::vector<double>&, PagerankOptions,
-                      const Placement*) = delete;
+  IncrementalPagerank(Graph&&, std::vector<double>&, const PagerankOptions&,
+                      const Placement* = nullptr) = delete;
 
   /// Paper's Table 4 experiment: re-seed an existing document with the
   /// initial rank and propagate increments from it. Mutates ranks.
@@ -70,6 +84,14 @@ class IncrementalPagerank {
   /// Same, but restores all touched ranks before returning (measurement
   /// probe; the rank vector is unchanged afterwards).
   PropagationStats probe_insert(NodeId node);
+
+  /// §3.1 insert of `node`, a document just added with out-links only:
+  /// seed_and_propagate, then settle it at its no-in-link fixed point
+  /// (1-d) and propagate that correction like any other update. Returns
+  /// the summed stats (nodes_covered is an upper bound: it may recount).
+  /// `touched`, when given, receives every cascade's last_touched().
+  PropagationStats integrate_insert(NodeId node,
+                                    std::vector<NodeId>* touched = nullptr);
 
   /// Document deletion (§3.1): propagate the node's rank negated to its
   /// out-links. Does not modify the graph; pair with
@@ -91,13 +113,13 @@ class IncrementalPagerank {
   PropagationStats inject_batch(std::vector<std::pair<NodeId, double>> deltas);
 
   /// Full document deletion paired with the mutable graph: propagate the
-  /// negated rank over this engine's (pre-delete) snapshot, then isolate
+  /// negated rank over this engine's (pre-delete) graph, then isolate
   /// `node` in `g` and zero its rank — one call, so a stream delete can
   /// never leave a dangling rank between the cascade and the isolation.
-  /// `g` must be the graph this engine's snapshot was frozen from (same
-  /// node count and adjacency for `node`). See the header comment for
-  /// the mass-conservation consequence: the system's rank sum drops by
-  /// ~R(node) by design.
+  /// `g` must be the live graph this engine walks, or the graph its CSR
+  /// was frozen from (same node count and adjacency for `node`). See the
+  /// header comment for the mass-conservation consequence: the system's
+  /// rank sum drops by ~R(node) by design.
   PropagationStats propagate_full_delete(MutableDigraph& g, NodeId node);
 
   /// Distinct documents whose rank the most recent cascade changed
@@ -132,7 +154,7 @@ class IncrementalPagerank {
   std::vector<WorkItem> make_seed_items(NodeId node, double rank_value,
                                         std::uint64_t& cross_out);
 
-  const Digraph& graph_;
+  const Graph& graph_;
   std::vector<double>& ranks_;
   PagerankOptions options_;
   const Placement* placement_;
@@ -144,18 +166,21 @@ class IncrementalPagerank {
   std::vector<NodeId> last_touched_;
 };
 
+extern template class IncrementalPagerank<Digraph>;
+extern template class IncrementalPagerank<MutableDigraph>;
+
 /// Full document insertion against a mutable graph: adds the node with
-/// its out-links, seeds it, and returns the propagation stats measured on
-/// a CSR snapshot. Convenience used by examples/tests; the Table 4 bench
-/// uses IncrementalPagerank directly.
+/// its out-links, seeds it, and returns the propagation stats of the
+/// cascade over the live graph. Convenience used by examples/tests; the
+/// Table 4 bench uses IncrementalPagerank directly.
 PropagationStats insert_document(MutableDigraph& g,
                                  std::vector<double>& ranks,
                                  const std::vector<NodeId>& out_links,
                                  const PagerankOptions& options,
                                  NodeId* new_id_out = nullptr);
 
-/// Full document deletion: propagates the negated rank, then isolates the
-/// node in the graph and zeroes its rank.
+/// Full document deletion: propagates the negated rank over the live
+/// graph, then isolates the node in it and zeroes its rank.
 PropagationStats delete_document(MutableDigraph& g,
                                  std::vector<double>& ranks, NodeId node,
                                  const PagerankOptions& options);

@@ -167,8 +167,9 @@ IngestBatchStats IngestCoordinator::flush() {
 
   out.events = pending_.size();
   out.coalesced_seeds = deltas.size();
-  const Digraph snapshot = graph_.freeze();
-  IncrementalPagerank engine(snapshot, ranks_, config_.options);
+  // The cascade walks the live graph; the engine dies before the next
+  // mutation.
+  IncrementalPagerank engine(graph_, ranks_, config_.options);
   out.cascade = engine.inject_batch(std::move(deltas));
 
   last_batch_touched_ = engine.last_touched();

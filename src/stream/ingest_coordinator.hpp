@@ -10,7 +10,9 @@
 //     MutableDigraph in stream order, so the graph's evolution is
 //     identical no matter how events are batched (this is what makes
 //     per-event and batched ingest comparable, and what lets remove-edge
-//     ordinals resolve deterministically).
+//     ordinals resolve deterministically: `ordinal % outdeg` indexes the
+//     source's strictly ascending out-list, so the edge removed depends
+//     only on the edge set).
 //  2. RANK, per batch (the coalescing path): instead of cascading once
 //     per event, the batch is folded into one emission diff. For every
 //     document whose out-links or rank-at-the-source changed, the batch
@@ -20,19 +22,25 @@
 //       +d * rank_new / outdeg_new   to every current out-neighbor.
 //     The per-target sums — a document hit by several events in the
 //     batch gets ONE coalesced delta — are injected as a single
-//     IncrementalPagerank::inject_batch cascade over one frozen CSR
-//     snapshot. Deltas aimed at deleted documents are dropped (their
-//     mass leaves with the document; see pagerank/incremental.hpp).
-//     Inserted documents enter at their no-in-link fixed point (1-d);
+//     IncrementalPagerank::inject_batch cascade that walks the live
+//     MutableDigraph in place: no CSR is rebuilt per batch. Its lists
+//     are kept ascending, so the walk is bit-identical to one over
+//     freeze(). The engine is built after the batch's mutations and
+//     dropped before the next one (a live engine is valid only until
+//     the graph's next mutation). Deltas aimed at deleted documents
+//     are dropped (their mass leaves with the document; see
+//     pagerank/incremental.hpp). Inserted documents enter at their
+//     no-in-link fixed point (1-d);
 //     deletes zero the victim's rank in the same batch that isolates it,
 //     so a served rank can never be dangling.
 //  3. RECONVERGENCE, every reconverge_every_events offered events: the
 //     pending batch is flushed and a full distributed run —
-//     run_chaos_campaign over the frozen current graph, churn/crash
-//     faults and the mass audit active — replaces the incrementally
-//     maintained ranks with the engine's converged solution. The audit's
-//     mass_ratio at each such quiescence point is recorded
-//     (mass_ratios()); the stream bench gates on every entry being 1.0.
+//     run_chaos_campaign over a freeze() of the current graph,
+//     churn/crash faults and the mass audit active — replaces the
+//     incrementally maintained ranks with the engine's converged
+//     solution. The audit's mass_ratio at each such quiescence point is
+//     recorded (mass_ratios()); the stream bench gates on every entry
+//     being 1.0.
 //     Reconvergence fires at fixed OFFERED-event marks, not applied
 //     marks, so runs with different batch sizes reconverge on identical
 //     graphs and adopt identical ranks — the property that makes the
@@ -87,8 +95,8 @@ struct IngestConfig {
   std::uint64_t seed = 42;
   /// Contract sweep (validate()) every this many applied batches when
   /// invariants are compiled in; 0 = only at reconvergence. The sweep
-  /// walks the MutableDigraph's adjacency mirror — O(V+E) — so per-batch
-  /// sweeping is for tests, not production ingest.
+  /// walks the MutableDigraph's adjacency mirror — O(V + E log D) — so
+  /// per-batch sweeping is for tests, not production ingest.
   std::uint32_t sweep_every_batches = 32;
   PagerankOptions options{};
   /// Template for the reconvergence campaigns; options and seed are

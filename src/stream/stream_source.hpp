@@ -24,9 +24,10 @@
 //    node id — inserts are the only events that allocate ids, so the
 //    source can predict them) plus its out-links;
 //  * kRemoveEdge names the source document and an ordinal resolved
-//    against the live out-list at apply time (ordinal % outdeg) — the
-//    source does not track edges, but structural application order is
-//    identical across batch sizes, so the resolution is deterministic;
+//    against the live, strictly ascending out-list at apply time
+//    (ordinal % outdeg) — the source does not track edges, but
+//    structural application order is identical across batch sizes, so
+//    the resolution is deterministic;
 //  * kAddEdge may duplicate an existing edge and kRemoveEdge may land on
 //    an empty out-list; appliers treat both as no-ops.
 
@@ -53,7 +54,7 @@ struct StreamEvent {
   /// kAddEdge only: the destination document.
   NodeId target = 0;
   /// kRemoveEdge only: out-slot selector, resolved as ordinal % outdeg
-  /// against the source's out-list at apply time.
+  /// against the source's ascending out-list at apply time.
   std::uint32_t ordinal = 0;
   /// kInsert only: out-links of the new document (live at emission time).
   std::vector<NodeId> out_links;

@@ -131,6 +131,23 @@ TEST_F(SystemTest, LinksToDeadDocumentsRejected) {
   EXPECT_THROW(system_.add_document({5}, {victim}), std::invalid_argument);
 }
 
+// A repeated term would post the document twice under it, and
+// validate() would then report a postings/terms mismatch.
+TEST_F(SystemTest, RepeatedTermRejectedBeforeAnyMutation) {
+  (void)system_.converge();
+  const std::vector<double> ranks_before = system_.ranks();
+  const auto messages_before = system_.traffic().messages();
+  EXPECT_THROW(system_.add_document({7, 3, 7}, {1, 2}),
+               std::invalid_argument);
+  EXPECT_EQ(system_.num_documents(), 1500u);
+  EXPECT_EQ(system_.ranks(), ranks_before);
+  EXPECT_EQ(system_.traffic().messages(), messages_before);
+  EXPECT_TRUE(system_.validate().empty());
+  // The same terms, each once, are accepted.
+  (void)system_.add_document({3, 7}, {1, 2});
+  EXPECT_TRUE(system_.validate().empty());
+}
+
 TEST_F(SystemTest, IndexRefreshTracksCascadedRankChanges) {
   (void)system_.converge();
   const auto msgs_before = system_.traffic().messages();

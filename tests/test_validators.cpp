@@ -44,6 +44,16 @@ struct TestCorruptor {
     g.out_[0].push_back(1);
   }
   static void corrupt_edge_count(MutableDigraph& g) { ++g.num_edges_; }
+  static void unsort_out_list(MutableDigraph& g) {
+    // Swap the first two entries of the first out-list that has two: the
+    // mirror and the edge count still hold, only the order is broken.
+    for (auto& outs : g.out_) {
+      if (outs.size() >= 2) {
+        std::swap(outs[0], outs[1]);
+        return;
+      }
+    }
+  }
   static void corrupt_ring_index(ChordRing& ring) {
     // Swap two peers' GUIDs in the reverse index only: by_id_ and
     // guid_of_peer_ stop being inverse bijections, and every finger
@@ -125,6 +135,14 @@ TEST(ValidatorNegative, MutableDigraphCatchesWrongEdgeCount) {
   SKIP_WITHOUT_CONTRACTS();
   MutableDigraph g(paper_graph(100, 5));
   TestCorruptor::corrupt_edge_count(g);
+  expect_violation("graph", [&] { g.validate(); });
+}
+
+TEST(ValidatorNegative, MutableDigraphCatchesOutOfOrderList) {
+  SKIP_WITHOUT_CONTRACTS();
+  MutableDigraph g(paper_graph(100, 5));
+  g.validate();
+  TestCorruptor::unsort_out_list(g);
   expect_violation("graph", [&] { g.validate(); });
 }
 

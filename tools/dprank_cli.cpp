@@ -433,9 +433,13 @@ int cmd_system(const Args& args) {
   for (std::uint64_t op = 0; op < ops; ++op) {
     const auto kind = rng.bounded(3);
     if (kind == 0) {
+      // A document's terms are a set; P2PSystem rejects repeats.
       std::vector<TermId> terms;
-      for (int t = 0; t < 3; ++t) {
-        terms.push_back(static_cast<TermId>(rng.bounded(cp.vocabulary)));
+      while (terms.size() < std::min<std::size_t>(3, cp.vocabulary)) {
+        const auto t = static_cast<TermId>(rng.bounded(cp.vocabulary));
+        if (std::find(terms.begin(), terms.end(), t) == terms.end()) {
+          terms.push_back(t);
+        }
       }
       std::vector<NodeId> links;
       for (int l = 0; l < 3; ++l) {
