@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <ios>
 #include <stdexcept>
 #include <vector>
 
 #include "graph/generator.hpp"
+#include "run_digest.hpp"
 
 namespace dprank {
 namespace {
@@ -118,6 +121,39 @@ TEST(ChaosCampaign, BitReproducibleForFixedSeed) {
 
   const ChaosCampaignReport c = run_chaos_campaign(g, small_config(8));
   EXPECT_NE(c.rank_digest, a.rank_digest);
+}
+
+TEST(ChaosCampaign, GoldenDigestAtOneAndFourThreads) {
+  // Membership handoffs, crash-range reconstruction, lossy acked sends
+  // and the quiescence audit in one seeded campaign (16 peers, 8 events),
+  // pinned by a digest recorded on the engine before its pass pipeline
+  // was unified.
+  const Digraph g = paper_graph(400, 9);
+  for (const std::uint32_t threads : {1u, 4u}) {
+    ChaosCampaignConfig cfg = small_config(42);
+    cfg.events = 8;
+    cfg.options.threads = threads;
+    const ChaosCampaignReport rep = run_chaos_campaign(g, cfg);
+    Fnv f;
+    f.mix_value(rep.rank_digest);
+    f.mix_value(rep.result.passes);
+    f.mix_value(rep.result.converged);
+    f.mix_value(rep.result.mass_ratio);
+    f.mix_value(rep.result.repair_rounds);
+    for (const std::uint64_t c :
+         {rep.joins, rep.leaves, rep.crashes, rep.handoff_docs,
+          rep.stale_owner_queries, rep.outbox_dropped_dead, rep.gave_up,
+          rep.declared_dead, rep.false_suspicions, rep.ring_repairs,
+          rep.stabilize_rounds, rep.retransmissions, rep.recovered_docs,
+          rep.replica_restores, rep.known_loss_events}) {
+      f.mix_value(c);
+    }
+    for (const std::uint64_t lat : rep.detection_latencies) f.mix_value(lat);
+    f.mix_value(rep.audited_known_loss);
+    EXPECT_EQ(f.value(), 0xfa28e7235d254f02ULL)
+        << std::hex << "digest 0x" << f.value() << std::dec
+        << " threads=" << threads;
+  }
 }
 
 TEST(ChaosCampaign, ReplicaLessRunsRepairThroughTheAudit) {

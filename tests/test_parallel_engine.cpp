@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ios>
 #include <optional>
 #include <vector>
 
@@ -19,7 +20,9 @@
 #include "net/ip_cache.hpp"
 #include "p2p/churn.hpp"
 #include "p2p/placement.hpp"
+#include "p2p/replication.hpp"
 #include "pagerank/distributed_engine.hpp"
+#include "run_digest.hpp"
 
 namespace dprank {
 namespace {
@@ -245,6 +248,132 @@ TEST(ParallelEngine, CoalescedBillingKeepsRanksAndCountsUpdates) {
   std::uint64_t sent = 0;
   for (const PassStats& p : co.history) sent += p.messages_sent;
   EXPECT_EQ(sent, co.messages);
+}
+
+// ---- attached-run goldens --------------------------------------------
+
+enum class Attached : std::uint8_t {
+  kOverlay,           // chord ring + enabled ip cache
+  kDropDuplicate,     // unacked drop + duplicate
+  kDelayReorderDrop,  // acked delivery with delay, reorder and drop
+  kCrashReplicas,     // crash plan + replica restore + mass audit
+  kPartitionAudit,    // one bipartition + mass audit
+};
+
+struct AttachedGolden {
+  Attached kind;
+  double availability;
+  std::uint64_t digest;
+};
+
+/// Full-observable digest of one attached run at seed 42, 2000 docs /
+/// 40 peers / epsilon 1e-3 (capped at 400 passes so churn layered on a
+/// fault plan always terminates).
+std::uint64_t attached_digest(Attached kind, double availability,
+                              std::uint32_t threads) {
+  constexpr std::uint64_t kSeed = 42;
+  const Digraph g = paper_graph(kDocs, kSeed);
+  const auto placement = Placement::random(kDocs, kPeers, kSeed);
+  PagerankOptions o;
+  o.epsilon = 1e-3;
+  o.threads = threads;
+  o.max_passes = 400;
+  DistributedPagerank engine(g, placement, o);
+
+  const ChordRing ring(kPeers);
+  IpCache cache(true);
+  const ReplicaRegistry replicas = ReplicaRegistry::uniform(placement, 1, kSeed);
+  FaultPlanConfig fc;
+  fc.seed = kSeed;
+  switch (kind) {
+    case Attached::kOverlay:
+      engine.attach_overlay(ring, cache);
+      break;
+    case Attached::kDropDuplicate:
+      fc.drop_probability = 0.05;
+      fc.duplicate_probability = 0.1;
+      break;
+    case Attached::kDelayReorderDrop:
+      fc.drop_probability = 0.05;
+      fc.base_delay_passes = 1;
+      fc.reorder_probability = 0.2;
+      fc.reorder_window = 3;
+      fc.acked_delivery = true;
+      break;
+    case Attached::kCrashReplicas:
+      fc.crash_probability = 0.01;
+      fc.crash_downtime_passes = 2;
+      engine.attach_replicas(replicas);
+      engine.enable_mass_audit();
+      break;
+    case Attached::kPartitionAudit:
+      fc.partitions = {{.start_pass = 2, .duration_passes = 6,
+                        .fraction = 0.3}};
+      engine.enable_mass_audit();
+      break;
+  }
+  FaultPlan plan(fc);
+  if (kind != Attached::kOverlay) engine.attach_fault_plan(plan);
+
+  DistributedRunResult run;
+  if (availability < 1.0) {
+    ChurnSchedule churn(kPeers, availability, kSeed);
+    run = engine.run(&churn);
+  } else {
+    run = engine.run();
+  }
+  // Each configuration must actually exercise what it attaches.
+  switch (kind) {
+    case Attached::kOverlay:
+      EXPECT_GT(engine.traffic().hop_transmissions(),
+                engine.traffic().messages());
+      break;
+    case Attached::kDropDuplicate:
+      EXPECT_GT(engine.dropped_messages(), 0u);
+      EXPECT_GT(engine.duplicated_messages(), 0u);
+      break;
+    case Attached::kDelayReorderDrop:
+      EXPECT_GT(engine.retransmissions(), 0u);
+      break;
+    case Attached::kCrashReplicas:
+      EXPECT_GT(engine.crashes(), 0u);
+      EXPECT_GT(engine.replica_restores(), 0u);
+      break;
+    case Attached::kPartitionAudit:
+      EXPECT_GT(engine.partition_deferrals(), 0u);
+      break;
+  }
+  return digest_full(engine, run);
+}
+
+// Recorded on the engine before its pass pipeline was unified. Every
+// attached configuration, with and without churn, must replay these
+// bit for bit at any thread count.
+constexpr AttachedGolden kAttachedGolden[] = {
+    {Attached::kOverlay, 1.00, 0x762ae9bddb4cf092ULL},
+    {Attached::kOverlay, 0.85, 0x1b1340867a04661cULL},
+    {Attached::kDropDuplicate, 1.00, 0xcfc55d2304ef2d7cULL},
+    {Attached::kDropDuplicate, 0.85, 0xd97b46b7a1eaaba9ULL},
+    {Attached::kDelayReorderDrop, 1.00, 0x1f95c29b417ed5e6ULL},
+    {Attached::kDelayReorderDrop, 0.85, 0x82aba472288f01e6ULL},
+    {Attached::kCrashReplicas, 1.00, 0x60eb4eea894c39a9ULL},
+    {Attached::kCrashReplicas, 0.85, 0xc9edc24c4fa02b17ULL},
+    {Attached::kPartitionAudit, 1.00, 0xf5703a61db1b8384ULL},
+    {Attached::kPartitionAudit, 0.85, 0x00faaf503b82e808ULL},
+};
+
+TEST(ParallelEngine, AttachedRunGoldensAtOneAndFourThreads) {
+  for (const AttachedGolden& entry : kAttachedGolden) {
+    for (const std::uint32_t threads : {1u, 4u}) {
+      const std::uint64_t d =
+          attached_digest(entry.kind, entry.availability, threads);
+      EXPECT_EQ(d, entry.digest)
+          << std::hex << "digest 0x" << d << std::dec
+          << " kind=" << static_cast<int>(entry.kind)
+          << " availability=" << entry.availability
+          << " threads=" << threads;
+    }
+  }
 }
 
 TEST(ParallelEngine, ThreadsBeyondPeersAreHarmless) {

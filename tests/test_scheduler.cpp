@@ -18,13 +18,17 @@
 
 #include <cmath>
 #include <cstdint>
+#include <ios>
+#include <utility>
 #include <vector>
 
 #include "graph/generator.hpp"
+#include "obs/trace.hpp"
 #include "p2p/churn.hpp"
 #include "p2p/placement.hpp"
 #include "pagerank/centralized.hpp"
 #include "pagerank/quality.hpp"
+#include "run_digest.hpp"
 
 namespace dprank {
 namespace {
@@ -34,34 +38,22 @@ namespace {
 constexpr NodeId kDocs = 2'000;
 constexpr PeerId kPeers = 40;
 
-/// FNV-1a over every observable the compatibility promise covers.
-class Fnv {
- public:
-  void mix(const void* data, std::size_t n) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-      h_ ^= p[i];
-      h_ *= 1099511628211ULL;
-    }
-  }
-  template <typename T>
-  void mix_value(const T& v) {
-    mix(&v, sizeof(v));
-  }
-  [[nodiscard]] std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 14695981039346656037ULL;
-};
-
+/// `trace` attaches a tracer and `audit` the mass audit: observation
+/// must leave every digest unchanged.
+/// With `trace`, `trace_digest` receives the digest of the event stream.
 std::uint64_t digest_run(std::uint64_t seed, std::uint32_t threads,
-                         double availability) {
+                         double availability, bool trace = false,
+                         bool audit = false,
+                         std::uint64_t* trace_digest = nullptr) {
   const Digraph g = paper_graph(kDocs, seed);
   const auto placement = Placement::random(kDocs, kPeers, seed);
   PagerankOptions o;
   o.epsilon = 1e-3;
   o.threads = threads;
   DistributedPagerank engine(g, placement, o);
+  obs::Tracer tracer;
+  if (trace) engine.attach_tracer(tracer);
+  if (audit) engine.enable_mass_audit();
   DistributedRunResult run;
   if (availability < 1.0) {
     ChurnSchedule churn(kPeers, availability, seed);
@@ -69,28 +61,11 @@ std::uint64_t digest_run(std::uint64_t seed, std::uint32_t threads,
   } else {
     run = engine.run();
   }
-  Fnv f;
-  f.mix_value(run.passes);
-  f.mix_value(run.converged);
-  f.mix(engine.ranks().data(), engine.ranks().size() * sizeof(double));
-  for (const PassStats& s : engine.pass_history()) {
-    f.mix_value(s.pass);
-    f.mix_value(s.docs_recomputed);
-    f.mix_value(s.messages_sent);
-    f.mix_value(s.messages_deferred);
-    f.mix_value(s.messages_delivered_late);
-    f.mix_value(s.local_updates);
-    f.mix_value(s.max_peer_messages);
-    f.mix_value(s.max_rel_change);
+  if (audit) {
+    EXPECT_NEAR(run.mass_ratio, 1.0, 1e-9);
   }
-  const TrafficMeter& t = engine.traffic();
-  f.mix_value(t.messages());
-  f.mix_value(t.local_updates());
-  f.mix_value(t.bytes());
-  f.mix_value(t.resends());
-  f.mix_value(t.hop_transmissions());
-  f.mix_value(engine.outbox_peak());
-  return f.value();
+  if (trace_digest != nullptr) *trace_digest = digest_trace(tracer);
+  return digest_core(engine, run);
 }
 
 struct GoldenEntry {
@@ -125,6 +100,53 @@ TEST(ScheduleFifo, BitIdenticalToPreSchedulerEngine) {
               entry.digest)
         << "seed=" << entry.seed << " threads=" << entry.threads
         << " availability=" << entry.availability;
+  }
+}
+
+TEST(ScheduleFifo, GoldensHoldWithTracerAndAudit) {
+  // Observation never changes the run: a tracer, the mass audit, or both
+  // leave every fifo digest exactly where the plain run put it.
+  for (const GoldenEntry& entry : kGolden) {
+    for (const auto& [trace, audit] :
+         {std::pair{true, false}, std::pair{false, true},
+          std::pair{true, true}}) {
+      EXPECT_EQ(digest_run(entry.seed, entry.threads, entry.availability,
+                           trace, audit),
+                entry.digest)
+          << "seed=" << entry.seed << " threads=" << entry.threads
+          << " availability=" << entry.availability << " trace=" << trace
+          << " audit=" << audit;
+    }
+  }
+}
+
+struct TraceGolden {
+  std::uint64_t seed;
+  double availability;
+  std::uint64_t digest;
+};
+
+// The traced journeys of a fifo run: every send, park, outbox delivery
+// and terminal event in emission order. Recorded at 2000 docs / 40
+// peers / epsilon 1e-3; identical at every thread count.
+constexpr TraceGolden kTraceGolden[] = {
+    {7ULL, 1.00, 0xa5fe394581494b41ULL},
+    {7ULL, 0.85, 0xab920a74c1f4de34ULL},
+    {42ULL, 1.00, 0x593f79addaf578a7ULL},
+    {42ULL, 0.85, 0x8fa5fe5180c5bb80ULL},
+};
+
+TEST(ScheduleFifo, TraceStreamGoldens) {
+  for (const TraceGolden& entry : kTraceGolden) {
+    for (const std::uint32_t threads : {1u, 4u}) {
+      std::uint64_t trace = 0;
+      (void)digest_run(entry.seed, threads, entry.availability,
+                       /*trace=*/true, /*audit=*/false, &trace);
+      EXPECT_EQ(trace, entry.digest)
+          << std::hex << "trace digest 0x" << trace << std::dec
+          << " seed=" << entry.seed << " threads=" << threads
+          << " availability=" << entry.availability;
+    }
   }
 }
 
@@ -235,6 +257,62 @@ TEST(ScheduleResidual, ThreadCountInvariant) {
       EXPECT_EQ(one.messages, four.messages);
       EXPECT_EQ(one.passes, four.passes);
       EXPECT_EQ(one.deferred, four.deferred);
+    }
+  }
+}
+
+std::uint64_t residual_digest(std::uint64_t seed, std::uint32_t threads,
+                              double availability, bool adaptive) {
+  const Digraph g = paper_graph(kDocs, seed);
+  const auto placement = Placement::random(kDocs, kPeers, seed);
+  PagerankOptions o;
+  o.epsilon = 1e-3;
+  o.threads = threads;
+  o.schedule = Schedule::kResidual;
+  o.adaptive_epsilon = adaptive;
+  DistributedPagerank engine(g, placement, o);
+  DistributedRunResult run;
+  if (availability < 1.0) {
+    ChurnSchedule churn(kPeers, availability, seed);
+    run = engine.run(&churn);
+  } else {
+    run = engine.run();
+  }
+  return digest_full(engine, run);
+}
+
+struct ResidualGolden {
+  std::uint64_t seed;
+  double availability;
+  bool adaptive;
+  std::uint64_t digest;
+};
+
+// Full-observable digests of residual runs (deferral counts included),
+// recorded at 2000 docs / 40 peers / epsilon 1e-3. The residual selection
+// and its delta folds are pinned by these, at every thread count.
+constexpr ResidualGolden kResidualGolden[] = {
+    {7ULL, 1.00, false, 0x5612845d96f514b2ULL},
+    {7ULL, 1.00, true, 0xa03ee50a544b6367ULL},
+    {7ULL, 0.85, false, 0x1cb23f3c20bf8706ULL},
+    {7ULL, 0.85, true, 0xfa7033c601e4ac89ULL},
+    {42ULL, 1.00, false, 0xcfc36da64a8e8a5bULL},
+    {42ULL, 1.00, true, 0x2a301e054bc067cfULL},
+    {42ULL, 0.85, false, 0x38de2b0bc198c06dULL},
+    {42ULL, 0.85, true, 0x45935fdbc43d9c72ULL},
+};
+
+TEST(ScheduleResidual, GoldenDigestsAtOneAndFourThreads) {
+  for (const ResidualGolden& entry : kResidualGolden) {
+    for (const std::uint32_t threads : {1u, 4u}) {
+      const std::uint64_t d = residual_digest(entry.seed, threads,
+                                              entry.availability,
+                                              entry.adaptive);
+      EXPECT_EQ(d, entry.digest)
+          << std::hex << "digest 0x" << d << std::dec
+          << " seed=" << entry.seed << " threads=" << threads
+          << " availability=" << entry.availability
+          << " adaptive=" << entry.adaptive;
     }
   }
 }
