@@ -53,12 +53,10 @@ void BM_Faults(benchmark::State& state) {
   const auto& ref = exp.reference_ranks();
 
   for (auto _ : state) {
+    FaultPlan plan({.drop_probability = drop, .seed = experiment_seed()});
     DistributedPagerank engine(exp.graph(), exp.placement(),
                                exp.pagerank_options());
-    if (drop > 0) {
-      engine.inject_faults(
-          {.drop_probability = drop, .seed = experiment_seed()});
-    }
+    if (drop > 0) engine.attach_fault_plan(plan);
     const auto run = engine.run();
     const auto q = summarize_quality(engine.ranks(), ref);
     Row row;

@@ -34,10 +34,10 @@ simulator that generic tooling does not know about:
                   std::unordered_map pay an allocation plus pointer
                   chases per message, which is exactly the cost the
                   FlatMap64/arena work removed. New code there should
-                  use FlatMap64 (common/flat_map.hpp), a plain vector,
-                  or an EpochArray; cold-path uses (config tables,
-                  metrics export, a rarely-touched delay buffer) carry
-                  an explicit waiver naming why the path is cold.
+                  use FlatMap64 (common/flat_map.hpp) or a plain
+                  vector; cold-path uses (config tables, metrics
+                  export, a rarely-touched delay buffer) carry an
+                  explicit waiver naming why the path is cold.
 
   unaligned-hot-buffer
                   Files on the gather hot path (hot-path subsystems that
@@ -274,8 +274,8 @@ def lint_file(path: Path, root: Path, waivers: WaiverTable) -> list[Finding]:
                 idx,
                 "hot-path-map",
                 "node-based map on the messaging hot path: use FlatMap64 "
-                "(common/flat_map.hpp), a vector, or an EpochArray; waive "
-                "only with a comment naming why this path is cold",
+                "(common/flat_map.hpp) or a vector; waive only with a "
+                "comment naming why this path is cold",
             )
         if in_gather_path and HOT_BUFFER_DECL_RE.search(code):
             report(

@@ -15,11 +15,6 @@
 //   * ObjectPool<T>: the same free-list discipline for arbitrary
 //     move-constructible objects (e.g. an Outbox queue with its warmed-up
 //     flat map); no poisoning, since T owns its own memory.
-//   * EpochArray<T>: a dense array whose slots self-reset lazily via an
-//     epoch stamp. advance() makes every slot logically default again in
-//     O(1); at(i) re-initializes a slot on first touch of the new epoch.
-//     Replaces the clear()-every-pass pattern for per-peer counters where
-//     only a handful of the slots are touched each pass.
 //   * AlignedAllocator<T> / AlignedVec<T>: 64-byte-aligned vector storage
 //     for the engine's hot arrays (contribution cells, pass scratch), so
 //     the vectorized gather kernel (common/simd.hpp) never straddles a
@@ -182,50 +177,6 @@ class ObjectPool {
   std::vector<T> free_;
   std::uint64_t allocs_ = 0;
   std::uint64_t reuses_ = 0;
-};
-
-/// Dense array with O(1) logical reset: each slot carries the epoch it was
-/// last written in; reading a slot from an older epoch sees (and stores) a
-/// fresh default value instead. Slot count is fixed at construction or
-/// resize(); advance() starts a new epoch.
-template <typename T>
-class EpochArray {
- public:
-  EpochArray() = default;
-  explicit EpochArray(std::size_t n) { resize(n); }
-
-  void resize(std::size_t n) {
-    values_.resize(n);
-    stamps_.resize(n, 0);
-  }
-  [[nodiscard]] std::size_t size() const { return values_.size(); }
-
-  /// Invalidate every slot in O(1).
-  void advance() { ++epoch_; }
-
-  /// Reference to slot i, default-initialized on first touch this epoch.
-  [[nodiscard]] T& at(std::size_t i) {
-    if (stamps_[i] != epoch_) {
-      stamps_[i] = epoch_;
-      values_[i] = T{};
-    }
-    return values_[i];
-  }
-
-  /// Slot i's value without reviving it: the default when stale.
-  [[nodiscard]] T peek(std::size_t i) const {
-    return stamps_[i] == epoch_ ? values_[i] : T{};
-  }
-
-  /// True when slot i was written this epoch.
-  [[nodiscard]] bool fresh(std::size_t i) const {
-    return stamps_[i] == epoch_;
-  }
-
- private:
-  std::vector<T> values_;
-  std::vector<std::uint64_t> stamps_;
-  std::uint64_t epoch_ = 1;  // stamps_ start at 0: everything stale
 };
 
 }  // namespace dprank

@@ -52,7 +52,6 @@ DistributedPagerank::DistributedPagerank(const Digraph& g,
   dirty_.resize(n);
   for (NodeId v = 0; v < n; ++v) dirty_[v] = v;  // first pass: everyone
   next_dirty_.reserve(n);
-  peer_msgs_this_pass_.assign(placement.num_peers(), 0);
   residual_mode_ = options_.schedule == Schedule::kResidual;
   if (residual_mode_) {
     residual_.assign(n, std::numeric_limits<double>::infinity());
@@ -90,8 +89,7 @@ void DistributedPagerank::attach_fault_plan(FaultPlan& plan) {
   if (ran_) throw std::logic_error("attach_fault_plan after run");
   if (plan_ != nullptr) {
     throw std::logic_error(
-        "attach_fault_plan: a fault plan (or inject_faults shim) is "
-        "already attached");
+        "attach_fault_plan: a fault plan is already attached");
   }
   plan_ = &plan;
 }
@@ -119,24 +117,6 @@ void DistributedPagerank::enable_mass_audit(double tolerance) {
   }
   audit_enabled_ = true;
   audit_tolerance_ = tolerance;
-}
-
-void DistributedPagerank::inject_faults(const FaultModel& faults) {
-  if (ran_) throw std::logic_error("inject_faults after run");
-  if (plan_ != nullptr) {
-    throw std::logic_error("inject_faults: a fault plan is already attached");
-  }
-  if (faults.drop_probability < 0.0 || faults.drop_probability >= 1.0 ||
-      faults.duplicate_probability < 0.0 ||
-      faults.duplicate_probability > 1.0) {
-    throw std::invalid_argument("inject_faults: probabilities out of range");
-  }
-  FaultPlanConfig config;
-  config.drop_probability = faults.drop_probability;
-  config.duplicate_probability = faults.duplicate_probability;
-  config.seed = faults.seed;
-  owned_plan_ = std::make_unique<FaultPlan>(config);
-  plan_ = owned_plan_.get();
 }
 
 void DistributedPagerank::attach_metrics(obs::MetricsRegistry& registry) {
@@ -285,10 +265,6 @@ void DistributedPagerank::prepare_fault_state() {
     const PeerId num_peers = placement_.num_peers();
     crashed_until_.assign(num_peers, 0);
     needs_recovery_.assign(num_peers, false);
-    docs_by_peer_.assign(num_peers, {});
-    for (NodeId v = 0; v < n; ++v) {
-      docs_by_peer_[placement_.peer_of(v)].push_back(v);
-    }
     if (plan_->config().acked_delivery) {
       channel_ = std::make_unique<ReliableChannel>(ReliableChannel::Config{
           plan_->config().ack_timeout_passes,
@@ -338,17 +314,21 @@ void DistributedPagerank::crash_peer(PeerId p, std::uint64_t pass) {
                       {"downtime", static_cast<double>(downtime)}});
   }
 
-  wipe_sender_state(p);
-  // Receiver-side state lost: p's stored contributions (the cells feeding
-  // its documents). Values still parked at live senders survive.
-  for (const NodeId v : docs_by_peer_[p]) wipe_receiver_cells(v);
+  wipe_peer(p);
 }
 
-void DistributedPagerank::wipe_sender_state(PeerId p) {
+std::vector<NodeId> DistributedPagerank::docs_of(PeerId p) const {
+  std::vector<NodeId> docs;
+  for (NodeId v = 0; v < graph_.num_nodes(); ++v) {
+    if (placement_.peer_of(v) == p) docs.push_back(v);
+  }
+  return docs;
+}
+
+void DistributedPagerank::wipe_peer(PeerId p) {
   // Sender-side state lost: every update p had parked for offline
   // destinations vanishes with it.
-  for (PeerId q = 0; q < deferred_by_peer_.size(); ++q) {
-    auto& entries = deferred_by_peer_[q];
+  for (auto& entries : deferred_by_peer_) {
     std::size_t kept = 0;
     for (std::size_t i = 0; i < entries.size(); ++i) {
       if (entries[i].second == p) {
@@ -378,16 +358,17 @@ void DistributedPagerank::wipe_sender_state(PeerId p) {
       }
     }
   }
-}
-
-void DistributedPagerank::wipe_receiver_cells(NodeId v) {
-  const auto slots = graph_.in_to_out_edge(v);
-  const EdgeId base = graph_.in_edge_begin(v);
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    if (!pending_[slots[i]] && auditor_ != nullptr) {
-      auditor_->on_known_loss(contrib_[base + i]);
+  // Receiver-side state lost: the cells feeding p's documents. Values
+  // still parked at live senders survive.
+  for (const NodeId v : docs_of(p)) {
+    const auto slots = graph_.in_to_out_edge(v);
+    const EdgeId base = graph_.in_edge_begin(v);
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      if (!pending_[slots[i]] && auditor_ != nullptr) {
+        auditor_->on_known_loss(contrib_[base + i]);
+      }
+      contrib_[base + i] = 0.0;
     }
-    contrib_[base + i] = 0.0;
   }
 }
 
@@ -396,14 +377,21 @@ void DistributedPagerank::recover_peer(PeerId p,
                                        PassStats& stats) {
   needs_recovery_[p] = false;
   if (tracer_ != nullptr) tracer_->instant("peer.recover", "fault", p, {});
+  rebuild_docs(docs_of(p), presence, stats);
+}
+
+void DistributedPagerank::rebuild_docs(const std::vector<NodeId>& docs,
+                                       const std::vector<bool>& presence,
+                                       PassStats& stats) {
   // Step 1: restore document ranks — from a live replica copy where one
   // exists (one fetch message per document), from the initial value
   // otherwise.
-  for (const NodeId v : docs_by_peer_[p]) {
+  for (const NodeId v : docs) {
+    const PeerId owner = placement_.peer_of(v);
     bool restored = false;
     if (!replica_value_.empty()) {
       for (const PeerId rp : replicas_->replicas_of(v)) {
-        if (presence[rp] && reachable(rp, p)) {
+        if (presence[rp] && reachable(rp, owner)) {
           ranks_[v] = replica_value_[v];
           meter_.record_message(PagerankUpdate::kWireBytes);
           ++replica_restores_;
@@ -420,19 +408,20 @@ void DistributedPagerank::recover_peer(PeerId p,
   // Step 2: rebuild the contribution store by re-requesting each in-link
   // source's current contribution. Ranks were all restored above, so
   // same-peer sources are consistent regardless of document order.
-  for (const NodeId v : docs_by_peer_[p]) {
+  for (const NodeId v : docs) {
+    const PeerId owner = placement_.peer_of(v);
     const auto sources = graph_.in_neighbors(v);
     const auto slots = graph_.in_to_out_edge(v);
     for (std::size_t i = 0; i < sources.size(); ++i) {
       const NodeId u = sources[i];
       const EdgeId e = slots[i];
       const PeerId pu = placement_.peer_of(u);
-      if (pu != p && pending_[e]) {
+      if (pu != owner && pending_[e]) {
         // The sender holds a parked (fresher) value for this edge; the
         // outbox drain later this pass delivers it.
         continue;
       }
-      if (pu != p && (!presence[pu] || !reachable(pu, p))) {
+      if (pu != owner && (!presence[pu] || !reachable(pu, owner))) {
         // Source unreachable: the cell stays empty until the source's
         // next emission, its outbox, or the mass audit repairs it.
         continue;
@@ -446,14 +435,14 @@ void DistributedPagerank::recover_peer(PeerId p,
         (void)channel_->accept(e, seq);
         channel_->ack(e, seq);
       }
-      if (pu == p) {
+      if (pu == owner) {
         meter_.record_local_update();
         ++stats.local_updates;
       } else {
         // One pull: the re-request out, the contribution back.
         meter_.record_resend(PagerankUpdate::kWireBytes);
         meter_.record_message(PagerankUpdate::kWireBytes,
-                              send_hops(pu, p, v));
+                              send_hops(pu, owner, v));
         ++recovery_messages_;
       }
     }
@@ -494,10 +483,7 @@ void DistributedPagerank::apply_membership(
       tracer_->instant("peer.crash", "fault", p,
                        {{"pass", static_cast<double>(pass)}});
     }
-    wipe_sender_state(p);
-    for (NodeId v = 0; v < graph_.num_nodes(); ++v) {
-      if (placement_.peer_of(v) == p) wipe_receiver_cells(v);
-    }
+    wipe_peer(p);
   }
 
   // 2. Graceful leavers: in-flight sender responsibility moves to the
@@ -535,85 +521,27 @@ void DistributedPagerank::apply_membership(
   }
   drain_gave_up();
 
-  // 4. Handoffs. Phase A restores every reconstructed document's rank
-  //    first (from a live replica copy where one exists), so phase B's
-  //    cell rebuild reads consistent source ranks whatever the order of
-  //    documents inside the moved range — recover_peer's two-phase
-  //    shape.
+  // 4. Handoffs. A reconstructed range (its owner was declared dead)
+  //    is rebuilt exactly like a recovering peer's documents.
   stats.handoff_docs += mplan.handoffs.size();
   handoff_docs_ += mplan.handoffs.size();
-  using Reason = MembershipCoordinator::Handoff::Reason;
+  std::vector<NodeId> reconstruct;
   for (const auto& h : mplan.handoffs) {
-    if (h.reason != Reason::kReconstruct) {
-      // Live-to-live transfer: the new owner pulls (join) or the leaver
-      // pushes (leave) the document's rank and its stored contribution
-      // cells in one bulk message; the values themselves are already
-      // correct, so only traffic and dirty bookkeeping change.
-      const std::size_t cells = graph_.in_neighbors(h.doc).size();
-      meter_.record_batch(1 + cells, options_.batch_payload_bytes,
-                          options_.batch_header_bytes);
+    if (h.reason == MembershipCoordinator::Handoff::Reason::kReconstruct) {
+      reconstruct.push_back(h.doc);
       continue;
     }
-    bool restored = false;
-    if (!replica_value_.empty()) {
-      for (const PeerId rp : replicas_->replicas_of(h.doc)) {
-        if (presence[rp] && reachable(rp, h.to)) {
-          ranks_[h.doc] = replica_value_[h.doc];
-          meter_.record_message(PagerankUpdate::kWireBytes);
-          ++replica_restores_;
-          ++recovery_messages_;
-          restored = true;
-          break;
-        }
-      }
-    }
-    if (!restored) ranks_[h.doc] = options_.initial_rank;
-    ++recovered_docs_;
-    ++stats.recovered_docs;
+    // Live-to-live transfer: the new owner pulls (join) or the leaver
+    // pushes (leave) the document's rank and its stored contribution
+    // cells in one bulk message; the values themselves are already
+    // correct, so only traffic and dirty bookkeeping change.
+    const std::size_t cells = graph_.in_neighbors(h.doc).size();
+    meter_.record_batch(1 + cells, options_.batch_payload_bytes,
+                        options_.batch_header_bytes);
   }
-  for (const auto& h : mplan.handoffs) {
-    if (h.reason != Reason::kReconstruct) continue;
-    const NodeId v = h.doc;
-    const PeerId owner = h.to;
-    const auto sources = graph_.in_neighbors(v);
-    const auto slots = graph_.in_to_out_edge(v);
-    for (std::size_t i = 0; i < sources.size(); ++i) {
-      const NodeId u = sources[i];
-      const EdgeId e = slots[i];
-      const PeerId pu = placement_.peer_of(u);
-      if (pu != owner && pending_[e]) {
-        // A fresher value waits in the sender's outbox; the drain later
-        // this pass delivers it (re-filed to the new owner below).
-        continue;
-      }
-      if (pu != owner && (!presence[pu] || !reachable(pu, owner))) {
-        // Source unreachable: the cell stays empty until the source's
-        // next emission or the quiescence mass repair.
-        continue;
-      }
-      const double c = ranks_[u] / static_cast<double>(graph_.out_degree(u));
-      contrib_[graph_.in_edge_begin(v) + i] = c;
-      if (auditor_ != nullptr) auditor_->on_emit(e, c);
-      if (channel_ != nullptr) {
-        const std::uint32_t seq = channel_->next_seq(e);
-        (void)channel_->accept(e, seq);
-        channel_->ack(e, seq);
-      }
-      if (pu == owner) {
-        meter_.record_local_update();
-        ++stats.local_updates;
-      } else {
-        // One pull: the re-request out, the contribution back.
-        meter_.record_resend(PagerankUpdate::kWireBytes);
-        meter_.record_message(PagerankUpdate::kWireBytes);
-        ++recovery_messages_;
-      }
-    }
-    if (residual_mode_) {
-      residual_[v] = std::numeric_limits<double>::infinity();
-    }
-    mark_dirty_now(v);
-  }
+  // Overlay and membership are mutually exclusive, so send_hops bills
+  // every reconstruction pull one hop, as a direct message.
+  rebuild_docs(reconstruct, presence, stats);
 
   // 5. Re-file parked entries whose target changed owner: the outbox
   //    files every parked edge under the peer owning its target
@@ -756,143 +684,161 @@ bool DistributedPagerank::audit_and_repair(const std::vector<bool>& presence,
   return false;
 }
 
-void DistributedPagerank::prepare_parallel_state() {
-  // The batched exchange applies updates outside the sequential emission
-  // order. That is invisible on clean and churn-only runs — every write
-  // lands in its own per-edge cell and every counter is a commutative
-  // sum — but fault plans, tracers, replicas, overlays, dynamic
-  // membership and the audit all consume ordered state (RNG draws, cache
-  // warms, trace event order, stale-owner counts), so those
-  // configurations keep the sequential sender-major exchange.
-  batched_exchange_ = plan_ == nullptr && tracer_ == nullptr &&
-                      replicas_ == nullptr && ring_ == nullptr &&
-                      membership_ == nullptr && !audit_enabled_;
+bool DistributedPagerank::has_attachments() const {
+  return plan_ != nullptr || tracer_ != nullptr || replicas_ != nullptr ||
+         ring_ != nullptr || membership_ != nullptr || audit_enabled_;
+}
+
+void DistributedPagerank::prepare_pipeline(bool churn) {
+  // Fault plans, tracers, overlays, replicas, membership and the audit
+  // consume per-send state (RNG draws, cache warms, trace events, stale
+  // owners, ledger losses), and the residual schedule folds per-update
+  // deltas: all of them take the full delivery. Plain fifo runs keep the
+  // inline cell writes and bulk billing.
+  if (has_attachments() || residual_mode_) {
+    delivery_ = Delivery::kFull;
+  } else {
+    delivery_ = churn ? Delivery::kParkable : Delivery::kDirect;
+  }
   const std::uint32_t threads = std::max<std::uint32_t>(1, options_.threads);
   if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads - 1);
+  // Flat scratch sized once here, so no pass ever grows an allocation.
+  const NodeId n = graph_.num_nodes();
   const PeerId num_peers = placement_.num_peers();
-  peer_dirty_.resize(num_peers);
-  peer_scratch_.resize(num_peers);
-  if (batched_exchange_) {
-    if (pool_ == nullptr && !residual_mode_) {
-      // Sequential fifo runs take the fused pass_sequential path: flat
-      // scratch sized once here, so no pass ever grows an allocation.
-      seq_fast_ = true;
-      const NodeId n = graph_.num_nodes();
-      seq_docs_.resize(n);
-      seq_acc_.resize(n);
-      seq_senders_.resize(n);
-      seq_count_.assign(num_peers, 0);
-      seq_seg_end_.assign(num_peers, 0);
-      seq_sender_pos_.reserve(static_cast<std::size_t>(num_peers) + 1);
-      dst_count32_.assign(num_peers, 0);
-      touched_dsts_.reserve(num_peers);
-      simd_level_ = simd::active_level();
-      return;
+  docs_.resize(n);
+  acc_.resize(n);
+  senders_.resize(n);
+  peer_cursor_.assign(num_peers, 0);
+  segments_.reserve(num_peers);
+  dst_count32_.assign(num_peers, 0);
+  touched_dsts_.reserve(num_peers);
+  simd_level_ = simd::active_level();
+}
+
+void DistributedPagerank::run_pass(const std::vector<bool>& presence,
+                                   std::uint64_t pass, PassStats& stats,
+                                   obs::Histogram* batch_hist) {
+  group_dirty();
+  if (pool_ != nullptr) {
+    pool_->run(static_cast<unsigned>(segments_.size()),
+               [&](unsigned shard, unsigned) {
+                 recompute_segment(segments_[shard], presence);
+               });
+  } else {
+    for (Segment& s : segments_) recompute_segment(s, presence);
+  }
+  // Merge in peer order. Documents on absent peers, residual deferrals
+  // and held emissions keep their dirty flags and are queued for the
+  // next pass.
+  for (const Segment& s : segments_) {
+    if (!presence[s.peer]) {
+      next_dirty_.insert(next_dirty_.end(), docs_.data() + s.begin,
+                         docs_.data() + s.end);
+      continue;
     }
-    dst_incoming_.resize(num_peers);
-    dst_marked_.resize(num_peers);
-    slot_scratch_.resize(pool_ != nullptr ? pool_->concurrency() : 1);
-    for (auto& ws : slot_scratch_) {
-      ws.bucket.resize(num_peers);
-      if (residual_mode_) ws.bucket_delta.resize(num_peers);
-    }
+    stats.docs_recomputed += s.recomputed;
+    stats.max_rel_change = std::max(stats.max_rel_change, s.max_rel);
+    stats.docs_deferred += s.deferred;
+    next_dirty_.insert(next_dirty_.end(), senders_.data() + s.end - s.kept,
+                       senders_.data() + s.end);
+  }
+  prev_max_rel_ = stats.max_rel_change;
+  switch (delivery_) {
+    case Delivery::kDirect:
+      emit<Delivery::kDirect>(presence, pass, stats, batch_hist);
+      break;
+    case Delivery::kParkable:
+      emit<Delivery::kParkable>(presence, pass, stats, batch_hist);
+      break;
+    case Delivery::kFull:
+      emit<Delivery::kFull>(presence, pass, stats, batch_hist);
+      break;
   }
 }
 
-template <typename Fn>
-void DistributedPagerank::parallel_region(std::size_t shards, Fn&& fn) {
-  if (pool_ == nullptr) {
-    for (std::size_t i = 0; i < shards; ++i) fn(i, 0);
-    return;
-  }
-  pool_->run(static_cast<unsigned>(shards),
-             [&fn](unsigned shard, unsigned slot) { fn(shard, slot); });
-}
-
-void DistributedPagerank::bucket_dirty() {
-  for (const PeerId p : active_peers_) peer_dirty_[p].clear();
-  active_peers_.clear();
+void DistributedPagerank::group_dirty() {
+  // Count per peer, carve segments in ascending peer order, then a
+  // stable scatter; peer_cursor_ is zero again on return.
+  segments_.clear();
   for (const NodeId v : dirty_) {
     const PeerId p = placement_.peer_of(v);
-    if (peer_dirty_[p].empty()) active_peers_.push_back(p);
-    peer_dirty_[p].push_back(v);
+    if (peer_cursor_[p]++ == 0) segments_.push_back({.peer = p});
   }
-  std::sort(active_peers_.begin(), active_peers_.end());
-  // Determinism precondition for every per-peer merge below: results are
-  // folded in this order, so it must be strictly sorted (no duplicates).
-  DPRANK_ASSERT(std::adjacent_find(active_peers_.begin(),
-                                   active_peers_.end(),
-                                   std::greater_equal<PeerId>()) ==
-                    active_peers_.end(),
-                "pagerank",
-                "active peer list is not strictly sorted; the parallel "
-                "merge order would be scheduler-dependent");
-  for (const PeerId p : active_peers_) {
-    PeerScratch& s = peer_scratch_[p];
-    s.docs_recomputed = 0;
-    s.max_rel = 0.0;
-    s.deferred_calls = 0;
-    s.deferred_docs = 0;
-    s.senders.clear();
-    s.kept_dirty.clear();
-    s.targets.clear();
-    s.target_deltas.clear();
-    s.buckets.clear();
-    s.parked.clear();
+  std::sort(segments_.begin(), segments_.end(),
+            [](const Segment& a, const Segment& b) { return a.peer < b.peer; });
+  std::uint64_t off = 0;
+  for (Segment& s : segments_) {
+    s.begin = off;
+    off += peer_cursor_[s.peer];
+    s.end = off;
+    peer_cursor_[s.peer] = s.begin;
   }
+  for (const NodeId v : dirty_) docs_[peer_cursor_[placement_.peer_of(v)]++] = v;
+  for (const Segment& s : segments_) peer_cursor_[s.peer] = 0;
 }
 
-void DistributedPagerank::compute_peer(PeerId p,
-                                       const std::vector<bool>& presence,
-                                       bool track_replica_values) {
-  if (!presence[p]) return;  // docs stay dirty; re-marked at the merge
-  PeerScratch& s = peer_scratch_[p];
-  std::vector<NodeId>& bucket = peer_dirty_[p];
+void DistributedPagerank::recompute_segment(Segment& s,
+                                            const std::vector<bool>& presence) {
+  if (!presence[s.peer]) return;  // docs stay dirty; requeued by the merge
+  NodeId* const docs = docs_.data() + s.begin;
+  std::uint64_t n = s.end - s.begin;
   const double d = options_.damping;
-  const double base = 1.0 - d;
-  // Residual schedule: order the bucket by accumulated |Δcontribution|
-  // so one recompute coalesces every update behind the largest pending
-  // mass, and decide whether this pass may defer the low-residual tail.
-  // No deferral once the iteration is within epsilon of converging — the
-  // endgame runs exhaustively, exactly like fifo.
-  const bool may_defer = residual_mode_ && prev_max_rel_ > options_.epsilon;
-  const double cutoff =
-      may_defer ? options_.residual_defer_ratio * prev_max_rel_ : 0.0;
   if (residual_mode_) {
-    std::sort(bucket.begin(), bucket.end(), [&](NodeId a, NodeId b) {
+    // Step 2: highest accumulated |Δcontribution| first (ties by id), so
+    // one recompute coalesces every update behind the largest pending
+    // mass. While the iteration is still far from converging, the
+    // low-residual tail is deferred; once the last pass was within
+    // epsilon the endgame runs exhaustively, exactly like fifo.
+    std::sort(docs, docs + n, [this](NodeId a, NodeId b) {
       const double ra = residual_[a];
       const double rb = residual_[b];
       return ra != rb ? ra > rb : a < b;
     });
-  }
-  for (std::size_t i = 0; i < bucket.size(); ++i) {
-    const NodeId v = bucket[i];
-    if (may_defer && i != 0 && defer_age_[v] < options_.residual_max_defer) {
-      // The damped residual bounds this document's possible rank change;
-      // relative to its current rank it is the analogue of the epsilon
-      // test. Every peer processes its top document (i == 0) and the age
-      // cap forces periodic progress, so deferral cannot starve anyone.
-      const double denom = ranks_[v] > 0 ? ranks_[v] : -ranks_[v];
-      const double relres =
-          denom > 0 ? d * residual_[v] / denom : d * residual_[v];
-      if (relres < cutoff) {
-        ++defer_age_[v];
-        ++s.deferred_docs;
-        s.kept_dirty.push_back(v);  // in_dirty_ stays set
-        continue;
+    if (prev_max_rel_ > options_.epsilon) {
+      const double cutoff = options_.residual_defer_ratio * prev_max_rel_;
+      std::uint64_t selected = 1;  // every peer processes its top document
+      for (std::uint64_t i = 1; i < n; ++i) {
+        const NodeId v = docs[i];
+        // The damped residual bounds this document's possible rank
+        // change; relative to its current rank it is the analogue of the
+        // epsilon test. The age cap forces periodic progress, so
+        // deferral cannot starve anyone.
+        const double denom = ranks_[v] > 0 ? ranks_[v] : -ranks_[v];
+        const double relres =
+            denom > 0 ? d * residual_[v] / denom : d * residual_[v];
+        if (defer_age_[v] < options_.residual_max_defer && relres < cutoff) {
+          ++defer_age_[v];
+          senders_[s.end - ++s.kept] = v;  // in_dirty_ stays set
+        } else {
+          docs[selected++] = v;
+        }
       }
+      s.deferred = s.kept;
+      n = selected;
     }
+  }
+
+  // Step 3: the fold kernel (common/simd.hpp) writes each document's cell
+  // sum — one document per lane, each in exact left-to-right scalar
+  // order, so the sums are bit-identical at every SIMD level. The
+  // epilogue then walks the segment in order: rank writes, the max fold
+  // and sender selection.
+  double* const acc = acc_.data() + s.begin;
+  simd::fold_cells(simd_level_, contrib_.data(), graph_.in_offsets_data(),
+                   docs, n, acc);
+  const double base = 1.0 - d;
+  const double eps = options_.epsilon;
+  const float* const inv_deg = graph_.inv_out_degrees().data();
+  const bool track_replica_values = !replica_value_.empty();
+  double max_rel = 0.0;
+  std::uint64_t senders = 0;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const NodeId v = docs[i];
     in_dirty_[v] = 0;
-    double acc = 0.0;
-    const EdgeId cells_end = graph_.in_edge_end(v);
-    for (EdgeId c = graph_.in_edge_begin(v); c < cells_end; ++c) {
-      acc += contrib_[c];
-    }
-    const double newrank = base + d * acc;
+    const double newrank = base + d * acc[i];
     const double rel = relative_change(ranks_[v], newrank);
     ranks_[v] = newrank;
-    ++s.docs_recomputed;
-    s.max_rel = std::max(s.max_rel, rel);
+    if (rel > max_rel) max_rel = rel;
     if (track_replica_values) {
       // A live replica mirrors the recomputation (§2.3: replicas
       // receive the same updates) — the copy crash recovery restores.
@@ -903,368 +849,193 @@ void DistributedPagerank::compute_peer(PeerId p,
         }
       }
     }
+    // inv_out_degree(v) != 0 is exactly out_degree(v) != 0 (the stored
+    // inverse is 0 only for degree 0), one 4-byte load.
+    const bool has_out_links = inv_deg[v] != 0.0f;
     if (!residual_mode_) {
-      if (rel > options_.epsilon && graph_.out_degree(v) != 0) {
-        s.senders.push_back(v);
-      }
+      if (rel > eps && has_out_links) senders_[s.begin + senders++] = v;
       continue;
     }
     residual_[v] = 0.0;
     defer_age_[v] = 0;
-    if (graph_.out_degree(v) == 0) continue;
+    if (!has_out_links) continue;
     // Emission gate against the value the out-links actually hold (the
     // last emission), not last pass's rank — a deferred document's
     // coalesced change is judged in full.
     const double rel_sent = relative_change(last_sent_[v], newrank);
     if (rel_sent > eff_epsilon_) {
-      s.senders.push_back(v);
+      senders_[s.begin + senders++] = v;
       last_sent_[v] = newrank;
-    } else if (rel_sent > options_.epsilon) {
+    } else if (rel_sent > eps) {
       // Cleared epsilon but not this pass's adaptive threshold: hold the
       // emission (stay dirty) instead of dropping it — it goes out once
       // the schedule tightens.
       in_dirty_[v] = 1;
-      s.kept_dirty.push_back(v);
+      senders_[s.end - ++s.kept] = v;
     }
   }
+  s.recomputed = n;
+  s.senders = senders;
+  s.max_rel = max_rel;
 }
 
-void DistributedPagerank::exchange_batched(const std::vector<bool>& presence,
-                                           PassStats& stats,
-                                           obs::Histogram* batch_hist) {
-  // Emission, one shard per source peer: workers write only per-edge
-  // cells (contrib_ / pending_ / pending_value_ — each edge has a unique
-  // emitting source) and their own peer/slot scratch. Targets are
-  // grouped into one bucket per destination peer — §4.6.1's "collect
-  // together all the pagerank messages going towards these documents".
-  parallel_region(active_peers_.size(), [&](std::size_t i, unsigned slot) {
-    const PeerId p = active_peers_[i];
-    PeerScratch& s = peer_scratch_[p];
-    if (s.senders.empty()) return;
-    SlotScratch& ws = slot_scratch_[slot];
-    for (const NodeId u : s.senders) {
-      const double c = ranks_[u] / static_cast<double>(graph_.out_degree(u));
-      for (EdgeId e = graph_.out_edge_begin(u); e < graph_.out_edge_end(u);
-           ++e) {
-        const NodeId v = graph_.out_target(e);
-        const PeerId pv = placement_.peer_of(v);
-        // Ledger write (validation runs only): per-edge cell, same
-        // disjointness as contrib_, so workers never collide.
-        if (auditor_ != nullptr) auditor_->on_emit(e, c);
-        if (presence[pv]) {
-          const EdgeId cell = graph_.out_to_in_edge(e);
-          auto& b = ws.bucket[pv];
-          if (b.empty()) ws.touched.push_back(pv);
-          b.push_back(v);
-          if (residual_mode_) {
-            // |Δcontribution| travels with the target; the destination
-            // shard folds it into residual_ (it owns v's slot).
-            ws.bucket_delta[pv].push_back(c > contrib_[cell]
-                                              ? c - contrib_[cell]
-                                              : contrib_[cell] - c);
-          }
-          contrib_[cell] = c;
-        } else {
-          // park(), minus the shared bookkeeping (merged below).
-          pending_value_[e] = c;
-          ++s.deferred_calls;
-          if (!pending_[e]) {
-            pending_[e] = 1;
-            s.parked.emplace_back(pv, e);
-          }
-        }
-      }
-    }
-    std::sort(ws.touched.begin(), ws.touched.end());
-    for (const PeerId dst : ws.touched) {
-      auto& b = ws.bucket[dst];
-      s.buckets.push_back(
-          {dst, s.targets.size(), s.targets.size() + b.size()});
-      s.targets.insert(s.targets.end(), b.begin(), b.end());
-      b.clear();
-      if (residual_mode_) {
-        auto& bd = ws.bucket_delta[dst];
-        s.target_deltas.insert(s.target_deltas.end(), bd.begin(), bd.end());
-        bd.clear();
-      }
-    }
-    ws.touched.clear();
-  });
-
-  // Merge, in sorted source-peer order: fold counters, bill traffic in
-  // bulk (same totals as the per-update calls), park deferred edges and
-  // index each bucket under its destination for the apply region.
+template <DistributedPagerank::Delivery kMode>
+void DistributedPagerank::emit(const std::vector<bool>& presence,
+                               std::uint64_t pass, PassStats& stats,
+                               obs::Histogram* batch_hist) {
+  // Peers ascending, each peer's senders in recompute order, each
+  // sender's out-links in edge order: the canonical order fault-plan RNG
+  // draws, IP cache warms and trace events consume. Every update that
+  // reaches its destination this pass is tallied per destination peer;
+  // the tallies bill each source peer's traffic and size its batches.
   std::uint64_t delivered_total = 0;
   std::uint64_t local_total = 0;
-  for (const PeerId p : active_peers_) {
-    PeerScratch& s = peer_scratch_[p];
-    if (contracts::enabled()) {
-      // Determinism precondition: each shard's buckets must be strictly
-      // sorted by destination and tile the target list contiguously —
-      // the apply region indexes targets[begin, end) through them.
-      [[maybe_unused]] std::size_t off = 0;
-      [[maybe_unused]] PeerId prev_dst = 0;
-      [[maybe_unused]] bool first = true;
-      for (const PeerScratch::Bucket& b : s.buckets) {
-        DPRANK_ASSERT(first || b.dst > prev_dst, "pagerank",
-                      "exchange buckets are not strictly sorted by "
-                      "destination peer");
-        DPRANK_ASSERT(b.begin == off && b.end >= b.begin, "pagerank",
-                      "exchange bucket ranges do not tile the target list");
-        off = b.end;
-        prev_dst = b.dst;
-        first = false;
-      }
-      DPRANK_ASSERT(off == s.targets.size(), "pagerank",
-                    "exchange buckets do not cover every emitted target");
-    }
-    stats.messages_deferred += s.deferred_calls;
-    for (const auto& [dst, e] : s.parked) {
-      deferred_by_peer_[dst].emplace_back(e, p);
-      ++total_pending_;
-    }
-    std::uint64_t cross_msgs = 0;  // wire messages this peer sent
-    for (const PeerScratch::Bucket& b : s.buckets) {
-      const std::uint64_t k = b.end - b.begin;
-      if (b.dst == p) {
-        local_total += k;
-        stats.local_updates += k;
-      } else {
-        delivered_total += k;
-        if (options_.coalesce_wire) {
-          meter_.record_batch(k, options_.batch_payload_bytes,
-                              options_.batch_header_bytes);
-          ++cross_msgs;
-        } else {
-          cross_msgs += k;
-        }
-        if (batch_hist != nullptr) batch_hist->record(static_cast<double>(k));
-      }
-      if (dst_incoming_[b.dst].empty()) active_dsts_.push_back(b.dst);
-      dst_incoming_[b.dst].push_back({p, b.begin, b.end});
-    }
-    stats.messages_sent += cross_msgs;
-    stats.max_peer_messages = std::max(stats.max_peer_messages, cross_msgs);
-  }
-  if (!options_.coalesce_wire && delivered_total != 0) {
-    meter_.record_messages(delivered_total, PagerankUpdate::kWireBytes);
-  }
-  if (local_total != 0) meter_.record_local_updates(local_total);
-  outbox_peak_ = std::max(outbox_peak_, total_pending_);
-
-  // Apply-side marking, one shard per destination peer: a destination
-  // owns its documents' dirty flags, so shards never collide; the merge
-  // appends each destination's newly-marked documents in sorted order.
-  std::sort(active_dsts_.begin(), active_dsts_.end());
-  parallel_region(active_dsts_.size(), [&](std::size_t i, unsigned) {
-    const PeerId dst = active_dsts_[i];
-    auto& marked = dst_marked_[dst];
-    marked.clear();
-    for (const DstSlice& slice : dst_incoming_[dst]) {
-      const auto& targets = peer_scratch_[slice.src].targets;
-      if (residual_mode_) {
-        // Fold the emitted |Δcontribution| into the destinations'
-        // residuals. Slices arrive in sorted source-peer order and each
-        // slice in emission order, so the floating-point accumulation
-        // order is fixed regardless of thread count.
-        const auto& deltas = peer_scratch_[slice.src].target_deltas;
-        for (std::size_t t = slice.begin; t < slice.end; ++t) {
-          residual_[targets[t]] += deltas[t];
-        }
-      }
-      for (std::size_t t = slice.begin; t < slice.end; ++t) {
-        const NodeId v = targets[t];
-        if (!in_dirty_[v]) {
-          in_dirty_[v] = 1;
-          marked.push_back(v);
-        }
-      }
-    }
-  });
-  for (const PeerId dst : active_dsts_) {
-    next_dirty_.insert(next_dirty_.end(), dst_marked_[dst].begin(),
-                       dst_marked_[dst].end());
-    dst_incoming_[dst].clear();
-  }
-  active_dsts_.clear();
-}
-
-void DistributedPagerank::pass_sequential(const std::vector<bool>& presence,
-                                          bool all_present, PassStats& stats,
-                                          obs::Histogram* batch_hist) {
-  // Group dirty_ peer-major with a counting sort over flat arrays: count
-  // per peer, carve segments in ascending peer order, stable scatter.
-  // Segment order and intra-segment order match bucket_dirty() exactly,
-  // so the recompute below visits documents in compute_peer's order.
-  active_peers_.clear();
-  for (const NodeId v : dirty_) {
-    const PeerId p = placement_.peer_of(v);
-    if (seq_count_[p]++ == 0) active_peers_.push_back(p);
-  }
-  std::sort(active_peers_.begin(), active_peers_.end());
-  std::uint64_t off = 0;
-  for (const PeerId p : active_peers_) {
-    seq_seg_end_[p] = off;  // scatter cursor, starts at the segment base
-    off += seq_count_[p];
-  }
-  for (const NodeId v : dirty_) {
-    seq_docs_[seq_seg_end_[placement_.peer_of(v)]++] = v;
-  }
-  // seq_seg_end_[p] now sits one past p's segment.
-
-  // Phase 1: recompute, split fold-then-epilogue per segment. The fold
-  // kernel (common/simd.hpp) writes each document's cell sum into
-  // seq_acc_ — its lane-refill path computes the sums out of document
-  // order, but every per-document fold is the exact left-to-right scalar
-  // order, so seq_acc_ is bit-identical either way. The epilogue then
-  // walks the segment strictly in bucket order, keeping the observable
-  // sequence (rank writes, max fold, sender selection) identical to the
-  // pre-vectorization loop.
-  const double d = options_.damping;
-  const double base = 1.0 - d;
-  const double eps = options_.epsilon;
-  const simd::Level level = simd_level_;
-  const double* cells = contrib_.data();
-  const EdgeId* offsets = graph_.in_offsets_data();
-  const float* inv_deg = graph_.inv_out_degrees().data();
-  double max_rel = 0.0;
-  std::uint64_t recomputed = 0;
-  std::uint64_t sender_total = 0;
-  seq_sender_pos_.clear();
-  for (const PeerId p : active_peers_) {
-    seq_sender_pos_.push_back(sender_total);
-    const std::uint64_t seg_end = seq_seg_end_[p];
-    const std::uint64_t seg_begin = seg_end - seq_count_[p];
-    seq_count_[p] = 0;  // ready for the next pass
-    if (!all_present && !presence[p]) {
-      // Docs stay dirty (flags stay set); requeued for the next pass.
-      next_dirty_.insert(next_dirty_.end(), seq_docs_.data() + seg_begin,
-                         seq_docs_.data() + seg_end);
-      continue;
-    }
-    simd::fold_cells(level, cells, offsets, seq_docs_.data() + seg_begin,
-                     seg_end - seg_begin, seq_acc_.data() + seg_begin);
-    for (std::uint64_t i = seg_begin; i < seg_end; ++i) {
-      const NodeId v = seq_docs_[i];
-      in_dirty_[v] = 0;
-      const double newrank = base + d * seq_acc_[i];
-      const double rel = relative_change(ranks_[v], newrank);
-      ranks_[v] = newrank;
-      if (rel > max_rel) max_rel = rel;
-      // inv_out_degree(v) != 0 is exactly out_degree(v) != 0 (the
-      // stored inverse is 0 only for degree 0), one 4-byte load.
-      if (rel > eps && inv_deg[v] != 0.0f) seq_senders_[sender_total++] = v;
-    }
-    recomputed += seg_end - seg_begin;
-  }
-  seq_sender_pos_.push_back(sender_total);
-  stats.docs_recomputed = recomputed;
-  stats.max_rel_change = max_rel;
-
-  // Phase 2: emission, templated on the all-present fast case so clean
-  // runs never consult the presence mask per edge.
-  if (all_present) {
-    exchange_sequential<true>(presence, stats, batch_hist);
-  } else {
-    exchange_sequential<false>(presence, stats, batch_hist);
-  }
-}
-
-template <bool kAllPresent>
-void DistributedPagerank::exchange_sequential(
-    const std::vector<bool>& presence, PassStats& stats,
-    obs::Histogram* batch_hist) {
-  // Mirror of exchange_batched for the sequential fifo case: identical
-  // emission order (source peers ascending, senders in recompute order),
-  // identical billing order (per source, destinations ascending), same
-  // counters — but each update is one inline cell write plus a plain
-  // per-destination tally instead of a materialized bucket.
-  std::uint64_t delivered_total = 0;
-  std::uint64_t local_total = 0;
-  // Size-1 wire batches dominate incremental passes; each histogram
-  // record is several atomic RMWs, so they are tallied here and recorded
-  // once at the end. record_count(1.0, k) is bit-identical to k separate
-  // record(1.0) calls: the values are small integers (sums stay exact)
-  // and bucket/min/max updates commute.
+  // Size-1 batches dominate incremental passes; each histogram record
+  // is several atomic RMWs, so they are counted here and recorded once.
+  // record_count(1.0, k) is bit-identical to k separate record(1.0)
+  // calls: the values are small integers (sums stay exact) and
+  // bucket/min/max updates commute.
   std::uint64_t ones = 0;
   // Narrow (32-bit) cross index when the graph carries one — half the
   // index bytes through the hottest random-access loop.
-  const std::uint32_t* cross32 = graph_.out_to_in32_data();
+  const std::uint32_t* const cross32 = graph_.out_to_in32_data();
   MassAuditor* const auditor = auditor_.get();
-  for (std::size_t ai = 0; ai < active_peers_.size(); ++ai) {
-    const PeerId p = active_peers_[ai];
-    const std::uint64_t s_begin = seq_sender_pos_[ai];
-    const std::uint64_t s_end = seq_sender_pos_[ai + 1];
-    if (s_begin == s_end) continue;
-    touched_dsts_.clear();
-    for (std::uint64_t si = s_begin; si < s_end; ++si) {
-      const NodeId u = seq_senders_[si];
+  const bool fan_out = replicas_ != nullptr && !replicas_->empty();
+  for (const Segment& s : segments_) {
+    const PeerId p = s.peer;
+    for (std::uint64_t i = s.begin; i < s.begin + s.senders; ++i) {
+      const NodeId u = senders_[i];
       const double c = ranks_[u] / static_cast<double>(graph_.out_degree(u));
       const EdgeId out_end = graph_.out_edge_end(u);
       for (EdgeId e = graph_.out_edge_begin(u); e < out_end; ++e) {
         const NodeId v = graph_.out_target(e);
         const PeerId pv = placement_.peer_of(v);
         if (auditor != nullptr) auditor->on_emit(e, c);
-        if (kAllPresent || presence[pv]) {
-          const EdgeId cell = cross32 != nullptr
-                                  ? static_cast<EdgeId>(cross32[e])
-                                  : graph_.out_to_in_edge(e);
-          contrib_[cell] = c;
-          if (dst_count32_[pv]++ == 0) touched_dsts_.push_back(pv);
-          if (!in_dirty_[v]) {
-            in_dirty_[v] = 1;
-            next_dirty_.push_back(v);
+        if constexpr (kMode != Delivery::kFull) {
+          if (kMode == Delivery::kDirect || presence[pv]) {
+            contrib_[cross32 != nullptr ? static_cast<EdgeId>(cross32[e])
+                                        : graph_.out_to_in_edge(e)] = c;
+            if (dst_count32_[pv]++ == 0) touched_dsts_.push_back(pv);
+            mark_dirty(v);
+          } else {
+            park(e, p, pv, c, 0, obs::kNoTrace, stats);
           }
         } else {
-          // park(), with the bookkeeping inlined (no channel, tracer or
-          // fault plan can be attached on this path).
-          pending_value_[e] = c;
-          ++stats.messages_deferred;
-          if (!pending_[e]) {
-            pending_[e] = 1;
-            deferred_by_peer_[pv].emplace_back(e, p);
-            ++total_pending_;
+          bool replica_eligible = true;
+          if (pv == p) {
+            // Fig. 1b: a same-peer update needs no network message.
+            const EdgeId cell = graph_.out_to_in_edge(e);
+            if (residual_mode_) residual_[v] += std::abs(c - contrib_[cell]);
+            contrib_[cell] = c;
+            mark_dirty(v);
+            if (dst_count32_[pv]++ == 0) touched_dsts_.push_back(pv);
+          } else if (presence[pv] && reachable(p, pv)) {
+            const std::uint32_t seq =
+                channel_ != nullptr ? channel_->next_seq(e) : 0;
+            SendFate fate;
+            if (plan_ != nullptr) fate = plan_->fate_for_send();
+            // The sender pays for the message whatever its fate.
+            const std::uint64_t hops = send_hops(p, pv, v);
+            meter_.record_message(PagerankUpdate::kWireBytes, hops);
+            if (dst_count32_[pv]++ == 0) touched_dsts_.push_back(pv);
+            const obs::TraceId tid =
+                tracer_ != nullptr ? trace_send(e, p, pv, v, c, pass, hops)
+                                   : obs::kNoTrace;
+            if (fate.dropped) {
+              ++dropped_;
+              if (tid != obs::kNoTrace) {
+                tracer_->async_step(tid, "net.drop", "fault", pv, {});
+              }
+              if (channel_ != nullptr) {
+                // Unacked: schedule the retransmission.
+                channel_->track({e, pv, p, c, seq, 0, tid}, pass);
+              } else {
+                if (auditor != nullptr) auditor->on_known_loss(c);
+                if (tid != obs::kNoTrace) {
+                  tracer_->async_end(tid, "update.lost", "fault", pv, {});
+                }
+              }
+              replica_eligible = false;  // lost before the fan-out point
+            } else {
+              if (fate.delay_passes > 0) {
+                delayed_[pass + 1 + fate.delay_passes].push_back(
+                    {e, p, c, seq, tid});
+                ++delayed_total_;
+                if (tid != obs::kNoTrace) {
+                  tracer_->async_step(
+                      tid, "net.delay", "fault", pv,
+                      {{"passes", static_cast<double>(fate.delay_passes)}});
+                }
+              } else {
+                const bool applied = apply_update(e, c, seq, /*now=*/false);
+                trace_terminal(tid, applied, pv);
+              }
+              if (fate.duplicated) {
+                // Idempotent overwrite: the duplicate only costs traffic.
+                meter_.record_message(PagerankUpdate::kWireBytes);
+                ++stats.messages_sent;
+                ++duplicated_;
+                if (tracer_ != nullptr) {
+                  tracer_->instant("net.duplicate", "fault", pv, {});
+                }
+                if (channel_ != nullptr && fate.delay_passes == 0) {
+                  (void)channel_->accept(e, seq);  // suppressed by seq
+                }
+              }
+            }
+          } else {
+            if (plan_ != nullptr && presence[pv]) ++partition_deferrals_;
+            if (membership_ != nullptr && membership_->undetected_crash(pv)) {
+              // The sender does not know the owner is gone yet: the query
+              // goes out to the stale owner and parks until the verdict.
+              ++stale_owner_queries_;
+              ++stats.stale_owner_queries;
+            }
+            const std::uint32_t seq =
+                channel_ != nullptr ? channel_->next_seq(e) : 0;
+            const obs::TraceId tid =
+                tracer_ != nullptr ? trace_send(e, p, pv, v, c, pass, 1)
+                                   : obs::kNoTrace;
+            park(e, p, pv, c, seq, tid, stats);
+          }
+          if (replica_eligible && fan_out && presence[pv]) {
+            send_to_replicas(p, v, presence, stats);
           }
         }
       }
     }
-    std::sort(touched_dsts_.begin(), touched_dsts_.end());
-    std::uint64_t cross_msgs = 0;  // wire messages this peer sent
+    // This source peer's tallies: same-peer updates are local, the rest
+    // are wire messages in per-destination batches.
+    std::uint64_t cross_msgs = 0;
     for (const PeerId dst : touched_dsts_) {
       const std::uint64_t k = dst_count32_[dst];
-      dst_count32_[dst] = 0;  // ready for the next source peer
+      dst_count32_[dst] = 0;
       if (dst == p) {
         local_total += k;
-        stats.local_updates += k;
-      } else {
-        delivered_total += k;
-        if (options_.coalesce_wire) {
-          meter_.record_batch(k, options_.batch_payload_bytes,
-                              options_.batch_header_bytes);
-          ++cross_msgs;
+        continue;
+      }
+      cross_msgs += k;
+      if (batch_hist != nullptr) {
+        if (k == 1) {
+          ++ones;
         } else {
-          cross_msgs += k;
-        }
-        if (batch_hist != nullptr) {
-          if (k == 1) {
-            ++ones;
-          } else {
-            batch_hist->record(static_cast<double>(k));
-          }
+          batch_hist->record(static_cast<double>(k));
         }
       }
     }
+    touched_dsts_.clear();
+    delivered_total += cross_msgs;
     stats.messages_sent += cross_msgs;
     stats.max_peer_messages = std::max(stats.max_peer_messages, cross_msgs);
   }
-  if (batch_hist != nullptr && ones != 0) {
-    batch_hist->record_count(1.0, ones);
-  }
-  if (!options_.coalesce_wire && delivered_total != 0) {
+  if (ones != 0) batch_hist->record_count(1.0, ones);
+  // Full delivery billed each wire message at its send (hop counts vary
+  // with the overlay); the other modes bill in bulk.
+  if (kMode != Delivery::kFull && delivered_total != 0) {
     meter_.record_messages(delivered_total, PagerankUpdate::kWireBytes);
   }
   if (local_total != 0) meter_.record_local_updates(local_total);
-  outbox_peak_ = std::max(outbox_peak_, total_pending_);
+  stats.local_updates += local_total;
 }
 
 void DistributedPagerank::deliver_deferred(const std::vector<bool>& presence,
@@ -1313,12 +1084,10 @@ std::uint64_t DistributedPagerank::memory_bytes() const {
   };
   return bytes(ranks_) + bytes(contrib_) + bytes(pending_value_) +
          bytes(pending_) + bytes(pending_seq_) + bytes(in_dirty_) +
-         bytes(dirty_) + bytes(next_dirty_) + bytes(seq_docs_) +
-         bytes(seq_acc_) +
-         bytes(seq_senders_) + bytes(seq_count_) + bytes(seq_seg_end_) +
-         bytes(seq_sender_pos_) + bytes(dst_count32_) +
-         bytes(touched_dsts_) + bytes(residual_) + bytes(last_sent_) +
-         bytes(defer_age_);
+         bytes(dirty_) + bytes(next_dirty_) + bytes(docs_) + bytes(acc_) +
+         bytes(senders_) + bytes(peer_cursor_) + bytes(segments_) +
+         bytes(dst_count32_) + bytes(touched_dsts_) + bytes(residual_) +
+         bytes(last_sent_) + bytes(defer_age_);
 }
 
 void DistributedPagerank::validate_state() const {
@@ -1338,8 +1107,8 @@ void DistributedPagerank::validate_state() const {
   // Dirty-set integrity: the recompute queues and the membership flags
   // must agree exactly — a document queued twice would be recomputed
   // twice in one pass, and a flagged-but-unqueued document would never
-  // be recomputed again. This is the precondition bucket_dirty() relies
-  // on for its deterministic peer sharding.
+  // be recomputed again. This is the precondition group_dirty() relies
+  // on for its deterministic peer segments.
   std::vector<std::uint8_t> queued(n, 0);
   const auto check_queue = [&](const std::vector<NodeId>& q) {
     for (const NodeId v : q) {
@@ -1476,16 +1245,15 @@ DistributedRunResult DistributedPagerank::run(ChurnSchedule* churn,
         "dynamic membership, schedule crashes as membership events");
   }
   prepare_fault_state();
-  prepare_parallel_state();
+  prepare_pipeline(churn != nullptr);
 
   const PeerId num_peers = placement_.num_peers();
   const std::vector<bool> all_present(num_peers, true);
-  const bool track_replica_values = !replica_value_.empty();
   obs::Histogram* pass_wall =
       metrics_ != nullptr ? &metrics_->histogram("pagerank.pass_wall_us")
                           : nullptr;
   obs::Histogram* batch_hist =
-      metrics_ != nullptr && batched_exchange_
+      metrics_ != nullptr && !has_attachments()
           ? &metrics_->histogram("pagerank.batch_size")
           : nullptr;
 
@@ -1536,11 +1304,10 @@ DistributedRunResult DistributedPagerank::run(ChurnSchedule* churn,
     // Phase 0: outbox drains for peers that are present this pass.
     if (total_pending_ != 0) deliver_deferred(*presence, stats);
 
-    // Phase 1: recompute documents that received updates, sharded by
-    // owning peer (documents on absent peers stay dirty until their peer
-    // returns). Workers touch only state their shard's peer owns; the
-    // merge folds per-peer results in sorted peer order, so the outcome
-    // is identical for every thread count.
+    // Phases 1-4, one pipeline (see the header comment): recompute the
+    // documents that received updates — those on absent peers stay dirty
+    // until their peer returns — and emit the senders' contributions,
+    // visible next pass (or parked in the outbox for absent peers).
     if (residual_mode_) {
       // This pass's emission threshold: epsilon, or — under the adaptive
       // schedule — loosened while last pass's max relative change was
@@ -1550,149 +1317,7 @@ DistributedRunResult DistributedPagerank::run(ChurnSchedule* churn,
               ? std::max(options_.epsilon, std::min(0.05, prev_max_rel_ / 8.0))
               : options_.epsilon;
     }
-    if (seq_fast_) {
-      // Fused single-threaded fifo pass: grouping, recompute and
-      // emission in one call over flat scratch (see pass_sequential).
-      pass_sequential(*presence, churn == nullptr, stats, batch_hist);
-      prev_max_rel_ = stats.max_rel_change;
-    } else {
-    bucket_dirty();
-    parallel_region(active_peers_.size(), [&](std::size_t i, unsigned) {
-      compute_peer(active_peers_[i], *presence, track_replica_values);
-    });
-    for (const PeerId p : active_peers_) {
-      if (!(*presence)[p]) {
-        // Re-marked for the next pass (in_dirty_ stayed set).
-        next_dirty_.insert(next_dirty_.end(), peer_dirty_[p].begin(),
-                           peer_dirty_[p].end());
-        continue;
-      }
-      const PeerScratch& s = peer_scratch_[p];
-      stats.docs_recomputed += s.docs_recomputed;
-      stats.max_rel_change = std::max(stats.max_rel_change, s.max_rel);
-      stats.docs_deferred += s.deferred_docs;
-      if (!s.kept_dirty.empty()) {
-        // Deferred tail + held emissions: still flagged dirty, queued for
-        // the next pass in sorted peer order.
-        next_dirty_.insert(next_dirty_.end(), s.kept_dirty.begin(),
-                           s.kept_dirty.end());
-      }
-    }
-    prev_max_rel_ = stats.max_rel_change;
-
-    // Phase 2: senders emit their new contribution on every out-link;
-    // visible next pass (or parked in the outbox for absent peers).
-    if (batched_exchange_) {
-      exchange_batched(*presence, stats, batch_hist);
-    } else {
-    // Sequential sender-major exchange: fault fates, overlay cache warms
-    // and trace events must observe emissions in one canonical order —
-    // peers ascending, each peer's senders in recompute order.
-    for (const PeerId pu : active_peers_) {
-     for (const NodeId u : peer_scratch_[pu].senders) {
-      const double c = ranks_[u] / static_cast<double>(graph_.out_degree(u));
-      for (EdgeId e = graph_.out_edge_begin(u); e < graph_.out_edge_end(u);
-           ++e) {
-        const NodeId v = graph_.out_target(e);
-        const PeerId pv = placement_.peer_of(v);
-        bool replica_eligible = true;
-        if (pv == pu) {
-          const EdgeId cell = graph_.out_to_in_edge(e);
-          if (residual_mode_) residual_[v] += std::abs(c - contrib_[cell]);
-          contrib_[cell] = c;
-          if (auditor_ != nullptr) auditor_->on_emit(e, c);
-          mark_dirty(v);
-          meter_.record_local_update();
-          ++stats.local_updates;
-        } else if ((*presence)[pv] && reachable(pu, pv)) {
-          if (auditor_ != nullptr) auditor_->on_emit(e, c);
-          const std::uint32_t seq =
-              channel_ != nullptr ? channel_->next_seq(e) : 0;
-          SendFate fate;
-          if (plan_ != nullptr) fate = plan_->fate_for_send();
-          // The sender pays for the message whatever its fate.
-          const std::uint64_t hops = send_hops(pu, pv, v);
-          meter_.record_message(PagerankUpdate::kWireBytes, hops);
-          ++stats.messages_sent;
-          ++peer_msgs_this_pass_[pu];
-          const obs::TraceId tid =
-              tracer_ != nullptr ? trace_send(e, pu, pv, v, c, pass, hops)
-                                 : obs::kNoTrace;
-          if (fate.dropped) {
-            ++dropped_;
-            if (tid != obs::kNoTrace) {
-              tracer_->async_step(tid, "net.drop", "fault", pv, {});
-            }
-            if (channel_ != nullptr) {
-              // Unacked: schedule the retransmission.
-              channel_->track({e, pv, pu, c, seq, 0, tid}, pass);
-            } else {
-              if (auditor_ != nullptr) auditor_->on_known_loss(c);
-              if (tid != obs::kNoTrace) {
-                tracer_->async_end(tid, "update.lost", "fault", pv, {});
-              }
-            }
-            replica_eligible = false;  // lost before the fan-out point
-          } else {
-            if (fate.delay_passes > 0) {
-              delayed_[pass + 1 + fate.delay_passes].push_back(
-                  {e, pu, c, seq, tid});
-              ++delayed_total_;
-              if (tid != obs::kNoTrace) {
-                tracer_->async_step(
-                    tid, "net.delay", "fault", pv,
-                    {{"passes", static_cast<double>(fate.delay_passes)}});
-              }
-            } else {
-              const bool applied = apply_update(e, c, seq, /*now=*/false);
-              trace_terminal(tid, applied, pv);
-            }
-            if (fate.duplicated) {
-              // Idempotent overwrite: the duplicate only costs traffic.
-              meter_.record_message(PagerankUpdate::kWireBytes);
-              ++stats.messages_sent;
-              ++duplicated_;
-              if (tracer_ != nullptr) {
-                tracer_->instant("net.duplicate", "fault", pv, {});
-              }
-              if (channel_ != nullptr && fate.delay_passes == 0) {
-                (void)channel_->accept(e, seq);  // suppressed by seq
-              }
-            }
-          }
-        } else {
-          if (plan_ != nullptr && (*presence)[pv]) ++partition_deferrals_;
-          if (membership_ != nullptr && membership_->undetected_crash(pv)) {
-            // The sender does not know the owner is gone yet: the query
-            // goes out to the stale owner and parks until the verdict.
-            ++stale_owner_queries_;
-            ++stats.stale_owner_queries;
-          }
-          if (auditor_ != nullptr) auditor_->on_emit(e, c);
-          const std::uint32_t seq =
-              channel_ != nullptr ? channel_->next_seq(e) : 0;
-          const obs::TraceId tid =
-              tracer_ != nullptr ? trace_send(e, pu, pv, v, c, pass, 1)
-                                 : obs::kNoTrace;
-          park(e, pu, pv, c, seq, tid, stats);
-        }
-        if (replica_eligible && replicas_ != nullptr &&
-            !replicas_->empty() && (*presence)[pv]) {
-          send_to_replicas(pu, v, *presence, stats);
-        }
-      }
-     }
-    }
-
-    stats.max_peer_messages = 0;
-    for (const PeerId pu : active_peers_) {
-      if (peer_scratch_[pu].senders.empty()) continue;
-      stats.max_peer_messages =
-          std::max(stats.max_peer_messages, peer_msgs_this_pass_[pu]);
-      peer_msgs_this_pass_[pu] = 0;  // reset only touched entries
-    }
-    }
-    }
+    run_pass(*presence, pass, stats, batch_hist);
 
     // Quiescence: nothing to recompute, nothing parked, nothing in
     // flight, nobody awaiting recovery — then, if auditing, the mass

@@ -18,18 +18,22 @@
 //    pass t are visible in pass t+1 ("pagerank messages are sent and
 //    received instantaneously and all peers start their next iteration
 //    concurrently").
-//  * Execution model: each pass is a compute phase (recompute dirty
-//    documents, sharded by owning peer) followed by an exchange phase.
-//    With PagerankOptions::threads > 1 both phases run on a reusable
-//    worker pool (common/thread_pool.hpp). On clean and churn-only
-//    configurations the exchange coalesces each source peer's emissions
-//    into one batch per destination peer (§4.6.1's "collect together all
-//    the pagerank messages") and applies batches sharded by destination;
-//    configurations with a fault plan, tracer, replicas, overlay or mass
-//    audit keep the sequential sender-major exchange (those paths consume
-//    ordered RNG/cache/trace state). Every per-shard result is keyed by
-//    peer and merged in peer order, so ranks, pass history, residual
-//    series and traffic tables are bit-identical for every thread count.
+//  * Execution model: every pass runs one pipeline, whatever the thread
+//    count, schedule or attachments. (1) The dirty set is grouped
+//    peer-major by a counting sort. (2) Under Schedule::kResidual each
+//    peer segment is ordered by residual and its low-residual tail is
+//    deferred. (3) Each segment is folded by the SIMD kernel
+//    (common/simd.hpp) and its epilogue picks the senders; with
+//    PagerankOptions::threads > 1 steps 2 and 3 run one shard per peer
+//    segment on a reusable worker pool (common/thread_pool.hpp). (4) One
+//    sequential sender-major loop emits: peers ascending, each peer's
+//    senders in recompute order — the order fault-plan RNG draws, IP
+//    cache warms and trace events consume. The loop is templated on
+//    what the run needs (direct delivery, outbox parking under churn, or
+//    the full fault/overlay/trace/replica/membership/audit/residual
+//    machinery). Shards touch only their own segment and documents, so
+//    ranks, pass history, residual series and traffic tables are
+//    bit-identical for every thread count.
 //  * Same-peer updates are applied locally without network messages
 //    (Fig. 1 step b); cross-peer updates are counted in the traffic
 //    meter.
@@ -89,18 +93,6 @@
 
 namespace dprank {
 
-/// DEPRECATED legacy fault vocabulary: UDP-style drop/duplication only.
-/// Superseded by FaultPlan (fault/fault_plan.hpp), which composes drop,
-/// duplication, reordering, delay, crashes and partitions under one seed;
-/// inject_faults() remains as a thin compatibility shim that builds an
-/// equivalent FaultPlan (bit-identical drop/duplicate history for the
-/// same seed). New code should use attach_fault_plan().
-struct FaultModel {
-  double drop_probability = 0.0;       // message vanishes in transit
-  double duplicate_probability = 0.0;  // message delivered twice
-  std::uint64_t seed = 42;
-};
-
 class DistributedPagerank : public PagerankEngineInterface {
  public:
   /// The placement must cover exactly g.num_nodes() documents. The engine
@@ -131,7 +123,8 @@ class DistributedPagerank : public PagerankEngineInterface {
   /// Attach the unified fault plan (drop/duplicate/reorder/delay/crash/
   /// partition; see fault/fault_plan.hpp). The plan is driven one pass at
   /// a time and advances its own RNG streams — it must outlive the engine
-  /// and must not be shared between engines. Call before run().
+  /// and must not be shared between engines. Call before run(), at most
+  /// once.
   void attach_fault_plan(FaultPlan& plan);
 
   /// Attach a dynamic-membership coordinator (p2p/membership.hpp): the
@@ -155,12 +148,6 @@ class DistributedPagerank : public PagerankEngineInterface {
   /// re-injects exactly the leaked contributions and keeps iterating.
   /// Call before run().
   void enable_mass_audit(double tolerance = 1e-9) override;
-
-  /// DEPRECATED: legacy drop/duplicate injection. Compatibility shim that
-  /// attaches an internally-owned FaultPlan with the same probabilities
-  /// and seed (replays the identical fault history as the original
-  /// implementation). Use attach_fault_plan() for the full taxonomy.
-  void inject_faults(const FaultModel& faults);
 
   /// Publish run telemetry into `registry` (obs/metrics.hpp) when run()
   /// finishes: the traffic ledger under net.*, run totals under
@@ -341,12 +328,21 @@ class DistributedPagerank : public PagerankEngineInterface {
   void crash_peer(PeerId p, std::uint64_t pass);
   void recover_peer(PeerId p, const std::vector<bool>& presence,
                     PassStats& stats);
-  /// Fail-stop wipe, sender side: every update `p` had parked for
-  /// offline destinations and its in-flight retransmission records.
-  void wipe_sender_state(PeerId p);
-  /// Fail-stop wipe, receiver side: document v's stored contribution
-  /// cells (values still parked at live senders survive).
-  void wipe_receiver_cells(NodeId v);
+  /// The documents `p` owns, ascending.
+  [[nodiscard]] std::vector<NodeId> docs_of(PeerId p) const;
+  /// Fail-stop wipe of `p` (fault-plan and membership crashes alike).
+  /// Sender side: every update `p` had parked for offline destinations
+  /// and its in-flight retransmission records. Receiver side: the stored
+  /// contribution cells of `p`'s documents (values still parked at live
+  /// senders survive).
+  void wipe_peer(PeerId p);
+  /// Rebuild documents whose state was lost (crash recovery and
+  /// membership range reconstruction): restore every rank first — from a
+  /// live replica where one is reachable from the owner, else the initial
+  /// value — then re-request each in-link's current contribution, so the
+  /// rebuild reads consistent source ranks whatever the document order.
+  void rebuild_docs(const std::vector<NodeId>& docs,
+                    const std::vector<bool>& presence, PassStats& stats);
   /// Mass-audit + trace the channel records that reached the `gave_up`
   /// terminal outcome since the last drain.
   void drain_gave_up();
@@ -396,7 +392,6 @@ class DistributedPagerank : public PagerankEngineInterface {
   std::uint64_t outbox_dropped_dead_ = 0;
 
   FaultPlan* plan_ = nullptr;
-  std::unique_ptr<FaultPlan> owned_plan_;  // inject_faults() shim
   std::unique_ptr<ReliableChannel> channel_;
   std::unique_ptr<MassAuditor> auditor_;
   bool audit_enabled_ = false;
@@ -415,8 +410,7 @@ class DistributedPagerank : public PagerankEngineInterface {
 
   // Crash bookkeeping (sized on first use).
   std::vector<std::uint64_t> crashed_until_;  // peer offline through pass-1
-  std::vector<std::uint8_t> needs_recovery_;  // uint8_t: see pending_
-  std::vector<std::vector<NodeId>> docs_by_peer_;
+  std::vector<std::uint8_t> needs_recovery_;
   std::vector<NodeId> edge_src_;        // edge id -> source document
   // Replica rank store (crash-recovery path); never folded by the
   // gather kernel. dprank-lint: allow(unaligned-hot-buffer)
@@ -450,128 +444,74 @@ class DistributedPagerank : public PagerankEngineInterface {
   // Outbox parking values: scalar random writes only, the fold kernel
   // never streams them. dprank-lint: allow(unaligned-hot-buffer)
   std::vector<double> pending_value_;  // per out-edge, undelivered value
-  // Per out-edge outbox flag. uint8_t, not vector<bool>: parallel workers
-  // set flags for distinct edges concurrently, which must not share words.
-  std::vector<std::uint8_t> pending_;
+  std::vector<std::uint8_t> pending_;  // per out-edge outbox flag
   std::vector<std::uint32_t> pending_seq_;  // parked seq (acked mode only)
   // (edge, sender peer) pairs parked for an absent destination peer
   std::vector<std::vector<std::pair<EdgeId, PeerId>>> deferred_by_peer_;
   std::uint64_t total_pending_ = 0;
   std::uint64_t outbox_peak_ = 0;
 
-  std::vector<std::uint8_t> in_dirty_;  // uint8_t: see pending_
+  // uint8_t, not vector<bool>: recompute shards clear the flags of
+  // distinct documents concurrently, which must not share words.
+  std::vector<std::uint8_t> in_dirty_;
   std::vector<NodeId> dirty_;       // docs to recompute this pass
   std::vector<NodeId> next_dirty_;  // docs to recompute next pass
 
-  std::vector<std::uint64_t> peer_msgs_this_pass_;
-
-  // ---- pass-parallel execution (see the header comment) ----
-  // Per-source-peer shard results. Everything is keyed by peer and merged
-  // in sorted-peer order on the coordinating thread, never by worker
-  // slot, so output is independent of the scheduler.
-  struct PeerScratch {
-    std::uint64_t docs_recomputed = 0;
+  // ---- the pass pipeline (see the header comment) ----
+  /// How the emission loop delivers an update; fixed for the run by
+  /// prepare_pipeline() from what is attached, the schedule and churn.
+  enum class Delivery : std::uint8_t {
+    kDirect,    // fifo, nothing attached, no churn: inline cell writes
+    kParkable,  // kDirect plus outbox parking for absent peers (churn)
+    kFull,      // a fault plan, tracer, overlay, replicas, membership,
+                // the mass audit or the residual schedule is in play
+  };
+  /// One active peer's slice of the pass. Its dirty documents sit at
+  /// docs_[begin, end); the recompute step writes the senders to the
+  /// front of senders_[begin, end) and the documents that stay dirty
+  /// (residual deferrals and held emissions) to its back — the two never
+  /// meet, since a document is at most one of them.
+  struct Segment {
+    PeerId peer = 0;
+    std::uint64_t begin = 0;
+    std::uint64_t end = 0;
+    std::uint64_t recomputed = 0;
+    std::uint64_t senders = 0;   // senders_[begin, begin + senders)
+    std::uint64_t kept = 0;      // senders_[end - kept, end)
+    std::uint64_t deferred = 0;  // residual tail pushed to a later pass
     double max_rel = 0.0;
-    std::uint64_t deferred_calls = 0;    // park() equivalents this pass
-    std::uint64_t deferred_docs = 0;     // residual schedule: tail pushed
-    std::vector<NodeId> senders;         // epsilon-exceeding, dirty order
-    // Residual schedule: documents this peer kept dirty instead of
-    // processing — the deferred low-residual tail, plus documents whose
-    // change cleared epsilon but not the adaptive threshold.
-    std::vector<NodeId> kept_dirty;
-    // Batched exchange: emission targets grouped per destination peer.
-    // buckets[i] covers targets[begin, end) for destination dst (sorted
-    // by dst; the dst == source bucket holds the Fig. 1b local updates).
-    struct Bucket {
-      PeerId dst = 0;
-      std::size_t begin = 0;
-      std::size_t end = 0;
-    };
-    std::vector<NodeId> targets;
-    // Residual schedule: |Δcontribution| per entry of targets, folded
-    // into residual_ by the destination shard (deterministic order).
-    // Residual-mode only; residual runs never take the fused gather
-    // path. dprank-lint: allow(unaligned-hot-buffer)
-    std::vector<double> target_deltas;
-    std::vector<Bucket> buckets;
-    std::vector<std::pair<PeerId, EdgeId>> parked;  // newly parked edges
-  };
-  // Per-participant workspace for bucketing emissions by destination
-  // (indexed by pool slot, reused across passes).
-  struct SlotScratch {
-    std::vector<std::vector<NodeId>> bucket;  // per destination peer
-    std::vector<std::vector<double>> bucket_delta;  // residual mode only
-    std::vector<PeerId> touched;
-  };
-  struct DstSlice {  // one source peer's targets aimed at a destination
-    PeerId src = 0;
-    std::size_t begin = 0;
-    std::size_t end = 0;
   };
 
-  void prepare_parallel_state();
-  /// Bucket dirty_ by owning peer into peer_dirty_ / active_peers_
-  /// (sorted) and reset the active peers' scratch.
-  void bucket_dirty();
-  /// Invoke fn(shard) for every shard in [0, shards) — on the pool when
-  /// one exists, as a plain inlined loop otherwise (the template keeps
-  /// the sequential path free of std::function dispatch). fn also
-  /// receives the participant slot for SlotScratch indexing.
-  template <typename Fn>
-  void parallel_region(std::size_t shards, Fn&& fn);
-  /// Phase 1 for one peer's dirty bucket: recompute, collect senders.
-  /// Under Schedule::kResidual the bucket is first ordered by accumulated
-  /// residual (descending) and its low-residual tail may be deferred into
-  /// kept_dirty instead of processed.
-  void compute_peer(PeerId p, const std::vector<bool>& presence,
-                    bool track_replica_values);
-  /// Batched fast-path exchange (clean/churn configs only): emit per
-  /// source peer into per-destination buckets, bill coalesced or
-  /// per-update traffic, apply and mark sharded by destination peer.
-  void exchange_batched(const std::vector<bool>& presence, PassStats& stats,
-                        obs::Histogram* batch_hist);
-  /// Single-threaded fifo fast path: one fused pass replacing
-  /// bucket_dirty + compute_peer + merge + exchange. The dirty set is
-  /// grouped peer-major into flat preallocated arrays (counting sort —
-  /// no per-peer vectors, no pass-0 allocation storm), documents are
-  /// recomputed through the vector fold kernel (common/simd.hpp; one
-  /// document per lane, per-lane left-to-right cell order), and delivery
-  /// is one cell write at the emission site with plain per-destination
-  /// tallies (at 500 peers the median batch is one update, so
-  /// materialized buckets cost more than the updates). Ranks, counters,
-  /// traffic and dirty-set membership are bit-identical to the sharded
-  /// path — the golden-digest tests pin this; only the order of
-  /// next_dirty_ differs, which no observable state depends on.
-  void pass_sequential(const std::vector<bool>& presence, bool all_present,
-                       PassStats& stats, obs::Histogram* batch_hist);
-  /// Emission half of pass_sequential; kAllPresent elides the per-edge
-  /// presence test on churn-free runs.
-  template <bool kAllPresent>
-  void exchange_sequential(const std::vector<bool>& presence,
-                           PassStats& stats, obs::Histogram* batch_hist);
+  /// True when a fault plan, tracer, overlay, replicas, membership or
+  /// the mass audit is attached.
+  [[nodiscard]] bool has_attachments() const;
+  void prepare_pipeline(bool churn);
+  /// One pass through the pipeline: group, recompute (sharded on the
+  /// pool when there is one), merge the segments in peer order, emit.
+  void run_pass(const std::vector<bool>& presence, std::uint64_t pass,
+                PassStats& stats, obs::Histogram* batch_hist);
+  /// Step 1: counting sort of dirty_ into peer-major segments (peers
+  /// ascending, dirty_ order within a peer).
+  void group_dirty();
+  /// Steps 2 and 3 for one segment: residual selection, fold, epilogue.
+  /// Touches only the segment's slices and its own documents, so
+  /// segments recompute concurrently.
+  void recompute_segment(Segment& s, const std::vector<bool>& presence);
+  /// Step 4: the sender-major emission loop.
+  template <Delivery kMode>
+  void emit(const std::vector<bool>& presence, std::uint64_t pass,
+            PassStats& stats, obs::Histogram* batch_hist);
 
   std::unique_ptr<ThreadPool> pool_;   // only when options_.threads > 1
-  bool batched_exchange_ = false;
-  std::vector<std::vector<NodeId>> peer_dirty_;
-  std::vector<PeerId> active_peers_;   // peers owning dirty docs, sorted
-  std::vector<PeerScratch> peer_scratch_;
-  std::vector<SlotScratch> slot_scratch_;
-  std::vector<std::vector<DstSlice>> dst_incoming_;
-  std::vector<std::vector<NodeId>> dst_marked_;
-  std::vector<PeerId> active_dsts_;    // destinations this pass, sorted
-  // ---- fused sequential-pass scratch (pass_sequential only) ----
-  bool seq_fast_ = false;
+  Delivery delivery_ = Delivery::kDirect;
   simd::Level simd_level_ = simd::Level::kScalar;  // hoisted per run
-  AlignedVec<NodeId> seq_docs_;     // dirty docs, grouped peer-major
-  AlignedVec<double> seq_acc_;      // per-doc cell sums from the fold kernel
-  AlignedVec<NodeId> seq_senders_;  // epsilon-exceeding docs, peer-major
-  std::vector<std::uint32_t> seq_count_;    // per peer: docs this pass
-  std::vector<std::uint64_t> seq_seg_end_;  // per peer: scatter cursor,
-                                            // then one past the segment
-  // Per active peer: its sender segment [pos[i], pos[i+1]) in seq_senders_.
-  std::vector<std::uint64_t> seq_sender_pos_;
-  // exchange_sequential scratch: per-destination update counts, reset
-  // through touched_dsts_ after each source peer instead of cleared.
+  std::vector<Segment> segments_;   // this pass, peers ascending
+  std::vector<std::uint64_t> peer_cursor_;  // per peer: sort count/cursor
+  AlignedVec<NodeId> docs_;     // dirty docs, grouped peer-major
+  AlignedVec<double> acc_;      // per-doc cell sums from the fold kernel
+  AlignedVec<NodeId> senders_;  // per segment: senders, then kept docs
+  // Emission scratch: per-destination update counts (batch sizes),
+  // reset through touched_dsts_ after each source peer.
   std::vector<std::uint32_t> dst_count32_;
   std::vector<PeerId> touched_dsts_;
 
@@ -581,13 +521,13 @@ class DistributedPagerank : public PagerankEngineInterface {
   double prev_max_rel_ = 0.0;  // last pass's max relative change
   // Accumulated |Δcontribution| since the document's last recompute;
   // +inf until first recomputed, so pass 0 processes everything.
-  // Residual scheduler state; residual runs never take the fused
-  // gather path. dprank-lint: allow(unaligned-hot-buffer)
+  // Per-document scalar state; the fold kernel never streams it.
+  // dprank-lint: allow(unaligned-hot-buffer)
   std::vector<double> residual_;
   // Rank value behind the document's last emission: the emission gate
   // compares against what the out-links actually hold, not last pass's
   // rank, so coalesced (deferred) updates are never silently dropped.
-  // Residual-mode emission gate, off the fused gather path.
+  // Per-document scalar state, like residual_.
   // dprank-lint: allow(unaligned-hot-buffer)
   std::vector<double> last_sent_;
   std::vector<std::uint8_t> defer_age_;  // consecutive deferrals

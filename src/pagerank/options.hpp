@@ -49,27 +49,17 @@ struct PagerankOptions {
   std::uint64_t max_passes = 1'000'000;
 
   /// Pass-parallel worker count for DistributedPagerank (the §4.2 "all
-  /// peers compute concurrently" methodology executed for real): the
-  /// per-pass recompute is sharded by owning peer and, on clean/churn
-  /// configurations, the update exchange is applied per destination
-  /// peer from coalesced per-(source, destination) batches. Results are
-  /// bit-identical for every thread count — threads change wall time
-  /// only. 1 = fully sequential (no pool).
+  /// peers compute concurrently" methodology executed for real): each
+  /// pass's recompute step (residual selection, fold, epilogue) runs one
+  /// shard per owning peer; emission stays one sequential loop in
+  /// canonical order. Results are bit-identical for every thread count —
+  /// threads change wall time only. 1 = fully sequential (no pool).
   std::uint32_t threads = 1;
 
-  /// Opt-in §4.6.1 coalesced-transfer billing for the batched exchange:
-  /// the k updates a source peer sends one destination in a pass travel
-  /// as ONE wire message of batch_header_bytes + k * batch_payload_bytes
-  /// (TrafficMeter::record_batch), instead of k separate 24-byte
-  /// messages. Changes the traffic model, not the ranks: convergence and
-  /// pass history stay identical; traffic().messages() becomes the batch
-  /// count with the per-update count in traffic().batched_updates().
-  /// Only the batched exchange coalesces — fault/overlay/replica runs
-  /// and outbox drains always bill per update.
-  bool coalesce_wire = false;
-
-  /// Wire framing for coalesce_wire (§4.6.1: 16-byte GUID + 8-byte rank
-  /// per update behind one transport header).
+  /// Wire framing of a §4.6.1 bulk transfer (16-byte GUID + 8-byte rank
+  /// per update behind one transport header): membership handoffs move
+  /// a document's rank and stored contributions this way
+  /// (TrafficMeter::record_batch).
   std::uint32_t batch_header_bytes = 16;
   std::uint32_t batch_payload_bytes = 24;
 

@@ -1,6 +1,6 @@
 // Pool/arena primitive tests (common/arena.hpp): BufferPool capacity
 // retention and reuse accounting, the ASan reuse-after-recycle trap,
-// ObjectPool, and EpochArray's O(1) epoch reset semantics.
+// and ObjectPool.
 
 #include "common/arena.hpp"
 
@@ -98,69 +98,6 @@ TEST(ObjectPool, RecyclesWarmObjects) {
   auto again = pool.acquire();
   EXPECT_EQ(pool.reuses(), 1u);
   EXPECT_GE(again.capacity(), cap);  // warm capacity, contents untouched
-}
-
-TEST(EpochArray, StartsLogicallyDefault) {
-  EpochArray<std::uint32_t> arr(4);
-  EXPECT_EQ(arr.size(), 4u);
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_FALSE(arr.fresh(i));
-    EXPECT_EQ(arr.peek(i), 0u);
-  }
-}
-
-TEST(EpochArray, AtRevivesPeekDoesNot) {
-  EpochArray<std::uint32_t> arr(4);
-  EXPECT_EQ(arr.peek(2), 0u);
-  EXPECT_FALSE(arr.fresh(2));  // peek must not revive
-
-  arr.at(2) = 9;
-  EXPECT_TRUE(arr.fresh(2));
-  EXPECT_EQ(arr.peek(2), 9u);
-  EXPECT_FALSE(arr.fresh(1));  // neighbors untouched
-}
-
-TEST(EpochArray, AdvanceResetsEverySlotInOneStep) {
-  EpochArray<std::uint32_t> arr(8);
-  for (std::size_t i = 0; i < 8; ++i) arr.at(i) = static_cast<std::uint32_t>(i + 1);
-  arr.advance();
-  for (std::size_t i = 0; i < 8; ++i) {
-    EXPECT_FALSE(arr.fresh(i));
-    EXPECT_EQ(arr.peek(i), 0u);
-  }
-  // First touch of the new epoch sees a default, not the stale value.
-  EXPECT_EQ(arr.at(3), 0u);
-  arr.at(3) = 42;
-  EXPECT_EQ(arr.peek(3), 42u);
-}
-
-TEST(EpochArray, ManyEpochsAccumulateIndependently) {
-  // The exchange_direct per-destination counter pattern: advance() per
-  // source peer, count, read back only touched slots.
-  EpochArray<std::uint32_t> counts(16);
-  for (int epoch = 0; epoch < 1000; ++epoch) {
-    counts.advance();
-    const std::size_t a = static_cast<std::size_t>(epoch) % 16;
-    const std::size_t b = (static_cast<std::size_t>(epoch) + 5) % 16;
-    ++counts.at(a);
-    ++counts.at(a);
-    ++counts.at(b);
-    EXPECT_EQ(counts.peek(a), a == b ? 3u : 2u);
-    EXPECT_EQ(counts.peek(b), a == b ? 3u : 1u);
-    EXPECT_EQ(counts.peek((a + 1) % 16) + counts.peek((a + 2) % 16),
-              ((a + 1) % 16 == b ? 1u : 0u) + ((a + 2) % 16 == b ? 1u : 0u));
-  }
-}
-
-TEST(EpochArray, ResizePreservesSemantics) {
-  EpochArray<std::uint32_t> arr;
-  arr.resize(2);
-  arr.at(1) = 5;
-  arr.resize(6);
-  EXPECT_EQ(arr.size(), 6u);
-  EXPECT_EQ(arr.peek(1), 5u);   // existing slot survives a grow
-  EXPECT_FALSE(arr.fresh(5));   // new slots arrive stale
-  EXPECT_EQ(arr.peek(5), 0u);
 }
 
 }  // namespace

@@ -22,24 +22,19 @@ PagerankOptions opts(double eps) {
 }
 
 TEST(Faults, ValidatesProbabilities) {
-  const Digraph g = figure2_graph();
-  const auto p = Placement::random(6, 2, 1);
-  DistributedPagerank engine(g, p, opts(1e-3));
-  EXPECT_THROW(engine.inject_faults({.drop_probability = 1.0}),
-               std::invalid_argument);
-  EXPECT_THROW(engine.inject_faults({.drop_probability = -0.1}),
-               std::invalid_argument);
-  EXPECT_THROW(engine.inject_faults({.duplicate_probability = 1.5}),
+  EXPECT_THROW(FaultPlan({.drop_probability = 1.0}), std::invalid_argument);
+  EXPECT_THROW(FaultPlan({.drop_probability = -0.1}), std::invalid_argument);
+  EXPECT_THROW(FaultPlan({.duplicate_probability = 1.5}),
                std::invalid_argument);
 }
 
 TEST(Faults, InjectAfterRunRejected) {
   const Digraph g = figure2_graph();
   const auto p = Placement::random(6, 2, 1);
+  FaultPlan plan({.drop_probability = 0.1});
   DistributedPagerank engine(g, p, opts(1e-3));
   (void)engine.run();
-  EXPECT_THROW(engine.inject_faults({.drop_probability = 0.1}),
-               std::logic_error);
+  EXPECT_THROW(engine.attach_fault_plan(plan), std::logic_error);
 }
 
 TEST(Faults, DuplicatesAreHarmless) {
@@ -51,8 +46,9 @@ TEST(Faults, DuplicatesAreHarmless) {
   DistributedPagerank clean(g, p, opts(1e-5));
   ASSERT_TRUE(clean.run().converged);
 
+  FaultPlan plan({.duplicate_probability = 0.3, .seed = 5});
   DistributedPagerank dup(g, p, opts(1e-5));
-  dup.inject_faults({.duplicate_probability = 0.3, .seed = 5});
+  dup.attach_fault_plan(plan);
   ASSERT_TRUE(dup.run().converged);
 
   EXPECT_GT(dup.duplicated_messages(), 0u);
@@ -70,10 +66,9 @@ TEST(Faults, ModerateLossDegradesGracefully) {
 
   double prev_err = 0.0;
   for (const double drop : {0.0, 0.05, 0.20}) {
+    FaultPlan plan({.drop_probability = drop, .seed = 7});
     DistributedPagerank engine(g, p, opts(1e-4));
-    if (drop > 0) {
-      engine.inject_faults({.drop_probability = drop, .seed = 7});
-    }
+    if (drop > 0) engine.attach_fault_plan(plan);
     ASSERT_TRUE(engine.run().converged) << "drop=" << drop;
     const auto q = summarize_quality(engine.ranks(), ref);
     EXPECT_GE(q.avg, prev_err * 0.5) << "drop=" << drop;
@@ -90,8 +85,9 @@ TEST(Faults, LossNeverPreventsTermination) {
   const Digraph g = paper_graph(1500, 14);
   const auto p = Placement::random(1500, 30, 14);
   for (const double drop : {0.5, 0.9}) {
+    FaultPlan plan({.drop_probability = drop, .seed = 11});
     DistributedPagerank engine(g, p, opts(1e-3));
-    engine.inject_faults({.drop_probability = drop, .seed = 11});
+    engine.attach_fault_plan(plan);
     const auto run = engine.run();
     EXPECT_TRUE(run.converged) << "drop=" << drop;
     // Heavy loss usually *shortens* the run (updates stop propagating).
@@ -106,8 +102,9 @@ TEST(Faults, OutboxPathStaysReliableUnderChurn) {
   const Digraph g = paper_graph(1500, 15);
   const auto p = Placement::random(1500, 30, 15);
   ChurnSchedule churn(30, 0.5, 15);
+  FaultPlan plan({.drop_probability = 0.1, .seed = 13});
   DistributedPagerank engine(g, p, opts(1e-3));
-  engine.inject_faults({.drop_probability = 0.1, .seed = 13});
+  engine.attach_fault_plan(plan);
   const auto run = engine.run(&churn);
   EXPECT_TRUE(run.converged);
   EXPECT_GT(engine.outbox_peak(), 0u);
@@ -245,34 +242,6 @@ TEST(FaultPlanTest, RetryIntervalBacksOffExponentially) {
   EXPECT_EQ(plan.retry_interval(9), 16u);  // capped
 }
 
-// ---- legacy shim vs explicit plan ----
-
-TEST(Faults, ShimReplaysIdenticalHistoryAsExplicitPlan) {
-  // inject_faults() is a compatibility shim over FaultPlan: the same
-  // probabilities and seed must produce the bit-identical run.
-  const Digraph g = paper_graph(2000, 21);
-  const auto p = Placement::random(2000, 40, 21);
-
-  DistributedPagerank legacy(g, p, opts(1e-4));
-  legacy.inject_faults(
-      {.drop_probability = 0.1, .duplicate_probability = 0.2, .seed = 9});
-  ASSERT_TRUE(legacy.run().converged);
-
-  DistributedPagerank modern(g, p, opts(1e-4));
-  FaultPlan plan(
-      {.drop_probability = 0.1, .duplicate_probability = 0.2, .seed = 9});
-  modern.attach_fault_plan(plan);
-  ASSERT_TRUE(modern.run().converged);
-
-  EXPECT_EQ(legacy.dropped_messages(), modern.dropped_messages());
-  EXPECT_EQ(legacy.duplicated_messages(), modern.duplicated_messages());
-  EXPECT_EQ(legacy.traffic().messages(), modern.traffic().messages());
-  ASSERT_EQ(legacy.ranks().size(), modern.ranks().size());
-  for (std::size_t i = 0; i < legacy.ranks().size(); ++i) {
-    ASSERT_EQ(legacy.ranks()[i], modern.ranks()[i]) << "doc " << i;
-  }
-}
-
 TEST(Faults, DoubleAttachRejected) {
   const Digraph g = figure2_graph();
   const auto p = Placement::random(6, 2, 1);
@@ -281,8 +250,6 @@ TEST(Faults, DoubleAttachRejected) {
   DistributedPagerank engine(g, p, opts(1e-3));
   engine.attach_fault_plan(plan);
   EXPECT_THROW(engine.attach_fault_plan(other), std::logic_error);
-  EXPECT_THROW(engine.inject_faults({.drop_probability = 0.1}),
-               std::logic_error);
 }
 
 TEST(Faults, ReorderingIsHandledBySequenceNumbers) {
@@ -322,8 +289,9 @@ TEST(Faults, AckedDeliveryRetransmitsDrops) {
   EXPECT_GT(engine.retransmissions(), 0u);
   EXPECT_GT(engine.dropped_messages(), 0u);
 
+  FaultPlan unacked_plan({.drop_probability = 0.2, .seed = 25});
   DistributedPagerank unacked(g, p, opts(1e-4));
-  unacked.inject_faults({.drop_probability = 0.2, .seed = 25});
+  unacked.attach_fault_plan(unacked_plan);
   ASSERT_TRUE(unacked.run().converged);
 
   const auto q_acked = summarize_quality(engine.ranks(), ref);

@@ -3,9 +3,8 @@
 // The contract under test (see distributed_engine.hpp): the thread count
 // changes wall time only. For ANY configuration, running the same seeded
 // experiment at --threads=1 and --threads=4 must produce bit-identical
-// ranks, pass history, traffic ledger and convergence record — on the
-// batched fast path (clean, churn) and on the sequential-exchange slow
-// path (overlay, crash faults) alike.
+// ranks, pass history, traffic ledger and convergence record — in every
+// delivery mode of the emission loop (clean, churn, overlay, faults).
 
 #include <gtest/gtest.h>
 
@@ -34,9 +33,8 @@ struct Scenario {
   std::uint32_t threads = 1;
   std::uint64_t seed = 42;
   double availability = 1.0;  // < 1 = churn
-  bool overlay = false;       // chord ring + ip cache (slow path)
-  bool crash_faults = false;  // drop + crash plan + audit (slow path)
-  bool coalesce = false;      // §4.6.1 batch billing (fast path only)
+  bool overlay = false;       // chord ring + ip cache
+  bool crash_faults = false;  // drop + crash plan + audit
   std::uint64_t max_passes = 0;  // 0 = engine default
 };
 
@@ -45,7 +43,6 @@ struct Capture {
   std::vector<double> ranks;
   std::vector<PassStats> history;
   std::uint64_t messages = 0;
-  std::uint64_t batched_updates = 0;
   std::uint64_t local_updates = 0;
   std::uint64_t resends = 0;
   std::uint64_t hops = 0;
@@ -59,7 +56,6 @@ Capture run_scenario(const Scenario& sc) {
   PagerankOptions o;
   o.epsilon = 1e-3;
   o.threads = sc.threads;
-  o.coalesce_wire = sc.coalesce;
   if (sc.max_passes != 0) o.max_passes = sc.max_passes;
   DistributedPagerank engine(g, placement, o);
 
@@ -90,7 +86,6 @@ Capture run_scenario(const Scenario& sc) {
   cap.ranks = engine.ranks();
   cap.history = engine.pass_history();
   cap.messages = engine.traffic().messages();
-  cap.batched_updates = engine.traffic().batched_updates();
   cap.local_updates = engine.traffic().local_updates();
   cap.resends = engine.traffic().resends();
   cap.hops = engine.traffic().hop_transmissions();
@@ -130,7 +125,6 @@ void expect_identical(const Capture& a, const Capture& b) {
   }
 
   EXPECT_EQ(a.messages, b.messages);
-  EXPECT_EQ(a.batched_updates, b.batched_updates);
   EXPECT_EQ(a.local_updates, b.local_updates);
   EXPECT_EQ(a.resends, b.resends);
   EXPECT_EQ(a.hops, b.hops);
@@ -164,8 +158,8 @@ TEST(ParallelEngine, ChurnRunBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(ParallelEngine, OverlayRunBitIdenticalAcrossThreadCounts) {
-  // Overlay runs take the sequential-exchange slow path (the ip cache
-  // warms in emission order); only the compute phase parallelizes, and
+  // The ip cache warms in emission order; emission is sequential in
+  // every configuration and only the recompute step parallelizes, so
   // the result must not notice.
   for (const std::uint64_t seed : kSeeds) {
     SCOPED_TRACE(seed);
@@ -180,7 +174,7 @@ TEST(ParallelEngine, OverlayRunBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(ParallelEngine, CrashFaultRunBitIdenticalAcrossThreadCounts) {
-  // Fault plans consume RNG draws in emission order — the slow path
+  // Fault plans consume RNG draws in emission order — the emission loop
   // keeps that order canonical, so the full drop/crash/recovery/audit
   // history must replay identically under any thread count.
   for (const std::uint64_t seed : kSeeds) {
@@ -217,37 +211,6 @@ TEST(ParallelEngine, ThreeThreadsMatchFourThreads) {
   const Capture three = run_scenario({.threads = 3, .seed = 21});
   const Capture four = run_scenario({.threads = 4, .seed = 21});
   expect_identical(three, four);
-}
-
-TEST(ParallelEngine, CoalescedBillingKeepsRanksAndCountsUpdates) {
-  // coalesce_wire changes the traffic model only: one wire message per
-  // (source, destination) pair per pass carrying k updates behind a
-  // header (§4.6.1). Convergence must be untouched and the ledger must
-  // reconcile exactly against the per-update billing.
-  const Capture plain = run_scenario({.threads = 1, .seed = 42});
-  const Capture co = run_scenario({.threads = 1, .seed = 42, .coalesce = true});
-  const Capture co4 = run_scenario({.threads = 4, .seed = 42, .coalesce = true});
-  expect_identical(co, co4);  // billing mode composes with threading
-
-  ASSERT_EQ(plain.run.passes, co.run.passes);
-  ASSERT_EQ(plain.ranks.size(), co.ranks.size());
-  for (std::size_t v = 0; v < co.ranks.size(); ++v) {
-    ASSERT_EQ(plain.ranks[v], co.ranks[v]);
-  }
-  // Every delivered update rides in some batch: the coalesced run's
-  // batched_updates equals the plain run's message count (clean run — no
-  // outbox drains, which always bill per update).
-  EXPECT_EQ(plain.batched_updates, 0u);
-  EXPECT_EQ(co.batched_updates, plain.messages);
-  EXPECT_LT(co.messages, plain.messages);  // coalescing actually batches
-  // Wire framing: header per batch message plus payload per update.
-  EXPECT_EQ(co.bytes, co.messages * 16u + co.batched_updates * 24u);
-  EXPECT_EQ(co.local_updates, plain.local_updates);
-  // Pass history counts wire messages, so it reconciles with the meter
-  // in both billing modes.
-  std::uint64_t sent = 0;
-  for (const PassStats& p : co.history) sent += p.messages_sent;
-  EXPECT_EQ(sent, co.messages);
 }
 
 // ---- attached-run goldens --------------------------------------------
