@@ -58,8 +58,8 @@ class TrafficMeter {
   /// messages").
   void record_local_update() noexcept { local_updates_.add(1); }
 
-  /// `count` local deliveries in one call (the batched exchange applies a
-  /// whole same-peer batch at once).
+  /// `count` local deliveries in one call (the engine's emission loop
+  /// bills a pass's same-peer updates at once).
   void record_local_updates(std::uint64_t count) noexcept {
     local_updates_.add(count);
   }

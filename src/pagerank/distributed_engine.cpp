@@ -773,7 +773,9 @@ void DistributedPagerank::group_dirty() {
     s.end = off;
     peer_cursor_[s.peer] = s.begin;
   }
-  for (const NodeId v : dirty_) docs_[peer_cursor_[placement_.peer_of(v)]++] = v;
+  for (const NodeId v : dirty_) {
+    docs_[peer_cursor_[placement_.peer_of(v)]++] = v;
+  }
   for (const Segment& s : segments_) peer_cursor_[s.peer] = 0;
 }
 

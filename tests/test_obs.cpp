@@ -245,6 +245,20 @@ TEST(ObsTrafficShim, MergeResetAndFlush) {
   a.reset();
   EXPECT_EQ(a.messages(), 0u);
   EXPECT_EQ(a.bytes(), 0u);
+
+  // A §4.6.1 bulk transfer (membership handoffs bill this way): one wire
+  // message carrying k updates behind one header, per hop.
+  TrafficMeter batch;
+  batch.record_batch(5, 24, 16, 2);
+  EXPECT_EQ(batch.messages(), 1u);
+  EXPECT_EQ(batch.batched_updates(), 5u);
+  EXPECT_EQ(batch.hop_transmissions(), 2u);
+  EXPECT_EQ(batch.bytes(), (16u + 5u * 24u) * 2u);
+  a.merge(batch);
+  EXPECT_EQ(a.batched_updates(), 5u);
+  obs::MetricsRegistry batch_reg;
+  a.flush_to(batch_reg);
+  EXPECT_EQ(batch_reg.snapshot().counters.at("net.batched_updates"), 5u);
 }
 
 // ---- tracer + exporters ----

@@ -245,7 +245,8 @@ std::uint64_t attached_digest(Attached kind, double availability,
 
   const ChordRing ring(kPeers);
   IpCache cache(true);
-  const ReplicaRegistry replicas = ReplicaRegistry::uniform(placement, 1, kSeed);
+  const ReplicaRegistry replicas =
+      ReplicaRegistry::uniform(placement, 1, kSeed);
   FaultPlanConfig fc;
   fc.seed = kSeed;
   switch (kind) {
