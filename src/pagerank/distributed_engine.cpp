@@ -887,9 +887,10 @@ void DistributedPagerank::emit(const std::vector<bool>& presence,
                                obs::Histogram* batch_hist) {
   // Peers ascending, each peer's senders in recompute order, each
   // sender's out-links in edge order: the canonical order fault-plan RNG
-  // draws, IP cache warms and trace events consume. Every update that
-  // reaches its destination this pass is tallied per destination peer;
-  // the tallies bill each source peer's traffic and size its batches.
+  // draws, IP cache warms and trace events consume. An update that
+  // reaches its destination this pass is local (same peer) or one wire
+  // message; wire messages are also tallied per destination peer when
+  // the batch-size histogram is recorded.
   std::uint64_t delivered_total = 0;
   std::uint64_t local_total = 0;
   // Size-1 batches dominate incremental passes; each histogram record
@@ -905,6 +906,13 @@ void DistributedPagerank::emit(const std::vector<bool>& presence,
   const bool fan_out = replicas_ != nullptr && !replicas_->empty();
   for (const Segment& s : segments_) {
     const PeerId p = s.peer;
+    std::uint64_t wire = 0;  // this peer's wire messages
+    const auto count_wire = [&](PeerId dst) {
+      ++wire;
+      if (batch_hist != nullptr && dst_count32_[dst]++ == 0) {
+        touched_dsts_.push_back(dst);
+      }
+    };
     for (std::uint64_t i = s.begin; i < s.begin + s.senders; ++i) {
       const NodeId u = senders_[i];
       const double c = ranks_[u] / static_cast<double>(graph_.out_degree(u));
@@ -917,8 +925,12 @@ void DistributedPagerank::emit(const std::vector<bool>& presence,
           if (kMode == Delivery::kDirect || presence[pv]) {
             contrib_[cross32 != nullptr ? static_cast<EdgeId>(cross32[e])
                                         : graph_.out_to_in_edge(e)] = c;
-            if (dst_count32_[pv]++ == 0) touched_dsts_.push_back(pv);
             mark_dirty(v);
+            if (pv == p) {
+              ++local_total;
+            } else {
+              count_wire(pv);
+            }
           } else {
             park(e, p, pv, c, 0, obs::kNoTrace, stats);
           }
@@ -930,7 +942,7 @@ void DistributedPagerank::emit(const std::vector<bool>& presence,
             if (residual_mode_) residual_[v] += std::abs(c - contrib_[cell]);
             contrib_[cell] = c;
             mark_dirty(v);
-            if (dst_count32_[pv]++ == 0) touched_dsts_.push_back(pv);
+            ++local_total;
           } else if (presence[pv] && reachable(p, pv)) {
             const std::uint32_t seq =
                 channel_ != nullptr ? channel_->next_seq(e) : 0;
@@ -939,7 +951,7 @@ void DistributedPagerank::emit(const std::vector<bool>& presence,
             // The sender pays for the message whatever its fate.
             const std::uint64_t hops = send_hops(p, pv, v);
             meter_.record_message(PagerankUpdate::kWireBytes, hops);
-            if (dst_count32_[pv]++ == 0) touched_dsts_.push_back(pv);
+            count_wire(pv);
             const obs::TraceId tid =
                 tracer_ != nullptr ? trace_send(e, p, pv, v, c, pass, hops)
                                    : obs::kNoTrace;
@@ -1006,29 +1018,20 @@ void DistributedPagerank::emit(const std::vector<bool>& presence,
         }
       }
     }
-    // This source peer's tallies: same-peer updates are local, the rest
-    // are wire messages in per-destination batches.
-    std::uint64_t cross_msgs = 0;
+    // This source peer's batches, one per destination peer.
     for (const PeerId dst : touched_dsts_) {
-      const std::uint64_t k = dst_count32_[dst];
+      const std::uint32_t k = dst_count32_[dst];
       dst_count32_[dst] = 0;
-      if (dst == p) {
-        local_total += k;
-        continue;
-      }
-      cross_msgs += k;
-      if (batch_hist != nullptr) {
-        if (k == 1) {
-          ++ones;
-        } else {
-          batch_hist->record(static_cast<double>(k));
-        }
+      if (k == 1) {
+        ++ones;
+      } else {
+        batch_hist->record(static_cast<double>(k));
       }
     }
     touched_dsts_.clear();
-    delivered_total += cross_msgs;
-    stats.messages_sent += cross_msgs;
-    stats.max_peer_messages = std::max(stats.max_peer_messages, cross_msgs);
+    delivered_total += wire;
+    stats.messages_sent += wire;
+    stats.max_peer_messages = std::max(stats.max_peer_messages, wire);
   }
   if (ones != 0) batch_hist->record_count(1.0, ones);
   // Full delivery billed each wire message at its send (hop counts vary

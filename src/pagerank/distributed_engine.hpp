@@ -510,8 +510,8 @@ class DistributedPagerank : public PagerankEngineInterface {
   AlignedVec<NodeId> docs_;     // dirty docs, grouped peer-major
   AlignedVec<double> acc_;      // per-doc cell sums from the fold kernel
   AlignedVec<NodeId> senders_;  // per segment: senders, then kept docs
-  // Emission scratch: per-destination update counts (batch sizes),
-  // reset through touched_dsts_ after each source peer.
+  // Emission scratch for the batch-size histogram: the current source
+  // peer's wire messages per destination, reset through touched_dsts_.
   std::vector<std::uint32_t> dst_count32_;
   std::vector<PeerId> touched_dsts_;
 
