@@ -102,8 +102,8 @@ struct GraphBundle {
 /// every engine so the comparison is apples to apples.
 const GraphBundle& bundle_for(std::uint64_t docs, PeerId peers,
                               std::uint64_t seed) {
-  // Graph + oracle cache shared across benchmark bodies; lives for the
-  // whole process like the result store. dprank-lint: allow(mutable-global)
+  // Graph + oracle cache shared across benchmark bodies.
+  // dprank-analyze: allow(mutable-global) -- process-lifetime, like results
   static std::map<std::string, std::unique_ptr<GraphBundle>> cache;
   const std::string key =
       std::to_string(docs) + "/" + std::to_string(seed);

@@ -48,8 +48,8 @@ void BM_InsertProbes(benchmark::State& state) {
       static_cast<std::size_t>(state.range(1))];
   const auto graph = cached_paper_graph(size, experiment_seed());
   // Converged base ranks; the centralized solver is the cheap route to
-  // the same fixed point the distributed run reaches. Deliberate
-  // cross-iteration cache. dprank-lint: allow(mutable-global)
+  // the same fixed point the distributed run reaches.
+  // dprank-analyze: allow(mutable-global) -- deliberate cross-iteration cache
   static std::map<std::uint64_t, std::vector<double>> rank_cache;
   auto& base_ranks = rank_cache[size];
   if (base_ranks.empty()) {

@@ -45,8 +45,8 @@ struct Workbench {
 
 Workbench& workbench() {
   // One corpus + index shared by every search benchmark in the binary;
-  // rebuilding per run would dominate the timings. Read-only after
-  // construction. dprank-lint: allow(mutable-global)
+  // rebuilding per run would dominate the timings.
+  // dprank-analyze: allow(mutable-global) -- read-only after construction
   static Workbench wb = [] {
     CorpusParams cp;  // paper scale: 11k docs, 1880 terms
     cp.seed = experiment_seed();

@@ -5,8 +5,8 @@ Usage:
                                    [--json [FILE]] [--compile-commands PATH]
                                    [paths...]
 
-Default file set: every .hpp/.cpp under <root>/src and <root>/tools.
-Exit: 0 clean, 1 findings (including unused/malformed waivers), 2 error.
+Default file set: every .hpp/.cpp under <root>/src, tools, tests and
+bench. Exit: 0 clean, 1 findings (including unused/malformed waivers), 2 error.
 """
 
 from __future__ import annotations
@@ -16,20 +16,19 @@ import json
 import sys
 from pathlib import Path
 
-from . import RULES
+from . import RULES, STRUCTURAL_DIRS, SWEEP_DIRS
 from .astlite import SourceFile, load_file, merge_pair
 from .rules import (Finding, check_contract_coverage, check_iteration_rules,
-                    check_nondet_sources, check_thread_captures)
+                    check_line_rules, check_nondet_sources,
+                    check_thread_captures, in_dirs)
 from .waivers import WaiverTable
-
-WAIVER_TAG = "dprank-analyze"
 
 
 def collect_files(root: Path, paths: list[Path]) -> list[Path]:
     if paths:
         return [p.resolve() for p in paths]
     files: list[Path] = []
-    for sub in ("src", "tools"):
+    for sub in SWEEP_DIRS:
         base = root / sub
         if base.is_dir():
             files.extend(sorted(base.rglob("*.hpp")))
@@ -61,7 +60,7 @@ def analyze(root: Path, files: list[Path], backend: str,
                 f"{cc} (configure with "
                 "-DCMAKE_EXPORT_COMPILE_COMMANDS=ON)")
 
-    waivers = WaiverTable(WAIVER_TAG, require_reason=True, lookback=2)
+    waivers = WaiverTable()
     models: list[SourceFile] = []
     by_rel: dict[str, SourceFile] = {}
     for path in files:
@@ -81,8 +80,9 @@ def analyze(root: Path, files: list[Path], backend: str,
                 merge_pair(sf, hdr)
                 merge_pair(hdr, sf)
 
+    structural = [sf for sf in models if in_dirs(sf.rel, STRUCTURAL_DIRS)]
     if use_clang:
-        for sf in models:
+        for sf in structural:
             args = cc_args.get(str(sf.path))
             if args is None:
                 continue
@@ -92,10 +92,12 @@ def analyze(root: Path, files: list[Path], backend: str,
 
     findings: list[Finding] = []
     for sf in models:
-        check_iteration_rules(sf, waivers, findings)
         check_nondet_sources(sf, waivers, findings)
+        check_line_rules(sf, waivers, findings)
+    for sf in structural:
+        check_iteration_rules(sf, waivers, findings)
         check_thread_captures(sf, waivers, findings)
-    check_contract_coverage(models, waivers, findings)
+    check_contract_coverage(structural, waivers, findings)
 
     for w in waivers.missing_reason():
         rel = w.path.relative_to(root).as_posix()
@@ -119,7 +121,7 @@ def analyze(root: Path, files: list[Path], backend: str,
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="dprank_analyze",
-        description="AST-level determinism & concurrency analyzer "
+        description="static determinism & concurrency checker "
                     "(rules: " + ", ".join(sorted(RULES)) + ")")
     parser.add_argument(
         "--root", type=Path,
@@ -139,8 +141,8 @@ def main(argv: list[str] | None = None) -> int:
         help="emit findings as JSON to FILE (or stdout with no value)")
     parser.add_argument(
         "paths", nargs="*", type=Path,
-        help="specific files to analyze (default: src/ and tools/ under "
-             "--root)")
+        help="specific files to analyze (default: src/, tools/, tests/ "
+             "and bench/ under --root)")
     args = parser.parse_args(argv)
     root = args.root.resolve()
 

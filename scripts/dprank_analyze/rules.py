@@ -6,7 +6,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import FLOAT_ORDER_DIRS, RNG_IMPL_FILES, SIM_DIRS
+from . import FLOAT_ORDER_DIRS, HOT_PATH_DIRS, RNG_IMPL_FILES, SIM_DIRS
 from .astlite import SourceFile
 from .waivers import WaiverTable
 
@@ -54,15 +54,15 @@ def _sorted_after(sf: SourceFile, target: str, from_off: int) -> bool:
     ) is not None
 
 
-def _in_dirs(rel: str, dirs: tuple[str, ...]) -> bool:
+def in_dirs(rel: str, dirs: tuple[str, ...]) -> bool:
     return rel.startswith(tuple(d + "/" for d in dirs))
 
 
 def check_iteration_rules(sf: SourceFile, waivers: WaiverTable,
                           findings: list[Finding]) -> None:
     """R1 unordered-iteration and R3 float-order."""
-    in_sim = _in_dirs(sf.rel, SIM_DIRS)
-    in_float = _in_dirs(sf.rel, FLOAT_ORDER_DIRS)
+    in_sim = in_dirs(sf.rel, SIM_DIRS)
+    in_float = in_dirs(sf.rel, FLOAT_ORDER_DIRS)
     for loop in sf.loops:
         if loop.kind not in ("unordered", "ptr-ordered"):
             continue
@@ -135,7 +135,7 @@ _PTR_ORDER_RE = re.compile(
 def check_nondet_sources(sf: SourceFile, waivers: WaiverTable,
                          findings: list[Finding]) -> None:
     """R2 nondet-source."""
-    in_sim = _in_dirs(sf.rel, SIM_DIRS)
+    in_sim = in_dirs(sf.rel, SIM_DIRS)
     is_rng_impl = sf.rel in RNG_IMPL_FILES
 
     def report(idx: int, what: str) -> None:
@@ -230,3 +230,116 @@ def check_contract_coverage(files: list[SourceFile], waivers: WaiverTable,
             "validate_state()/validate() walk or waiver with the reason "
             "it is test-only",
         ))
+
+
+# --- Line rules -----------------------------------------------------------
+
+# A mutable std::vector<bool> variable or member declaration: not a
+# const object, not a reference to one.
+_VECTOR_BOOL_DECL_RE = re.compile(r"std::vector<bool>\s*[>&*]?\s*\w+\s*[;({=\[]")
+_VECTOR_BOOL_CONST_RE = re.compile(r"\bconst\s+std::vector<bool>|std::vector<bool>\s*&")
+_THREADED_MARKERS = ("<thread>", "<atomic>", "thread_pool.hpp", "std::jthread")
+
+# `static` introducing mutable state. Lines that declare functions
+# (contain an opening paren) are not findings, and neither is a Meyers
+# singleton of a sanctioned registry: the process-wide sinks that exist
+# to be the one blessed piece of global state.
+_MUTABLE_STATIC_RE = re.compile(r"^\s*static\s+(?!const\b|constexpr\b|assert\b)")
+_REGISTRY_TYPES_RE = re.compile(r"\b(MetricsRegistry|ResultStore)\b")
+
+_HOT_PATH_MAP_RE = re.compile(r"\bstd::(unordered_map|map)\s*<")
+
+# A hot-path file that includes the fold kernel holds the buffers its
+# lane gathers stream through.
+_GATHER_MARKER = "common/simd.hpp"
+_HOT_BUFFER_DECL_RE = re.compile(r"\bstd::vector<\s*(double|float)\s*>\s*\w+\s*[;{=\[]")
+
+# std symbols whose header must be included directly: containers and
+# threading primitives whose transitive availability varies across
+# standard libraries.
+_IWYU_SYMBOLS = {
+    "std::string": "<string>",
+    "std::vector": "<vector>",
+    "std::map": "<map>",
+    "std::unordered_map": "<unordered_map>",
+    "std::unordered_set": "<unordered_set>",
+    "std::set": "<set>",
+    "std::deque": "<deque>",
+    "std::optional": "<optional>",
+    "std::function": "<functional>",
+    "std::unique_ptr": "<memory>",
+    "std::shared_ptr": "<memory>",
+    "std::mutex": "<mutex>",
+    "std::atomic": "<atomic>",
+    "std::thread": "<thread>",
+    "std::jthread": "<thread>",
+    "std::condition_variable": "<condition_variable>",
+}
+_IWYU_WORD_RE = re.compile("|".join(
+    re.escape(s) + r"\b" for s in sorted(_IWYU_SYMBOLS, key=len, reverse=True)))
+# Read from raw lines: scrubbing blanks a quoted include path.
+_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*[<"]([^>"]+)[>"]')
+# A source file's paired header owns the includes for what it declares.
+_PAIRED_HEADER = {".cpp": ".hpp", ".cxx": ".hxx"}
+
+
+def _included(sf: SourceFile) -> set[str]:
+    lines = sf.raw_lines
+    suffix = _PAIRED_HEADER.get(sf.path.suffix)
+    if suffix is not None and sf.path.with_suffix(suffix).is_file():
+        lines = lines + sf.path.with_suffix(suffix).read_text(
+            encoding="utf-8").splitlines()
+    return {m.group(1) for m in map(_INCLUDE_RE.match, lines) if m}
+
+
+def check_line_rules(sf: SourceFile, waivers: WaiverTable,
+                     findings: list[Finding]) -> None:
+    """vector-bool, mutable-global, hot-path-map, unaligned-hot-buffer and
+    include-what-you-use."""
+    text = "\n".join(sf.raw_lines)
+    threaded = any(marker in text for marker in _THREADED_MARKERS)
+    in_hot_path = in_dirs(sf.rel, HOT_PATH_DIRS)
+    in_gather_path = in_hot_path and _GATHER_MARKER in text
+
+    def report(idx: int, rule: str, what: str) -> None:
+        if not waivers.allows(sf.path, idx, rule):
+            findings.append(Finding(sf.rel, idx + 1, rule, what))
+
+    for idx, code in enumerate(sf.code_lines):
+        if not code.strip():
+            continue
+        if (threaded and _VECTOR_BOOL_DECL_RE.search(code)
+                and not _VECTOR_BOOL_CONST_RE.search(code)):
+            report(idx, "vector-bool",
+                   "mutable std::vector<bool> in a threaded subsystem: "
+                   "packed bits share words, so concurrent writers race "
+                   "— use std::vector<std::uint8_t>")
+        if in_hot_path and _HOT_PATH_MAP_RE.search(code):
+            report(idx, "hot-path-map",
+                   "node-based map on the messaging hot path: use "
+                   "FlatMap64 (common/flat_map.hpp) or a vector; waive "
+                   "only with a reason naming why this path is cold")
+        if in_gather_path and _HOT_BUFFER_DECL_RE.search(code):
+            report(idx, "unaligned-hot-buffer",
+                   "raw std::vector<double/float> buffer in a "
+                   "gather-hot-path file: the fold kernel's lane gathers "
+                   "want 64-byte-aligned arrays — use AlignedVec "
+                   "(common/arena.hpp), or waive with the reason this "
+                   "buffer is never gathered")
+        if (_MUTABLE_STATIC_RE.search(code) and "(" not in code
+                and not _REGISTRY_TYPES_RE.search(code)):
+            report(idx, "mutable-global",
+                   "mutable static state outside a sanctioned registry "
+                   "leaks between runs and tests")
+
+    included = _included(sf)
+    first_use: dict[str, int] = {}
+    for idx, code in enumerate(sf.code_lines):
+        for m in _IWYU_WORD_RE.finditer(code):
+            header = _IWYU_SYMBOLS[m.group(0)]
+            if header.strip("<>") not in included:
+                first_use.setdefault(m.group(0), idx)
+    for symbol, idx in first_use.items():
+        report(idx, "include-what-you-use",
+               f"{symbol} used but {_IWYU_SYMBOLS[symbol]} is not included "
+               "directly (transitive includes break silently)")

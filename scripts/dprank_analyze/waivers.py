@@ -1,13 +1,14 @@
-"""Shared waiver parsing for dprank_lint and dprank_analyze.
+"""Waiver parsing.
 
-Both tools use the same shape:
+One shape:
 
-    // <tag>: allow(<rule>[, <rule>...])[ -- reason]
+    // dprank-analyze: allow(<rule>[, <rule>...]) -- reason
 
-on the offending line or the line directly above it. The table records
-every waiver it sees and which (line, rule) pairs actually suppressed a
-finding, so the tools can report *unused* waivers as errors — a waiver
-that outlives its finding is a determinism hole waiting to reopen.
+on the offending line or the line directly above it. The reason is
+mandatory. The table records every waiver it sees and which rules
+actually suppressed a finding, so the analyzer can report *unused*
+waivers as errors — a waiver that outlives its finding is a determinism
+hole waiting to reopen.
 """
 
 from __future__ import annotations
@@ -16,13 +17,12 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-
-def waiver_re(tag: str) -> re.Pattern[str]:
-    return re.compile(
-        r"//.*?" + re.escape(tag)
-        + r":\s*allow\(([a-z0-9-]+(?:\s*,\s*[a-z0-9-]+)*)\)"
-        + r"(?:\s*--\s*(\S.*))?"
-    )
+TAG = "dprank-analyze"
+_WAIVER_RE = re.compile(
+    r"//.*?" + re.escape(TAG)
+    + r":\s*allow\(([a-z0-9-]+(?:\s*,\s*[a-z0-9-]+)*)\)"
+    + r"(?:\s*--\s*(\S.*))?"
+)
 
 
 @dataclass
@@ -35,24 +35,15 @@ class Waiver:
 
 
 class WaiverTable:
-    """Waivers for one tag across a set of files."""
+    """Waivers across a set of files."""
 
-    def __init__(self, tag: str, require_reason: bool = False,
-                 lookback: int = 1):
-        """`lookback`: how many lines above the finding a waiver may sit
-        (1 = the classic same-line-or-line-above; dprank_analyze uses 2
-        so its waiver can stack above a dprank-lint waiver for the same
-        site)."""
-        self.tag = tag
-        self.require_reason = require_reason
-        self.lookback = lookback
-        self._re = waiver_re(tag)
+    def __init__(self) -> None:
         # (path, line) -> Waiver
         self._by_site: dict[tuple[Path, int], Waiver] = {}
 
     def scan_file(self, path: Path, raw_lines: list[str]) -> None:
         for idx, line in enumerate(raw_lines):
-            m = self._re.search(line)
+            m = _WAIVER_RE.search(line)
             if m is None:
                 continue
             rules = tuple(r.strip() for r in m.group(1).split(","))
@@ -63,7 +54,7 @@ class WaiverTable:
         """True when a waiver on line idx or idx-1 covers `rule`; marks
         the waiver used either way it matches."""
         hit = False
-        for j in range(idx, idx - self.lookback - 1, -1):
+        for j in (idx, idx - 1):
             w = self._by_site.get((path, j))
             if w is not None and rule in w.rules:
                 w.used.add(rule)
@@ -84,6 +75,4 @@ class WaiverTable:
         return out
 
     def missing_reason(self) -> list[Waiver]:
-        if not self.require_reason:
-            return []
         return [w for w in self.waivers() if not w.reason]

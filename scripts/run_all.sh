@@ -13,12 +13,11 @@ cd "$(dirname "$0")/.."
 cmake -B build -G Ninja
 cmake --build build
 
-# Static gates first: the custom lint and the determinism analyzer are
-# cheap and catch exactly the bugs the seeded reruns below would only
-# surface as flaky digests. The analyzer prefers the libclang backend
-# when the configure above produced compile_commands.json, and falls
-# back to its self-contained scanner otherwise.
-python3 scripts/dprank_lint.py
+# Static gate first: the determinism & concurrency checker is cheap and
+# catches exactly the bugs the seeded reruns below would only surface as
+# flaky digests. It prefers the libclang backend when the configure
+# above produced compile_commands.json, and falls back to its
+# self-contained scanner otherwise.
 python3 scripts/dprank_analyze --backend auto \
   --compile-commands build/compile_commands.json
 

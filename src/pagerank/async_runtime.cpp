@@ -339,7 +339,6 @@ AsyncRunResult AsyncPagerankRuntime::run_impl(std::uint64_t message_cap,
           // elapsed time, not simulated passes — there is no pass clock
           // to consult here.
           // dprank-analyze: allow(nondet-source) -- real-thread downtime
-          // dprank-lint: allow(wall-clock)
           std::this_thread::sleep_for(
               std::chrono::microseconds(params.pause_microseconds));
           {
@@ -351,7 +350,6 @@ AsyncRunResult AsyncPagerankRuntime::run_impl(std::uint64_t message_cap,
           pause_cv.notify_all();
           // Real inter-cycle gap, as above.
           // dprank-analyze: allow(nondet-source) -- real-thread downtime
-          // dprank-lint: allow(wall-clock)
           std::this_thread::sleep_for(
               std::chrono::microseconds(params.pause_microseconds));
         }

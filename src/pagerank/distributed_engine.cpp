@@ -1217,8 +1217,8 @@ void DistributedPagerank::validate_state() const {
   // only holds at quiescence and is checked there by the audit machinery
   // instead.
   if (auditor_ != nullptr && plan_ == nullptr && membership_ == nullptr) {
-    // Audit-only local (cold validation path, never gathered).
-    // dprank-lint: allow(unaligned-hot-buffer)
+    // Audit-only local (cold validation path).
+    // dprank-analyze: allow(unaligned-hot-buffer) -- never gathered
     std::vector<double> effective;
     build_effective(effective);
     const MassAuditReport report = auditor_->audit(effective, kAuditSlack);
@@ -1267,7 +1267,6 @@ DistributedRunResult DistributedPagerank::run(ChurnSchedule* churn,
     // Telemetry measures the simulator itself (real wall time per pass),
     // never feeds the simulation.
     // dprank-analyze: allow(nondet-source) -- measures the harness only
-    // dprank-lint: allow(wall-clock)
     const auto wall_start = std::chrono::steady_clock::now();
     PassStats stats;
     stats.pass = pass;
@@ -1367,7 +1366,6 @@ DistributedRunResult DistributedPagerank::run(ChurnSchedule* churn,
       pass_wall->record(std::chrono::duration<double, std::micro>(
                             // Same telemetry read as wall_start.
                             // dprank-analyze: allow(nondet-source) -- ditto
-                            // dprank-lint: allow(wall-clock)
                             std::chrono::steady_clock::now() - wall_start)
                             .count());
     }

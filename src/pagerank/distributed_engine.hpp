@@ -412,26 +412,28 @@ class DistributedPagerank : public PagerankEngineInterface {
   std::vector<std::uint64_t> crashed_until_;  // peer offline through pass-1
   std::vector<std::uint8_t> needs_recovery_;
   std::vector<NodeId> edge_src_;        // edge id -> source document
-  // Replica rank store (crash-recovery path); never folded by the
-  // gather kernel. dprank-lint: allow(unaligned-hot-buffer)
+  // Replica rank store (crash-recovery path).
+  // dprank-analyze: allow(unaligned-hot-buffer) -- never folded by the kernel
   std::vector<double> replica_value_;   // last rank a live replica holds
   // Churn presence minus crashed peers. vector<bool> is safe here:
   // written only by the coordinator between parallel regions, and read
-  // through const access inside them. dprank-lint: allow(vector-bool)
+  // through const access inside them.
+  // dprank-analyze: allow(vector-bool) -- written only between regions
   std::vector<bool> presence_eff_;
-  // Mass-audit workspace (cold validation path, never gathered).
-  // dprank-lint: allow(unaligned-hot-buffer)
+  // Mass-audit workspace (cold validation path).
+  // dprank-analyze: allow(unaligned-hot-buffer) -- never gathered
   std::vector<double> effective_scratch_;  // audit workspace
 
   // Delivery-delay buffer: pass -> messages arriving at its start. A
   // node-based ordered map is right here: the fault path is cold, only
   // the earliest due passes are visited, and delivery order must follow
-  // due-pass order. dprank-lint: allow(hot-path-map)
+  // due-pass order.
+  // dprank-analyze: allow(hot-path-map) -- cold fault path, due-pass order
   std::map<std::uint64_t, std::vector<DelayedMsg>> delayed_;
   std::uint64_t delayed_total_ = 0;
 
-  // The interface returns const std::vector<double>&, so ranks_ keeps the
-  // default allocator. dprank-lint: allow(unaligned-hot-buffer)
+  // The interface returns const std::vector<double>&.
+  // dprank-analyze: allow(unaligned-hot-buffer) -- type fixed by interface
   std::vector<double> ranks_;
   // Delivered contribution cells, indexed by in-CSR *position* (see
   // Digraph::in_edge_begin): a document's cells are contiguous, so the
@@ -441,8 +443,8 @@ class DistributedPagerank : public PagerankEngineInterface {
   // Digraph::out_to_in_edge. 64-byte aligned: the vector gather kernel
   // (common/simd.hpp) sweeps this array.
   AlignedVec<double> contrib_;
-  // Outbox parking values: scalar random writes only, the fold kernel
-  // never streams them. dprank-lint: allow(unaligned-hot-buffer)
+  // Parked update values: scalar random writes only.
+  // dprank-analyze: allow(unaligned-hot-buffer) -- the kernel never streams it
   std::vector<double> pending_value_;  // per out-edge, undelivered value
   std::vector<std::uint8_t> pending_;  // per out-edge outbox flag
   std::vector<std::uint32_t> pending_seq_;  // parked seq (acked mode only)
@@ -521,14 +523,14 @@ class DistributedPagerank : public PagerankEngineInterface {
   double prev_max_rel_ = 0.0;  // last pass's max relative change
   // Accumulated |Δcontribution| since the document's last recompute;
   // +inf until first recomputed, so pass 0 processes everything.
-  // Per-document scalar state; the fold kernel never streams it.
-  // dprank-lint: allow(unaligned-hot-buffer)
+  // Per-document scalar state.
+  // dprank-analyze: allow(unaligned-hot-buffer) -- the kernel never streams it
   std::vector<double> residual_;
   // Rank value behind the document's last emission: the emission gate
   // compares against what the out-links actually hold, not last pass's
   // rank, so coalesced (deferred) updates are never silently dropped.
   // Per-document scalar state, like residual_.
-  // dprank-lint: allow(unaligned-hot-buffer)
+  // dprank-analyze: allow(unaligned-hot-buffer) -- the kernel never streams it
   std::vector<double> last_sent_;
   std::vector<std::uint8_t> defer_age_;  // consecutive deferrals
 

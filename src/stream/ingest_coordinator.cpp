@@ -116,7 +116,6 @@ IngestBatchStats IngestCoordinator::flush() {
   // Telemetry measuring the harness, not the simulation: no control flow
   // depends on the reading.
   // dprank-analyze: allow(nondet-source) -- measures the harness only
-  // dprank-lint: allow(wall-clock)
   const auto t0 = std::chrono::steady_clock::now();
 
   ++batch_epoch_;
@@ -198,7 +197,6 @@ IngestBatchStats IngestCoordinator::flush() {
   }
 
   // dprank-analyze: allow(nondet-source) -- measures the harness only
-  // dprank-lint: allow(wall-clock)
   const auto t1 = std::chrono::steady_clock::now();
   out.apply_us = std::chrono::duration<double, std::micro>(t1 - t0).count();
   if (metrics_ != nullptr) {

@@ -12,10 +12,9 @@ inline int pure_add(int a, int b) {
   return a + b;
 }
 
-// FINDING malformed-waiver: no reason given (the rand() itself stays
-// suppressed — the waiver is used, just malformed).
-// dprank-analyze: allow(nondet-source)
+// FINDING malformed-waiver: used, so the rand() stays suppressed.
 inline int lazy_waiver() {
+  // dprank-analyze: allow(nondet-source)
   return std::rand();
 }
 
