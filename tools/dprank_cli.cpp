@@ -47,12 +47,17 @@
 //   dprank_cli system --docs 5000 --ops 20   (lifecycle + doctor)
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 #include "common/contracts.hpp"
@@ -116,18 +121,46 @@ class Args {
     const auto it = values_.find(key);
     return it == values_.end() ? fallback : it->second;
   }
-  [[nodiscard]] std::uint64_t get_u64(const std::string& key,
-                                      std::uint64_t fallback) const {
+  /// Unsigned flag: the whole token is decimal digits (no sign, no
+  /// trailing characters) and the value fits T.
+  template <typename T = std::uint64_t>
+  [[nodiscard]] T get_uint(const std::string& key,
+                           std::type_identity_t<T> fallback) const {
     const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stoull(it->second);
+    if (it == values_.end()) return fallback;
+    std::uint64_t v = 0;
+    if (!parse_whole(it->second, v) || v > std::numeric_limits<T>::max()) {
+      throw std::invalid_argument(
+          "--" + key + ": expected an integer in [0, " +
+          std::to_string(std::numeric_limits<T>::max()) + "], got '" +
+          it->second + "'");
+    }
+    return static_cast<T>(v);
   }
+  /// Floating-point flag: the whole token parses to a finite value.
   [[nodiscard]] double get_double(const std::string& key,
                                   double fallback) const {
     const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stod(it->second);
+    if (it == values_.end()) return fallback;
+    double v = 0.0;
+    if (!parse_whole(it->second, v) || !std::isfinite(v)) {
+      throw std::invalid_argument("--" + key +
+                                  ": expected a finite number, got '" +
+                                  it->second + "'");
+    }
+    return v;
   }
 
  private:
+  /// std::from_chars over the whole token: no whitespace, no '+', nothing
+  /// trailing, and out-of-range values fail.
+  template <typename T>
+  static bool parse_whole(const std::string& token, T& out) {
+    const char* end = token.data() + token.size();
+    const auto [ptr, ec] = std::from_chars(token.data(), end, out);
+    return ec == std::errc{} && ptr == end;
+  }
+
   std::map<std::string, std::string> values_;
 };
 
@@ -151,8 +184,8 @@ void write_telemetry_outputs(const Args& args,
 
 int cmd_gen(const Args& args) {
   WebGraphParams params;
-  params.num_nodes = args.get_u64("nodes", 10'000);
-  params.seed = args.get_u64("seed", 42);
+  params.num_nodes = args.get_uint("nodes", 10'000);
+  params.seed = args.get_uint("seed", 42);
   params.dangling_fraction = args.get_double("dangling", 0.0);
   const std::string out = args.require("out");
   std::cout << "Generating " << params.num_nodes
@@ -188,11 +221,10 @@ int cmd_stats(const Args& args) {
 
 int cmd_rank(const Args& args) {
   const Digraph g = load_graph(args.require("graph"));
-  const auto peers =
-      static_cast<PeerId>(args.get_u64("peers", 500));
+  const auto peers = args.get_uint<PeerId>("peers", 500);
   const double epsilon = args.get_double("epsilon", 1e-3);
   const double availability = args.get_double("availability", 1.0);
-  const auto seed = args.get_u64("seed", 42);
+  const auto seed = args.get_uint("seed", 42);
   const std::string placement_mode = args.get("placement", "random");
 
   const Placement placement =
@@ -202,8 +234,8 @@ int cmd_rank(const Args& args) {
 
   PagerankOptions options;
   options.epsilon = epsilon;
-  options.threads = static_cast<std::uint32_t>(
-      args.get_u64("threads", experiment_threads()));
+  options.threads =
+      args.get_uint<std::uint32_t>("threads", experiment_threads());
   const std::string schedule = args.get("schedule", "fifo");
   if (schedule == "residual") {
     options.schedule = Schedule::kResidual;
@@ -211,12 +243,12 @@ int cmd_rank(const Args& args) {
     throw std::invalid_argument("--schedule must be fifo or residual, got: " +
                                 schedule);
   }
-  options.adaptive_epsilon = args.get_u64("adaptive-epsilon", 0) != 0;
+  options.adaptive_epsilon = args.get_uint("adaptive-epsilon", 0) != 0;
   if (options.adaptive_epsilon && options.schedule != Schedule::kResidual) {
     throw std::invalid_argument(
         "--adaptive-epsilon requires --schedule residual");
   }
-  options.validate_every_n_passes = args.get_u64("check-invariants", 0);
+  options.validate_every_n_passes = args.get_uint("check-invariants", 0);
   if (options.validate_every_n_passes != 0 && !contracts::enabled()) {
     std::cerr << "warning: --check-invariants requested but contract "
                  "checks are compiled out; rebuild with "
@@ -295,8 +327,8 @@ int cmd_rank(const Args& args) {
 int cmd_insert(const Args& args) {
   const Digraph g = load_graph(args.require("graph"));
   const double epsilon = args.get_double("epsilon", 1e-3);
-  const auto count = args.get_u64("count", 100);
-  const auto seed = args.get_u64("seed", 42);
+  const auto count = args.get_uint("count", 100);
+  const auto seed = args.get_uint("seed", 42);
 
   std::vector<double> ranks = centralized_pagerank(g, 0.85, 1e-10).ranks;
   PagerankOptions options;
@@ -342,13 +374,11 @@ int cmd_insert(const Args& args) {
 
 int cmd_search(const Args& args) {
   CorpusParams cp;
-  cp.num_docs = static_cast<std::uint32_t>(args.get_u64("docs", 11'000));
-  cp.seed = args.get_u64("seed", 42);
-  const auto peers = static_cast<PeerId>(args.get_u64("peers", 50));
-  const auto num_queries =
-      static_cast<std::uint32_t>(args.get_u64("queries", 20));
-  const auto terms =
-      static_cast<std::uint32_t>(args.get_u64("terms", 2));
+  cp.num_docs = args.get_uint<std::uint32_t>("docs", 11'000);
+  cp.seed = args.get_uint("seed", 42);
+  const auto peers = args.get_uint<PeerId>("peers", 50);
+  const auto num_queries = args.get_uint<std::uint32_t>("queries", 20);
+  const auto terms = args.get_uint<std::uint32_t>("terms", 2);
   const double top_pct = args.get_double("top", 10.0);
 
   const Corpus corpus = Corpus::synthesize(cp);
@@ -407,18 +437,18 @@ int cmd_system(const Args& args) {
   // Scripted full-system lifecycle: bootstrap, converge, N random
   // inserts/deletes/searches, then the consistency doctor.
   CorpusParams cp;
-  cp.num_docs = static_cast<std::uint32_t>(args.get_u64("docs", 5'000));
-  cp.vocabulary = static_cast<TermId>(args.get_u64("vocab", 500));
+  cp.num_docs = args.get_uint<std::uint32_t>("docs", 5'000);
+  cp.vocabulary = args.get_uint<TermId>("vocab", 500);
   cp.mean_terms = 40;
   cp.min_terms = 5;
   cp.max_terms = 200;
-  cp.seed = args.get_u64("seed", 42);
-  const auto ops = args.get_u64("ops", 20);
+  cp.seed = args.get_uint("seed", 42);
+  const auto ops = args.get_uint("ops", 20);
 
   const Corpus corpus = Corpus::synthesize(cp);
   const Digraph graph = paper_graph(cp.num_docs, cp.seed);
   P2PSystemConfig cfg;
-  cfg.num_peers = static_cast<PeerId>(args.get_u64("peers", 50));
+  cfg.num_peers = args.get_uint<PeerId>("peers", 50);
   cfg.pagerank.epsilon = args.get_double("epsilon", 1e-4);
   cfg.seed = cp.seed;
   P2PSystem system(graph, corpus, cfg);
@@ -482,15 +512,13 @@ int cmd_system(const Args& args) {
 }
 
 int cmd_stream(const Args& args) {
-  const auto docs =
-      static_cast<NodeId>(args.get_u64("docs", 2'000));
-  const auto events = args.get_u64("events", 240);
-  const auto batch =
-      static_cast<std::uint32_t>(args.get_u64("batch", 16));
-  const auto reconverge_every = args.get_u64("reconverge-every", 0);
+  const auto docs = args.get_uint<NodeId>("docs", 2'000);
+  const auto events = args.get_uint("events", 240);
+  const auto batch = args.get_uint<std::uint32_t>("batch", 16);
+  const auto reconverge_every = args.get_uint("reconverge-every", 0);
   const double rate = args.get_double("rate", 1'000.0);
-  const auto seed = args.get_u64("seed", 42);
-  const auto top_k = args.get_u64("top", 10);
+  const auto seed = args.get_uint("seed", 42);
+  const auto top_k = args.get_uint("top", 10);
 
   std::cout << "Seeding " << format_count(docs)
             << "-doc graph and converging the baseline ranks...\n";
@@ -501,8 +529,7 @@ int cmd_stream(const Args& args) {
   ic.seed = seed;
   ic.options.epsilon = args.get_double("epsilon", 1e-6);
   ic.options.threads = 1;
-  ic.reconverge.initial_peers =
-      static_cast<PeerId>(args.get_u64("peers", 16));
+  ic.reconverge.initial_peers = args.get_uint<PeerId>("peers", 16);
   ic.reconverge.events = 8;
   ic.reconverge.min_live = 8;
   ic.reconverge.replicas = 1;
