@@ -94,8 +94,8 @@ bool FaultPlan::reachable(PeerId a, PeerId b) const {
 SendFate FaultPlan::fate_for_send() {
   SendFate fate;
   if (message_faults_) {
-    // Draw order matches the legacy FaultModel path exactly: drop first,
-    // duplicate only for delivered messages.
+    // Draw order, pinned by the fault goldens: drop first, duplicate only
+    // for delivered messages.
     if (fate_rng_.chance(config_.drop_probability)) {
       fate.dropped = true;
       return fate;

@@ -66,7 +66,7 @@ struct PartitionEvent {
 };
 
 struct FaultPlanConfig {
-  // Per-send probabilistic faults (the legacy FaultModel vocabulary).
+  // Per-send probabilistic faults.
   double drop_probability = 0.0;       // message vanishes in transit
   double duplicate_probability = 0.0;  // message delivered twice
 
@@ -149,8 +149,8 @@ class FaultPlan {
   FaultPlanConfig config_;
   bool message_faults_ = false;  // any per-send probabilistic fault enabled
   bool delay_enabled_ = false;
-  // Seeded exactly like the legacy FaultModel RNG so the inject_faults()
-  // compatibility shim replays bit-identical drop/duplicate histories.
+  // Per-send fate stream. Its seed and draw order are pinned by the fault
+  // golden digests: changing either changes every faulty run's history.
   Rng fate_rng_;
   Rng crash_rng_;
   std::uint64_t next_pass_ = 0;
