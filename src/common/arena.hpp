@@ -1,20 +1,15 @@
 #pragma once
 
-// Allocation-recycling primitives for the per-pass message path.
-//
-// The engines and the async runtime used to rebuild the same scratch
-// buffers every pass — a vector allocated, filled, moved away and dropped,
-// hundreds of times per run. These helpers keep that memory alive across
-// passes:
+// Allocation-recycling and alignment primitives for the per-pass message
+// path. A scratch vector allocated, filled, moved away and dropped every
+// pass costs an allocation per pass; these helpers keep that memory alive
+// across passes and aligned for the fold kernel:
 //
 //   * BufferPool<T>: a free list of std::vector<T> buffers. acquire()
 //     hands back a cleared buffer with its old capacity intact; release()
 //     returns it. Under AddressSanitizer a released buffer's storage is
 //     poisoned until re-acquired, so a stale pointer into recycled memory
 //     traps instead of silently reading the next user's data.
-//   * ObjectPool<T>: the same free-list discipline for arbitrary
-//     move-constructible objects (e.g. an Outbox queue with its warmed-up
-//     flat map); no poisoning, since T owns its own memory.
 //   * AlignedAllocator<T> / AlignedVec<T>: 64-byte-aligned vector storage
 //     for the engine's hot arrays (contribution cells, pass scratch), so
 //     the vectorized gather kernel (common/simd.hpp) never straddles a
@@ -82,8 +77,8 @@ struct AlignedAllocator {
 };
 
 /// 64-byte-aligned vector: the engine's contribution cells and pass
-/// scratch live here (see common/simd.hpp and dprank_lint's
-/// aligned-hot-buffer rule).
+/// scratch live here (see common/simd.hpp and dprank_analyze's
+/// unaligned-hot-buffer rule).
 template <typename T>
 using AlignedVec = std::vector<T, AlignedAllocator<T>>;
 
@@ -147,34 +142,6 @@ class BufferPool {
   }
 
   std::vector<std::vector<T>> free_;
-  std::uint64_t allocs_ = 0;
-  std::uint64_t reuses_ = 0;
-};
-
-/// Free list for arbitrary move-constructible objects; acquire() returns
-/// the most recently released instance (warm caches, warm capacity).
-template <typename T>
-class ObjectPool {
- public:
-  [[nodiscard]] T acquire() {
-    if (free_.empty()) {
-      ++allocs_;
-      return T{};
-    }
-    T obj = std::move(free_.back());
-    free_.pop_back();
-    ++reuses_;
-    return obj;
-  }
-
-  void release(T&& obj) { free_.push_back(std::move(obj)); }
-
-  [[nodiscard]] std::uint64_t allocations() const { return allocs_; }
-  [[nodiscard]] std::uint64_t reuses() const { return reuses_; }
-  [[nodiscard]] std::size_t idle() const { return free_.size(); }
-
- private:
-  std::vector<T> free_;
   std::uint64_t allocs_ = 0;
   std::uint64_t reuses_ = 0;
 };

@@ -2,9 +2,9 @@
 
 // Open-addressing hash map keyed by 64-bit ids.
 //
-// The messaging hot path keys everything by small packed integers — the
-// sender's out-edge id (ReliableChannel slots, Outbox slots) or a peer id
-// (Outbox destinations). `std::map`/`std::unordered_map` pay a node
+// The messaging hot path keys everything by small packed integers, such
+// as the sender's out-edge id (ReliableChannel slots). `std::map` and
+// `std::unordered_map` pay a node
 // allocation plus a pointer chase per operation, which dominates the
 // per-message cost once the rest of the pass is array-backed. FlatMap64
 // stores key/value pairs inline in one power-of-two slot array with linear
@@ -21,7 +21,7 @@
 //
 // Erase uses tombstones; the table rehashes when live + dead slots exceed
 // ~3/4 of capacity, which bounds probe lengths without moving entries on
-// every erase (the Outbox erases whole queues at drain time).
+// every erase.
 
 #include <algorithm>
 #include <cstddef>

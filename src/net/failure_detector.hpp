@@ -4,7 +4,7 @@
 //
 // The paper detects unavailability implicitly ("when a peer is detected
 // as unavailable", §3.1) and assumes every departed peer eventually
-// returns. Permanent departure breaks that: the Outbox parks state and
+// returns. Permanent departure breaks that: the engine parks updates and
 // the ReliableChannel backs off forever for a peer that will never ack.
 // FailureDetector closes the loop with the classic heartbeat recipe on
 // the pass simulator's time base (all timeouts are Eq. 4 passes, so
@@ -16,7 +16,7 @@
 //     further silent pass raises the suspicion count;
 //   * confirm_after_suspicions suspicions confirm the peer *dead* — a
 //     permanent, irrevocable verdict that tick() reports exactly once so
-//     callers can evict Outbox queues (drop_dead), abandon in-flight
+//     callers can evict parked updates, abandon in-flight
 //     retransmissions (give_up_on_dest) and trigger ring repair;
 //   * a heartbeat from a suspected peer clears the suspicion (counted in
 //     false_suspicions() — the observability hook for tuning timeouts);

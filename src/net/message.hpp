@@ -1,15 +1,13 @@
 #pragma once
 
-// Message vocabulary of the distributed pagerank system.
+// Wire format of the distributed pagerank system's updates.
 //
 // §4.6.1 fixes the wire size of a pagerank update at 24 bytes: a 128-bit
-// GUID naming the destination document plus a 64-bit rank value. The other
-// message kinds support the index integration (§2.4.2) and the incremental
-// search protocol (§2.4.3).
+// GUID naming the destination document plus a 64-bit rank value. The
+// index update of §2.4.2 has the same shape. Traffic meters bill these
+// sizes (kWireBytes).
 
 #include <cstdint>
-#include <variant>
-#include <vector>
 
 #include "common/guid.hpp"
 
@@ -32,20 +30,5 @@ struct IndexRankUpdate {
   double rank = 0.0;
   static constexpr std::uint32_t kWireBytes = 24;
 };
-
-/// A chunk of document hits forwarded between index peers during a
-/// multi-word query (§2.4.3). Traffic cost is one document id per hit —
-/// the unit Table 6 counts.
-struct HitsForward {
-  std::uint32_t query = 0;
-  std::vector<Guid> hits;
-  [[nodiscard]] std::uint64_t wire_bytes() const {
-    return hits.size() * 16 + 8;
-  }
-};
-
-using Message = std::variant<PagerankUpdate, IndexRankUpdate, HitsForward>;
-
-[[nodiscard]] std::uint64_t wire_bytes(const Message& m);
 
 }  // namespace dprank

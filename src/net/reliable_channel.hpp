@@ -3,13 +3,14 @@
 // Sequence-numbered, acknowledged delivery (extension).
 //
 // The paper assumes reliable transport for direct sends and falls back to
-// the §3.1 store-and-resend Outbox only for peers known to be offline. On
+// §3.1 store-and-resend only for peers known to be offline (the engine
+// parks those updates per out-edge). On
 // lossy transport a dropped update silently leaves a stale contribution at
 // the receiver. ReliableChannel closes that gap with the classic ARQ
 // recipe, adapted to the pass simulator's time base:
 //
 //   * every logical flow is a 64-bit slot (the engines use the sender's
-//     out-edge id, the same key the Outbox uses);
+//     out-edge id, the same key their parked updates use);
 //   * each emission on a slot gets a monotonically increasing sequence
 //     number; receivers accept a value only if its sequence number is
 //     newer than the last one applied (stale reordered values are
@@ -18,7 +19,8 @@
 //     number of passes until the ack arrives. Retransmissions always carry
 //     the *newest* emission for the slot — pagerank updates are
 //     idempotent-by-latest, so at most one in-flight record per slot is
-//     needed (the same linear-in-outlinks bound as the Outbox);
+//     needed (the same linear-in-outlinks bound as §3.1's stored
+//     updates);
 //   * retransmission is bounded when the caller asks for it: with
 //     Config::max_attempts set, a record whose retry budget is exhausted
 //     (or whose destination the failure detector declared permanently
@@ -30,7 +32,7 @@
 // Conservation ledger: every record that enters the in-flight table exits
 // through exactly one of ack, forget_sender, take_due or give_up_on_dest;
 // validate() enforces tracked == acked + forgotten + taken + gave_up +
-// in_flight, mirroring the Outbox credit ledger.
+// in_flight.
 //
 // Storage: one EdgeRecord per slot holds both sides of the sequence state
 // (newest issued, newest applied) — they were two `std::map`s keyed by the

@@ -14,6 +14,19 @@
 
 namespace dprank {
 
+namespace {
+
+// kResidual: defer a document whose relative residual is below this
+// fraction of the previous pass's max relative change.
+constexpr double kResidualDeferRatio = 0.5;
+
+// Transport header of a §4.6.1 bulk transfer. Membership handoffs move a
+// document's rank and stored contributions this way, each value billed
+// at PagerankUpdate::kWireBytes behind one header.
+constexpr std::uint32_t kBatchHeaderBytes = 16;
+
+}  // namespace
+
 DistributedPagerank::DistributedPagerank(const Digraph& g,
                                          const Placement& placement,
                                          const PagerankOptions& options)
@@ -500,8 +513,8 @@ void DistributedPagerank::apply_membership(
   }
 
   // 3. Declared dead: the net layer stops waiting. Parked updates
-  //    addressed to the dead peer are evicted (the Outbox dropped_dead
-  //    exit) and the channel abandons retransmission (gave_up) — both
+  //    addressed to the dead peer are evicted (outbox_dropped_dead) and
+  //    the channel abandons retransmission (gave_up) — both
   //    losses are audited so the quiescence repair re-injects the mass.
   for (const PeerId d : mplan.declared_dead) {
     auto& entries = deferred_by_peer_[d];
@@ -536,8 +549,8 @@ void DistributedPagerank::apply_membership(
     // cells in one bulk message; the values themselves are already
     // correct, so only traffic and dirty bookkeeping change.
     const std::size_t cells = graph_.in_neighbors(h.doc).size();
-    meter_.record_batch(1 + cells, options_.batch_payload_bytes,
-                        options_.batch_header_bytes);
+    meter_.record_batch(1 + cells, PagerankUpdate::kWireBytes,
+                        kBatchHeaderBytes);
   }
   // Overlay and membership are mutually exclusive, so send_hops bills
   // every reconstruction pull one hop, as a direct message.
@@ -797,7 +810,7 @@ void DistributedPagerank::recompute_segment(Segment& s,
       return ra != rb ? ra > rb : a < b;
     });
     if (prev_max_rel_ > options_.epsilon) {
-      const double cutoff = options_.residual_defer_ratio * prev_max_rel_;
+      const double cutoff = kResidualDeferRatio * prev_max_rel_;
       std::uint64_t selected = 1;  // every peer processes its top document
       for (std::uint64_t i = 1; i < n; ++i) {
         const NodeId v = docs[i];
@@ -1138,7 +1151,7 @@ void DistributedPagerank::validate_state() const {
           std::to_string(dirty_.size() + next_dirty_.size()) +
           ") — flagged-but-unqueued documents lose updates");
 
-  // Outbox bookkeeping: pending flags, the per-destination deferred
+  // Parked-update bookkeeping: pending flags, the per-destination deferred
   // lists and the counters are three views of one set of parked edges.
   std::vector<std::uint8_t> parked(m, 0);
   std::uint64_t parked_entries = 0;

@@ -252,8 +252,7 @@ class DistributedPagerank : public PagerankEngineInterface {
   [[nodiscard]] std::uint64_t stale_owner_queries() const {
     return stale_owner_queries_;
   }
-  /// Parked updates evicted when their destination was declared dead
-  /// (the engine-side analogue of Outbox::dropped_dead_count()).
+  /// Parked updates evicted when their destination was declared dead.
   [[nodiscard]] std::uint64_t outbox_dropped_dead() const {
     return outbox_dropped_dead_;
   }

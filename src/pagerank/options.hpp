@@ -56,13 +56,6 @@ struct PagerankOptions {
   /// threads change wall time only. 1 = fully sequential (no pool).
   std::uint32_t threads = 1;
 
-  /// Wire framing of a §4.6.1 bulk transfer (16-byte GUID + 8-byte rank
-  /// per update behind one transport header): membership handoffs move
-  /// a document's rank and stored contributions this way
-  /// (TrafficMeter::record_batch).
-  std::uint32_t batch_header_bytes = 16;
-  std::uint32_t batch_payload_bytes = 24;
-
   /// Dirty-set processing order; see Schedule. CLI: --schedule.
   Schedule schedule = Schedule::kFifo;
 
@@ -76,12 +69,11 @@ struct PagerankOptions {
   bool adaptive_epsilon = false;
 
   /// kResidual tuning: a document is deferred when its relative residual
-  /// falls below residual_defer_ratio x the previous pass's max relative
-  /// change (no deferral once that max is within epsilon — the endgame
-  /// runs exhaustively). Each peer always processes its highest-residual
+  /// falls below half the previous pass's max relative change (no
+  /// deferral once that max is within epsilon — the endgame runs
+  /// exhaustively). Each peer always processes its highest-residual
   /// document, and no document is deferred more than residual_max_defer
   /// consecutive passes, which bounds staleness and guarantees progress.
-  double residual_defer_ratio = 0.5;
   std::uint32_t residual_max_defer = 8;
 
   /// Run the engine's full invariant walk (DistributedPagerank

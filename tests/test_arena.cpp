@@ -1,15 +1,12 @@
 // Pool/arena primitive tests (common/arena.hpp): BufferPool capacity
-// retention and reuse accounting, the ASan reuse-after-recycle trap,
-// and ObjectPool.
+// retention and reuse accounting, and the ASan reuse-after-recycle trap.
 
 #include "common/arena.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <string>
 #include <utility>
-#include <vector>
 
 namespace dprank {
 namespace {
@@ -86,19 +83,6 @@ TEST(BufferPool, ReleasedStorageIsPoisonedUntilReacquired) {
   pool.release(std::move(again));
 }
 #endif
-
-TEST(ObjectPool, RecyclesWarmObjects) {
-  ObjectPool<std::vector<std::string>> pool;
-  auto obj = pool.acquire();
-  EXPECT_EQ(pool.allocations(), 1u);
-  obj.reserve(500);
-  const auto cap = obj.capacity();
-  pool.release(std::move(obj));
-
-  auto again = pool.acquire();
-  EXPECT_EQ(pool.reuses(), 1u);
-  EXPECT_GE(again.capacity(), cap);  // warm capacity, contents untouched
-}
 
 }  // namespace
 }  // namespace dprank

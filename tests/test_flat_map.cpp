@@ -1,5 +1,5 @@
 // FlatMap64 unit tests: the open-addressing map under the messaging hot
-// path (ReliableChannel edge records, Outbox queues). Checked against
+// path (ReliableChannel edge records). Checked against
 // std::unordered_map as the reference model, plus the tombstone and
 // rehash behaviors a node-based map never exercises.
 

@@ -1,184 +1,15 @@
-#include "net/outbox.hpp"
+// net/ transport tests: ReliableChannel's ARQ ledger, TrafficMeter
+// billing, and the §4.6.1 wire sizes the meters bill.
+
+#include "net/reliable_channel.hpp"
 
 #include <gtest/gtest.h>
 
-#include "net/reliable_channel.hpp"
+#include "net/message.hpp"
 #include "net/traffic_meter.hpp"
-
-#include <vector>
 
 namespace dprank {
 namespace {
-
-PagerankUpdate update(double v) { return {document_guid(1), v}; }
-
-TEST(Outbox, StoreAndDrain) {
-  Outbox box;
-  box.store(3, /*slot=*/10, update(0.5));
-  box.store(3, /*slot=*/11, update(0.7));
-  EXPECT_TRUE(box.has_pending(3));
-  EXPECT_EQ(box.pending_count(), 2u);
-
-  const auto msgs = box.drain(3);
-  ASSERT_EQ(msgs.size(), 2u);
-  EXPECT_EQ(msgs[0].first, 10u);
-  EXPECT_EQ(msgs[1].first, 11u);
-  EXPECT_FALSE(box.has_pending(3));
-  EXPECT_EQ(box.pending_count(), 0u);
-}
-
-TEST(Outbox, NewestValueWins) {
-  // "Update messages are stored at the sender and periodically resent
-  // until delivered" — only the freshest value per link matters.
-  Outbox box;
-  box.store(1, 5, update(0.1));
-  box.store(1, 5, update(0.2));
-  box.store(1, 5, update(0.3));
-  EXPECT_EQ(box.pending_count(), 1u);
-  const auto msgs = box.drain(1);
-  ASSERT_EQ(msgs.size(), 1u);
-  EXPECT_DOUBLE_EQ(std::get<PagerankUpdate>(msgs[0].second).value, 0.3);
-}
-
-TEST(Outbox, DrainEmptyPeer) {
-  Outbox box;
-  EXPECT_TRUE(box.drain(7).empty());
-  EXPECT_FALSE(box.has_pending(7));
-}
-
-TEST(Outbox, SeparatePeersSeparateQueues) {
-  Outbox box;
-  box.store(1, 0, update(1.0));
-  box.store(2, 0, update(2.0));
-  EXPECT_EQ(box.pending_count(), 2u);
-  const auto one = box.drain(1);
-  ASSERT_EQ(one.size(), 1u);
-  EXPECT_DOUBLE_EQ(std::get<PagerankUpdate>(one[0].second).value, 1.0);
-  EXPECT_TRUE(box.has_pending(2));
-}
-
-TEST(Outbox, DrainReturnsSlotOrder) {
-  Outbox box;
-  box.store(4, 30, update(0.3));
-  box.store(4, 10, update(0.1));
-  box.store(4, 20, update(0.2));
-  const auto msgs = box.drain(4);
-  ASSERT_EQ(msgs.size(), 3u);
-  EXPECT_EQ(msgs[0].first, 10u);
-  EXPECT_EQ(msgs[1].first, 20u);
-  EXPECT_EQ(msgs[2].first, 30u);
-}
-
-TEST(Outbox, PeakTracksHighWaterMark) {
-  Outbox box;
-  for (std::uint64_t s = 0; s < 50; ++s) box.store(0, s, update(1.0));
-  (void)box.drain(0);
-  for (std::uint64_t s = 0; s < 10; ++s) box.store(0, s, update(1.0));
-  EXPECT_EQ(box.pending_count(), 10u);
-  EXPECT_EQ(box.peak_pending(), 50u);
-}
-
-TEST(Outbox, PerDestinationCapEvictsOldest) {
-  Outbox box(/*per_dest_cap=*/3);
-  EXPECT_EQ(box.per_dest_cap(), 3u);
-  box.store(0, 1, update(0.1));
-  box.store(0, 2, update(0.2));
-  box.store(0, 3, update(0.3));
-  EXPECT_EQ(box.evicted_count(), 0u);
-  box.store(0, 4, update(0.4));  // cap hit: slot 1 (oldest) evicted
-  EXPECT_EQ(box.evicted_count(), 1u);
-  EXPECT_EQ(box.pending_for(0), 3u);
-  const auto msgs = box.drain(0);
-  ASSERT_EQ(msgs.size(), 3u);
-  EXPECT_EQ(msgs[0].first, 2u);
-  EXPECT_EQ(msgs[1].first, 3u);
-  EXPECT_EQ(msgs[2].first, 4u);
-}
-
-TEST(Outbox, OverwriteRefreshesEvictionAge) {
-  // Re-storing a slot makes it the newest: the eviction victim is the
-  // least-recently-*stored* slot, not the first-ever-stored one.
-  Outbox box(/*per_dest_cap=*/2);
-  box.store(0, 1, update(0.1));
-  box.store(0, 2, update(0.2));
-  box.store(0, 1, update(0.9));  // refresh slot 1: slot 2 is now oldest
-  box.store(0, 3, update(0.3));  // evicts slot 2
-  EXPECT_EQ(box.evicted_count(), 1u);
-  const auto msgs = box.drain(0);
-  ASSERT_EQ(msgs.size(), 2u);
-  EXPECT_EQ(msgs[0].first, 1u);
-  EXPECT_DOUBLE_EQ(std::get<PagerankUpdate>(msgs[0].second).value, 0.9);
-  EXPECT_EQ(msgs[1].first, 3u);
-}
-
-TEST(Outbox, CapAppliesPerDestination) {
-  Outbox box(/*per_dest_cap=*/2);
-  for (std::uint64_t s = 0; s < 2; ++s) {
-    box.store(0, s, update(1.0));
-    box.store(1, s, update(1.0));
-  }
-  EXPECT_EQ(box.pending_count(), 4u);  // two per destination, no eviction
-  EXPECT_EQ(box.evicted_count(), 0u);
-}
-
-TEST(Outbox, DefaultIsUnbounded) {
-  Outbox box;
-  EXPECT_EQ(box.per_dest_cap(), 0u);
-  for (std::uint64_t s = 0; s < 10'000; ++s) box.store(0, s, update(1.0));
-  EXPECT_EQ(box.pending_count(), 10'000u);
-  EXPECT_EQ(box.evicted_count(), 0u);
-}
-
-TEST(Outbox, RetryScheduleBacksOffAndResetsOnDrain) {
-  Outbox box(/*per_dest_cap=*/0, /*retry_interval_passes=*/1,
-             /*retry_backoff_cap_passes=*/4);
-  box.store(7, 0, update(1.0));
-  EXPECT_EQ(box.due_destinations(0), (std::vector<std::uint32_t>{7}));
-  box.schedule_retry(7, /*now_pass=*/0);  // attempt 0: due again at 1
-  EXPECT_TRUE(box.due_destinations(0).empty());
-  EXPECT_EQ(box.due_destinations(1), (std::vector<std::uint32_t>{7}));
-  box.schedule_retry(7, 1);  // attempt 1: interval 2 -> due at 3
-  EXPECT_TRUE(box.due_destinations(2).empty());
-  EXPECT_EQ(box.due_destinations(3), (std::vector<std::uint32_t>{7}));
-  box.schedule_retry(7, 3);  // attempt 2: interval 4 -> due at 7
-  EXPECT_TRUE(box.due_destinations(6).empty());
-  box.schedule_retry(7, 7);  // attempt 3: capped at 4 -> due at 11
-  EXPECT_TRUE(box.due_destinations(10).empty());
-  EXPECT_EQ(box.due_destinations(11), (std::vector<std::uint32_t>{7}));
-  // Drain clears the queue; a fresh store starts over immediately due.
-  (void)box.drain(7);
-  box.store(7, 1, update(2.0));
-  EXPECT_EQ(box.due_destinations(11), (std::vector<std::uint32_t>{7}));
-}
-
-TEST(Outbox, DropDeadEvictsWholeQueueIntoTheLedger) {
-  Outbox box;
-  box.store(3, 10, update(0.1));
-  box.store(3, 20, update(0.2));
-  box.store(3, 10, update(0.3));  // supersedes slot 10
-  box.store(4, 10, update(0.4));  // other destination, untouched
-
-  const auto dropped = box.drop_dead(3);
-  ASSERT_EQ(dropped.size(), 2u);  // slot order, freshest value per slot
-  EXPECT_EQ(dropped[0].first, 10u);
-  EXPECT_DOUBLE_EQ(std::get<PagerankUpdate>(dropped[0].second).value, 0.3);
-  EXPECT_EQ(dropped[1].first, 20u);
-  EXPECT_FALSE(box.has_pending(3));
-  EXPECT_TRUE(box.has_pending(4));
-  EXPECT_EQ(box.dropped_dead_count(), 2u);
-  // Conservation: stored == drained + superseded + evicted +
-  // dropped_dead + pending.
-  EXPECT_EQ(box.stored_count(), 4u);
-  EXPECT_EQ(box.superseded_count(), 1u);
-  EXPECT_EQ(box.pending_count(), 1u);
-  box.validate();
-  // Idempotent: a second declaration finds nothing.
-  EXPECT_TRUE(box.drop_dead(3).empty());
-  EXPECT_EQ(box.dropped_dead_count(), 2u);
-  // A dead destination's timer no longer fires.
-  EXPECT_EQ(box.due_destinations(100), (std::vector<std::uint32_t>{4}));
-  box.validate();
-}
 
 TEST(ReliableChannel, GiveUpOnDestIsTerminalAndDrainsOnce) {
   ReliableChannel ch;
@@ -368,11 +199,8 @@ TEST(TrafficMeter, MergeAndReset) {
 TEST(Message, WireBytesMatchPaper) {
   // §4.6.1: "A message size of 24 bytes per message is used (128 bits for
   // GUID, 64 bits for pagerank value)."
-  EXPECT_EQ(wire_bytes(Message{PagerankUpdate{document_guid(0), 1.0}}), 24u);
-  EXPECT_EQ(wire_bytes(Message{IndexRankUpdate{document_guid(0), 1.0}}), 24u);
-  HitsForward hits;
-  hits.hits = {document_guid(1), document_guid(2)};
-  EXPECT_EQ(wire_bytes(Message{hits}), 2 * 16u + 8u);
+  EXPECT_EQ(PagerankUpdate::kWireBytes, 24u);
+  EXPECT_EQ(IndexRankUpdate::kWireBytes, 24u);
 }
 
 }  // namespace
