@@ -6,7 +6,8 @@ Usage:
                                    [paths...]
 
 Default file set: every .hpp/.cpp under <root>/src, tools, tests and
-bench. Exit: 0 clean, 1 findings (including unused/malformed waivers), 2 error.
+bench. Exit: 0 clean, 1 findings (including unused/malformed waivers),
+2 error.
 """
 
 from __future__ import annotations

@@ -236,15 +236,18 @@ def check_contract_coverage(files: list[SourceFile], waivers: WaiverTable,
 
 # A mutable std::vector<bool> variable or member declaration: not a
 # const object, not a reference to one.
-_VECTOR_BOOL_DECL_RE = re.compile(r"std::vector<bool>\s*[>&*]?\s*\w+\s*[;({=\[]")
-_VECTOR_BOOL_CONST_RE = re.compile(r"\bconst\s+std::vector<bool>|std::vector<bool>\s*&")
+_VECTOR_BOOL_DECL_RE = re.compile(
+    r"std::vector<bool>\s*[>&*]?\s*\w+\s*[;({=\[]")
+_VECTOR_BOOL_CONST_RE = re.compile(
+    r"\bconst\s+std::vector<bool>|std::vector<bool>\s*&")
 _THREADED_MARKERS = ("<thread>", "<atomic>", "thread_pool.hpp", "std::jthread")
 
 # `static` introducing mutable state. Lines that declare functions
 # (contain an opening paren) are not findings, and neither is a Meyers
 # singleton of a sanctioned registry: the process-wide sinks that exist
 # to be the one blessed piece of global state.
-_MUTABLE_STATIC_RE = re.compile(r"^\s*static\s+(?!const\b|constexpr\b|assert\b)")
+_MUTABLE_STATIC_RE = re.compile(
+    r"^\s*static\s+(?!const\b|constexpr\b|assert\b)")
 _REGISTRY_TYPES_RE = re.compile(r"\b(MetricsRegistry|ResultStore)\b")
 
 _HOT_PATH_MAP_RE = re.compile(r"\bstd::(unordered_map|map)\s*<")
@@ -252,7 +255,8 @@ _HOT_PATH_MAP_RE = re.compile(r"\bstd::(unordered_map|map)\s*<")
 # A hot-path file that includes the fold kernel holds the buffers its
 # lane gathers stream through.
 _GATHER_MARKER = "common/simd.hpp"
-_HOT_BUFFER_DECL_RE = re.compile(r"\bstd::vector<\s*(double|float)\s*>\s*\w+\s*[;{=\[]")
+_HOT_BUFFER_DECL_RE = re.compile(
+    r"\bstd::vector<\s*(double|float)\s*>\s*\w+\s*[;{=\[]")
 
 # std symbols whose header must be included directly: containers and
 # threading primitives whose transitive availability varies across
@@ -276,7 +280,8 @@ _IWYU_SYMBOLS = {
     "std::condition_variable": "<condition_variable>",
 }
 _IWYU_WORD_RE = re.compile("|".join(
-    re.escape(s) + r"\b" for s in sorted(_IWYU_SYMBOLS, key=len, reverse=True)))
+    re.escape(s) + r"\b"
+    for s in sorted(_IWYU_SYMBOLS, key=len, reverse=True)))
 # Read from raw lines: scrubbing blanks a quoted include path.
 _INCLUDE_RE = re.compile(r'^\s*#\s*include\s*[<"]([^>"]+)[>"]')
 # A source file's paired header owns the includes for what it declares.
@@ -287,8 +292,8 @@ def _included(sf: SourceFile) -> set[str]:
     lines = sf.raw_lines
     suffix = _PAIRED_HEADER.get(sf.path.suffix)
     if suffix is not None and sf.path.with_suffix(suffix).is_file():
-        lines = lines + sf.path.with_suffix(suffix).read_text(
-            encoding="utf-8").splitlines()
+        header = sf.path.with_suffix(suffix)
+        lines = lines + header.read_text(encoding="utf-8").splitlines()
     return {m.group(1) for m in map(_INCLUDE_RE.match, lines) if m}
 
 

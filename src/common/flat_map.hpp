@@ -4,13 +4,12 @@
 //
 // The messaging hot path keys everything by small packed integers, such
 // as the sender's out-edge id (ReliableChannel slots). `std::map` and
-// `std::unordered_map` pay a node
-// allocation plus a pointer chase per operation, which dominates the
-// per-message cost once the rest of the pass is array-backed. FlatMap64
-// stores key/value pairs inline in one power-of-two slot array with linear
-// probing: no per-entry allocations, one cache line per lookup in the
-// common case, and memory that is recycled across passes instead of
-// churned through the allocator.
+// `std::unordered_map` pay a node allocation plus a pointer chase per
+// operation, which dominates the per-message cost once the rest of the
+// pass is array-backed. FlatMap64 stores key/value pairs inline in one
+// power-of-two slot array with linear probing: no per-entry allocations,
+// one cache line per lookup in the common case, and memory that is
+// recycled across passes instead of churned through the allocator.
 //
 // Determinism contract: iteration (for_each / begin..end) walks the slot
 // array, so its order depends on the insertion/erase history and the table

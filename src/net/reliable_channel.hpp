@@ -4,10 +4,10 @@
 //
 // The paper assumes reliable transport for direct sends and falls back to
 // §3.1 store-and-resend only for peers known to be offline (the engine
-// parks those updates per out-edge). On
-// lossy transport a dropped update silently leaves a stale contribution at
-// the receiver. ReliableChannel closes that gap with the classic ARQ
-// recipe, adapted to the pass simulator's time base:
+// parks those updates per out-edge). On lossy transport a dropped update
+// silently leaves a stale contribution at the receiver. ReliableChannel
+// closes that gap with the classic ARQ recipe, adapted to the pass
+// simulator's time base:
 //
 //   * every logical flow is a 64-bit slot (the engines use the sender's
 //     out-edge id, the same key their parked updates use);
