@@ -2,6 +2,7 @@
 
 #include <optional>
 #include <stdexcept>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "fault/fault_plan.hpp"
@@ -84,6 +85,16 @@ PeerId chaos_peer_capacity(PeerId initial_peers,
 ChaosCampaignReport run_chaos_campaign(const Digraph& g,
                                        const ChaosCampaignConfig& config,
                                        obs::MetricsRegistry* metrics) {
+  return run_chaos_campaign(
+      g, config,
+      std::vector<double>(g.num_nodes(), config.options.initial_rank),
+      metrics);
+}
+
+ChaosCampaignReport run_chaos_campaign(const Digraph& g,
+                                       const ChaosCampaignConfig& config,
+                                       std::vector<double> start_ranks,
+                                       obs::MetricsRegistry* metrics) {
   const std::vector<MembershipEvent> schedule = make_chaos_schedule(config);
 
   ChaosCampaignReport rep;
@@ -122,7 +133,8 @@ ChaosCampaignReport run_chaos_campaign(const Digraph& g,
     plan.emplace(fpc);
   }
 
-  DistributedPagerank engine(g, placement, config.options);
+  DistributedPagerank engine(g, placement, config.options,
+                             std::move(start_ranks));
   engine.attach_membership(membership);
   if (!replicas.empty()) engine.attach_replicas(replicas);
   if (plan.has_value()) engine.attach_fault_plan(*plan);
@@ -144,6 +156,10 @@ ChaosCampaignReport run_chaos_campaign(const Digraph& g,
   rep.emergency_rebootstraps = membership.ring().emergency_rebootstraps();
   rep.stabilize_rounds = membership.stabilize_rounds_total();
   rep.detection_latencies = membership.detection_latencies();
+  for (const PassStats& p : engine.pass_history()) {
+    rep.docs_recomputed += p.docs_recomputed;
+  }
+  rep.messages = engine.traffic().messages();
   rep.final_live_peers = membership.live_peers();
   if (const MassAuditor* auditor = engine.mass_auditor()) {
     rep.audited_known_loss = auditor->known_lost();

@@ -26,10 +26,17 @@
 // membership coordinator, and the mass audit — runs to convergence, and
 // returns a flat report: per-kind event counts, handoff volume,
 // stale-owner queries, detection-latency samples, ring repair totals,
-// and an order-sensitive digest of the final rank vector. Two runs with
-// equal config and seed must produce equal digests (the determinism
-// contract the chaos tests and CI job assert); different seeds produce
-// different membership histories and different digests.
+// work totals, and an order-sensitive digest of the final rank vector.
+// Two runs with equal config and seed must produce equal digests (the
+// determinism contract the chaos tests and CI job assert); different
+// seeds produce different membership histories and different digests.
+//
+// A campaign starts every document at options.initial_rank, or warm
+// from a caller's start vector (DistributedPagerank's warm start): the
+// engine reaches the same fixed point either way, in fewer passes when
+// the vector is close to it. The stream service's reconvergence marks
+// pass the previous mark's converged vector. A start vector filled
+// with initial_rank is the cold start, bit for bit.
 
 #include <cstdint>
 #include <vector>
@@ -115,6 +122,11 @@ struct ChaosCampaignReport {
   double audited_known_loss = 0.0;
   std::uint64_t known_loss_events = 0;
 
+  /// Work totals: documents recomputed over all passes, and wire
+  /// messages in the engine's traffic ledger.
+  std::uint64_t docs_recomputed = 0;
+  std::uint64_t messages = 0;
+
   PeerId final_live_peers = 0;
   /// Converged rank vector at campaign exit, document order. The stream
   /// subsystem's batched reconvergence adopts these wholesale.
@@ -135,10 +147,17 @@ struct ChaosCampaignReport {
 [[nodiscard]] PeerId chaos_peer_capacity(
     PeerId initial_peers, const std::vector<MembershipEvent>& schedule);
 
-/// Build the full stack and run one campaign over `g`. Publishes engine
-/// telemetry into `metrics` when non-null.
+/// Build the full stack and run one campaign over `g`, every document
+/// starting at config.options.initial_rank. Publishes engine telemetry
+/// into `metrics` when non-null.
 [[nodiscard]] ChaosCampaignReport run_chaos_campaign(
     const Digraph& g, const ChaosCampaignConfig& config,
     obs::MetricsRegistry* metrics = nullptr);
+
+/// The same campaign warm-started from `start_ranks` (one entry per
+/// document of `g`). Throws std::invalid_argument on a size mismatch.
+[[nodiscard]] ChaosCampaignReport run_chaos_campaign(
+    const Digraph& g, const ChaosCampaignConfig& config,
+    std::vector<double> start_ranks, obs::MetricsRegistry* metrics = nullptr);
 
 }  // namespace dprank

@@ -106,12 +106,12 @@ std::uint64_t ReliableChannel::reassign_sender(std::uint32_t src,
 }
 
 bool ReliableChannel::accept(std::uint64_t slot, std::uint32_t seq) {
-  EdgeRecord& record = edges_[slot];
-  if (seq > record.applied) {
-    record.applied = seq;
+  EdgeRecord& rec = record(slot);
+  if (seq > rec.applied) {
+    rec.applied = seq;
     return true;
   }
-  if (seq == record.applied) {
+  if (seq == rec.applied) {
     ++duplicates_suppressed_;
   } else {
     ++stale_rejected_;
@@ -122,18 +122,19 @@ bool ReliableChannel::accept(std::uint64_t slot, std::uint32_t seq) {
 void ReliableChannel::validate() const {
   if (!contracts::enabled()) return;
   [[maybe_unused]] const char* kSub = "net";
-  edges_.for_each([&](std::uint64_t slot, const EdgeRecord& record) {
+  for (std::uint64_t slot = 0; slot < edges_.size(); ++slot) {
     // A slot applied without local issues only happens when sender and
     // receiver roles live in different channel instances; the simulator
     // shares one, where every applied value was issued here.
-    if (record.issued != 0) {
-      DPRANK_INVARIANT(record.applied <= record.issued, kSub,
+    const EdgeRecord& rec = edges_[slot];
+    if (rec.issued != 0) {
+      DPRANK_INVARIANT(rec.applied <= rec.issued, kSub,
                        "slot " + std::to_string(slot) + " applied seq " +
-                           std::to_string(record.applied) +
+                           std::to_string(rec.applied) +
                            " ahead of the newest issued seq " +
-                           std::to_string(record.issued));
+                           std::to_string(rec.issued));
     }
-  });
+  }
   inflight_.for_each([&](std::uint64_t slot, const Inflight& entry) {
     DPRANK_INVARIANT(entry.send.slot == slot, kSub,
                      "in-flight record filed under slot " +
@@ -142,15 +143,14 @@ void ReliableChannel::validate() const {
     DPRANK_INVARIANT(entry.send.seq >= 1, kSub,
                      "in-flight record on slot " + std::to_string(slot) +
                          " carries an unissued sequence number 0");
-    const EdgeRecord* record = edges_.find(slot);
-    DPRANK_INVARIANT(record != nullptr && record->issued >= 1, kSub,
+    DPRANK_INVARIANT(slot < edges_.size() && edges_[slot].issued >= 1, kSub,
                      "in-flight record on slot " + std::to_string(slot) +
                          " has no issued sequence counter");
-    DPRANK_INVARIANT(entry.send.seq <= record->issued, kSub,
+    DPRANK_INVARIANT(entry.send.seq <= edges_[slot].issued, kSub,
                      "in-flight record on slot " + std::to_string(slot) +
                          " carries seq " + std::to_string(entry.send.seq) +
                          " ahead of the newest issued seq " +
-                         std::to_string(record->issued));
+                         std::to_string(edges_[slot].issued));
   });
   DPRANK_INVARIANT(peak_in_flight_ >= inflight_.size(), kSub,
                    "peak_in_flight() understates the live in-flight count");

@@ -35,12 +35,14 @@
 // in_flight.
 //
 // Storage: one EdgeRecord per slot holds both sides of the sequence state
-// (newest issued, newest applied) — they were two `std::map`s keyed by the
-// same packed edge id, which doubled the lookups and the node allocations
-// on every send. Records and in-flight entries live in open-addressing
-// flat maps (common/flat_map.hpp); everything whose order the simulation
-// can observe (take_due, forget_sender) is sorted by slot on extraction,
-// exactly as the ordered maps guaranteed.
+// (newest issued, newest applied). Slots are dense small integers, so
+// the records sit in a plain array indexed by slot: next_seq and accept
+// are one indexed load and store, with no hash probe. The engine sizes
+// the array to its edge count up front; a slot beyond the array grows
+// it (standalone use and tests). In-flight entries are sparse and live
+// in an open-addressing flat map (common/flat_map.hpp); everything whose
+// order the simulation can observe (take_due, forget_sender) is sorted
+// by slot on extraction.
 //
 // The class is transport-agnostic bookkeeping: the engine decides what a
 // "send" is, asks the fault plan whether it survived, and reports the
@@ -78,11 +80,13 @@ class ReliableChannel {
   };
 
   ReliableChannel() = default;
-  explicit ReliableChannel(Config config) : config_(config) {}
+  /// `num_slots` sizes the per-slot records for slots [0, num_slots).
+  explicit ReliableChannel(Config config, std::uint64_t num_slots = 0)
+      : config_(config), edges_(num_slots) {}
 
   /// Next sequence number for `slot` (first emission gets 1).
   [[nodiscard]] std::uint32_t next_seq(std::uint64_t slot) {
-    return ++edges_[slot].issued;
+    return ++record(slot).issued;
   }
 
   /// Record an unacked send awaiting retransmission. A newer emission for
@@ -147,6 +151,10 @@ class ReliableChannel {
   /// exhaustion + declared-dead destinations), drained or not.
   [[nodiscard]] std::uint64_t gave_up() const { return gave_up_; }
   [[nodiscard]] const Config& config() const { return config_; }
+  /// Bytes held by the per-slot sequence records (capacity).
+  [[nodiscard]] std::uint64_t memory_bytes() const {
+    return static_cast<std::uint64_t>(edges_.capacity()) * sizeof(EdgeRecord);
+  }
 
   /// Structural invariant walk (contracts.hpp; subsystem "net"):
   ///  * per-slot sequence monotonicity — nothing applied on a slot is
@@ -182,9 +190,13 @@ class ReliableChannel {
   };
 
   [[nodiscard]] std::uint64_t retry_interval(std::uint32_t attempt) const;
+  EdgeRecord& record(std::uint64_t slot) {
+    if (slot >= edges_.size()) edges_.resize(slot + 1);
+    return edges_[slot];
+  }
 
   Config config_;
-  FlatMap64<EdgeRecord> edges_;
+  std::vector<EdgeRecord> edges_;  // indexed by slot
   FlatMap64<Inflight> inflight_;
   std::vector<Pending> gave_up_queue_;  // awaiting take_gave_up()
   std::uint64_t retransmissions_ = 0;

@@ -10,11 +10,15 @@
 // Since the obs subsystem landed, TrafficMeter is a thin shim over
 // obs::Counter — the registry's own primitive — so the meter and a
 // metrics snapshot literally read the same atomics. The arithmetic is
-// unchanged from the original plain-uint64 implementation (same adds in
-// the same order), so bench output is byte-identical; test_obs.cpp
-// replays mixed op sequences against a legacy reference to pin that
-// down. flush_to() publishes the ledger into a MetricsRegistry under
-// the net.* names.
+// unchanged from the original plain-uint64 implementation, so bench
+// output is byte-identical; test_obs.cpp replays mixed op sequences
+// against a legacy reference to pin that down. Every add is an atomic
+// read-modify-write, so hot loops tally locally and bill in bulk
+// (record_messages, record_local_updates): the distributed engine bills
+// each pass's messages, hops and local updates once, whatever its
+// delivery mode. The totals are sums of integers, so bulk billing
+// leaves them identical to per-send billing. flush_to() publishes the
+// ledger into a MetricsRegistry under the net.* names.
 
 #include <cstdint>
 
@@ -33,11 +37,19 @@ class TrafficMeter {
     bytes_.add(bytes * hops);
   }
 
+  /// `count` messages of `bytes_each` that took `hops` overlay
+  /// transmissions between them, in one call: the same totals as `count`
+  /// record_message calls whose hop counts sum to `hops`.
+  void record_messages(std::uint64_t count, std::uint64_t bytes_each,
+                       std::uint64_t hops) noexcept {
+    messages_.add(count);
+    hop_transmissions_.add(hops);
+    bytes_.add(hops * bytes_each);
+  }
+
   /// `count` direct (1-hop) messages of `bytes_each` in one call.
   void record_messages(std::uint64_t count, std::uint64_t bytes_each) noexcept {
-    messages_.add(count);
-    hop_transmissions_.add(count);
-    bytes_.add(count * bytes_each);
+    record_messages(count, bytes_each, count);
   }
 
   /// One §4.6.1 coalesced transfer: `count` updates of `payload_bytes`

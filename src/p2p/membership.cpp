@@ -77,10 +77,13 @@ MembershipCoordinator::MembershipCoordinator(
   // Normalize placement to ring ownership so the first pass starts from
   // a consistent-hash layout (the handoff deltas are computed against
   // this baseline).
+  docs_by_guid_.reserve(placement_.num_docs());
   for (NodeId d = 0; d < placement_.num_docs(); ++d) {
-    const PeerId owner = ring_.successor_of_key(document_guid(d));
+    docs_by_guid_.emplace_back(document_guid(d), d);
+    const PeerId owner = ring_.successor_of_key(docs_by_guid_.back().first);
     if (placement_.peer_of(d) != owner) placement_.reassign(d, owner);
   }
+  std::sort(docs_by_guid_.begin(), docs_by_guid_.end());
 }
 
 const MembershipCoordinator::PassPlan& MembershipCoordinator::begin_pass(
@@ -215,10 +218,23 @@ void MembershipCoordinator::validate() const {
                      "membership: undetected crash already declared");
     (void)pass;
   }
-  for (NodeId d = 0; d < placement_.num_docs(); ++d) {
+  // Ownership: the successor of a key is the first peer at or after it
+  // in ring order, wrapping to the first. Documents and peers both
+  // ascend by GUID, so one merge walk yields every expected owner.
+  DPRANK_INVARIANT(docs_by_guid_.size() == placement_.num_docs(), "p2p",
+                   "membership: documents placed after construction");
+  const std::vector<PeerId> ring_order = ring_.peers_in_ring_order();
+  DPRANK_INVARIANT(!ring_order.empty(), "p2p", "membership: empty ring");
+  std::vector<Guid> ring_ids;
+  ring_ids.reserve(ring_order.size());
+  for (const PeerId p : ring_order) ring_ids.push_back(ring_.id_of(p));
+  std::size_t next = 0;
+  for (const auto& [key, d] : docs_by_guid_) {
+    while (next < ring_ids.size() && ring_ids[next] < key) ++next;
+    const PeerId expected = ring_order[next < ring_ids.size() ? next : 0];
     const PeerId owner = placement_.peer_of(d);
     if (undetected_crashes_.contains(owner)) continue;
-    DPRANK_INVARIANT(owner == ring_.successor_of_key(document_guid(d)), "p2p",
+    DPRANK_INVARIANT(owner == expected, "p2p",
                      "membership: document not owned by its ring successor");
   }
   detector_.validate();

@@ -114,10 +114,11 @@ class MembershipCoordinator {
 
   /// `placement` is shared with the engine and mutated in place as
   /// ownership moves; its num_peers() is the peer-id capacity (initial
-  /// population plus every join the schedule will use). Documents are
-  /// normalized to ring ownership (successor of the document GUID) at
-  /// construction. Throws std::invalid_argument on a malformed schedule
-  /// (events out of capacity, joining a live peer, removing a dead one).
+  /// population plus every join the schedule will use). Its documents
+  /// are fixed from here on, and normalized to ring ownership (successor
+  /// of the document GUID) at construction. Throws std::invalid_argument
+  /// on a malformed schedule (events out of capacity, joining a live
+  /// peer, removing a dead one).
   MembershipCoordinator(Placement& placement, PeerId initial_peers,
                         std::vector<MembershipEvent> schedule,
                         MembershipConfig config = {});
@@ -173,7 +174,11 @@ class MembershipCoordinator {
   ///  * presence mask matches ring membership exactly, and the live
   ///    count matches both;
   ///  * every document not frozen on an undetected crash is owned by
-  ///    the ring successor of its GUID;
+  ///    the ring successor of its GUID. The expected owners come from
+  ///    one merge walk of the documents in GUID order (sorted once at
+  ///    construction) against peers_in_ring_order(), not from the
+  ///    per-document successor_of_key lookup recompute_ownership()
+  ///    uses, so the check stays independent of the code it checks;
   ///  * detector agreement: declared-dead peers are absent from the
   ///    ring, live peers are considered live by the detector.
   /// Delegates to detector().validate(); the ring's own validate() runs
@@ -188,6 +193,8 @@ class MembershipCoordinator {
   FailureDetector detector_;
   MembershipConfig config_;
   std::vector<MembershipEvent> schedule_;  // stable-sorted by pass
+  // Every document with its GUID, ascending by GUID (validate()'s walk).
+  std::vector<std::pair<Guid, NodeId>> docs_by_guid_;
   std::size_t cursor_ = 0;
   // Liveness per peer id; indexed to capacity. vector<bool> is fine
   // here: per-pass reads, never a hot loop.

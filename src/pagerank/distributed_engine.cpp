@@ -30,16 +30,30 @@ constexpr std::uint32_t kBatchHeaderBytes = 16;
 DistributedPagerank::DistributedPagerank(const Digraph& g,
                                          const Placement& placement,
                                          const PagerankOptions& options)
-    : graph_(g), placement_(placement), options_(options) {
+    : DistributedPagerank(
+          g, placement, options,
+          std::vector<double>(g.num_nodes(), options.initial_rank)) {}
+
+DistributedPagerank::DistributedPagerank(const Digraph& g,
+                                         const Placement& placement,
+                                         const PagerankOptions& options,
+                                         std::vector<double> start_ranks)
+    : graph_(g),
+      placement_(placement),
+      options_(options),
+      ranks_(std::move(start_ranks)) {
   if (placement.num_docs() != g.num_nodes()) {
     throw std::invalid_argument(
         "DistributedPagerank: placement does not cover the graph");
   }
+  if (ranks_.size() != g.num_nodes()) {
+    throw std::invalid_argument(
+        "DistributedPagerank: start vector does not cover the graph");
+  }
   const NodeId n = g.num_nodes();
-  ranks_.assign(n, options_.initial_rank);
   // "Available pagerank for in-links from the previous iteration" at
-  // pass 0 is the initial value: contribution of edge u->v starts at
-  // initial_rank / outdeg(u). Cells live at in-CSR positions (see the
+  // pass 0 is the start value: contribution of edge u->v starts at
+  // ranks_[u] / outdeg(u). Cells live at in-CSR positions (see the
   // header): iterate per destination, reading each source's out-degree.
   contrib_.resize(g.num_edges());
   // One division per *source document* (identical to dividing per edge —
@@ -48,8 +62,7 @@ DistributedPagerank::DistributedPagerank(const Digraph& g,
   std::vector<double> init_contrib(n);
   for (NodeId u = 0; u < n; ++u) {
     const std::uint32_t deg = g.out_degree(u);
-    init_contrib[u] =
-        deg == 0 ? 0.0 : options_.initial_rank / static_cast<double>(deg);
+    init_contrib[u] = deg == 0 ? 0.0 : ranks_[u] / static_cast<double>(deg);
   }
   for (NodeId v = 0; v < n; ++v) {
     const auto sources = g.in_neighbors(v);
@@ -68,7 +81,7 @@ DistributedPagerank::DistributedPagerank(const Digraph& g,
   residual_mode_ = options_.schedule == Schedule::kResidual;
   if (residual_mode_) {
     residual_.assign(n, std::numeric_limits<double>::infinity());
-    last_sent_.assign(n, options_.initial_rank);
+    last_sent_ = ranks_;
     defer_age_.assign(n, 0);
   }
 }
@@ -204,18 +217,28 @@ void DistributedPagerank::send_to_replicas(PeerId src, NodeId v,
                                            PassStats& stats) {
   for (const PeerId rp : replicas_->replicas_of(v)) {
     if (rp == src) {
-      meter_.record_local_update();
+      ++bill_.local;
       ++stats.local_updates;
     } else if (presence[rp]) {
       // Replica addresses are pointers held at the source (§2.3):
       // replica sends are always direct.
-      meter_.record_message(PagerankUpdate::kWireBytes);
+      ++bill_.messages;
+      ++bill_.hops;
       ++replica_messages_;
       ++stats.messages_sent;
     } else {
       ++replica_stale_;
     }
   }
+}
+
+void DistributedPagerank::bill_pass() {
+  if (bill_.messages != 0) {
+    meter_.record_messages(bill_.messages, PagerankUpdate::kWireBytes,
+                           bill_.hops);
+  }
+  if (bill_.local != 0) meter_.record_local_updates(bill_.local);
+  bill_ = {};
 }
 
 void DistributedPagerank::park(EdgeId e, PeerId src, PeerId dest,
@@ -279,18 +302,20 @@ void DistributedPagerank::prepare_fault_state() {
     crashed_until_.assign(num_peers, 0);
     needs_recovery_.assign(num_peers, false);
     if (plan_->config().acked_delivery) {
-      channel_ = std::make_unique<ReliableChannel>(ReliableChannel::Config{
-          plan_->config().ack_timeout_passes,
-          plan_->config().retry_backoff_cap,
-          plan_->config().retry_max_attempts});
+      channel_ = std::make_unique<ReliableChannel>(
+          ReliableChannel::Config{plan_->config().ack_timeout_passes,
+                                  plan_->config().retry_backoff_cap,
+                                  plan_->config().retry_max_attempts},
+          graph_.num_edges());
       pending_seq_.assign(graph_.num_edges(), 0);
     }
   }
   if ((plan_ != nullptr || membership_ != nullptr) && replicas_ != nullptr &&
       !replicas_->empty()) {
     // Replicas double as the rank store crash recovery (fault plan) and
-    // crash-range reconstruction (membership) restore from.
-    replica_value_.assign(n, options_.initial_rank);
+    // crash-range reconstruction (membership) restore from. No pass has
+    // run, so ranks_ still holds the start vector.
+    replica_value_ = ranks_;
   }
   // Periodic validation re-uses the mass ledger for the fault-free
   // conservation identity — only worth feeding when contracts are
@@ -299,8 +324,7 @@ void DistributedPagerank::prepare_fault_state() {
       options_.validate_every_n_passes != 0 && contracts::enabled();
   if (plan_ != nullptr || membership_ != nullptr || audit_enabled_ ||
       audit_for_validation) {
-    auditor_ =
-        std::make_unique<MassAuditor>(graph_, options_.initial_rank);
+    auditor_ = std::make_unique<MassAuditor>(graph_, ranks_);
   }
   // The audit's repair pass and the membership handoffs both need to map
   // an out-edge back to its source document.
@@ -905,6 +929,7 @@ void DistributedPagerank::emit(const std::vector<bool>& presence,
   // message; wire messages are also tallied per destination peer when
   // the batch-size histogram is recorded.
   std::uint64_t delivered_total = 0;
+  std::uint64_t hops_total = 0;  // full delivery: overlay hops vary per send
   std::uint64_t local_total = 0;
   // Size-1 batches dominate incremental passes; each histogram record
   // is several atomic RMWs, so they are counted here and recorded once.
@@ -963,7 +988,7 @@ void DistributedPagerank::emit(const std::vector<bool>& presence,
             if (plan_ != nullptr) fate = plan_->fate_for_send();
             // The sender pays for the message whatever its fate.
             const std::uint64_t hops = send_hops(p, pv, v);
-            meter_.record_message(PagerankUpdate::kWireBytes, hops);
+            hops_total += hops;
             count_wire(pv);
             const obs::TraceId tid =
                 tracer_ != nullptr ? trace_send(e, p, pv, v, c, pass, hops)
@@ -999,7 +1024,8 @@ void DistributedPagerank::emit(const std::vector<bool>& presence,
               }
               if (fate.duplicated) {
                 // Idempotent overwrite: the duplicate only costs traffic.
-                meter_.record_message(PagerankUpdate::kWireBytes);
+                ++bill_.messages;
+                ++bill_.hops;
                 ++stats.messages_sent;
                 ++duplicated_;
                 if (tracer_ != nullptr) {
@@ -1047,12 +1073,11 @@ void DistributedPagerank::emit(const std::vector<bool>& presence,
     stats.max_peer_messages = std::max(stats.max_peer_messages, wire);
   }
   if (ones != 0) batch_hist->record_count(1.0, ones);
-  // Full delivery billed each wire message at its send (hop counts vary
-  // with the overlay); the other modes bill in bulk.
-  if (kMode != Delivery::kFull && delivered_total != 0) {
-    meter_.record_messages(delivered_total, PagerankUpdate::kWireBytes);
-  }
-  if (local_total != 0) meter_.record_local_updates(local_total);
+  // Only full delivery routes over an overlay; every other wire message
+  // is one direct hop.
+  bill_.messages += delivered_total;
+  bill_.hops += kMode == Delivery::kFull ? hops_total : delivered_total;
+  bill_.local += local_total;
   stats.local_updates += local_total;
 }
 
@@ -1080,8 +1105,8 @@ void DistributedPagerank::deliver_deferred(const std::vector<bool>& presence,
       --total_pending_;
       const bool applied = apply_update(e, pending_value_[e], seq, /*now=*/true);
       const NodeId v = graph_.out_target(e);
-      meter_.record_message(PagerankUpdate::kWireBytes,
-                            send_hops(src_peer, p, v));
+      ++bill_.messages;
+      bill_.hops += send_hops(src_peer, p, v);
       ++stats.messages_delivered_late;
       if (t != obs::kNoTrace) {
         tracer_->async_step(t, "outbox.deliver", "net", p, {});
@@ -1105,7 +1130,11 @@ std::uint64_t DistributedPagerank::memory_bytes() const {
          bytes(dirty_) + bytes(next_dirty_) + bytes(docs_) + bytes(acc_) +
          bytes(senders_) + bytes(peer_cursor_) + bytes(segments_) +
          bytes(dst_count32_) + bytes(touched_dsts_) + bytes(residual_) +
-         bytes(last_sent_) + bytes(defer_age_);
+         bytes(last_sent_) + bytes(defer_age_) + bytes(edge_src_) +
+         bytes(replica_value_) + bytes(effective_scratch_) +
+         bytes(pending_trace_) +
+         (auditor_ != nullptr ? auditor_->memory_bytes() : 0) +
+         (channel_ != nullptr ? channel_->memory_bytes() : 0);
 }
 
 void DistributedPagerank::validate_state() const {
@@ -1335,6 +1364,7 @@ DistributedRunResult DistributedPagerank::run(ChurnSchedule* churn,
               : options_.epsilon;
     }
     run_pass(*presence, pass, stats, batch_hist);
+    bill_pass();
 
     // Quiescence: nothing to recompute, nothing parked, nothing in
     // flight, nobody awaiting recovery — then, if auditing, the mass

@@ -4,7 +4,11 @@
 // Fig. 1), executed under the evaluation methodology of §4.2.
 //
 // Semantics:
-//  * Every document starts at `initial_rank`. A document's rank is
+//  * Every document starts at `initial_rank`, or at its entry of a start
+//    vector (a warm start from an earlier solution: the chaotic
+//    iteration reaches the same fixed point from any start, §2.3). The
+//    contribution cells, the mass-audit ledger and the replica rank
+//    store all derive from that one vector. A document's rank is
 //    R(v) = (1-d) + d * sum of the stored contributions of its in-links,
 //    where a contribution is the freshest value R(u)/outdeg(u) the link
 //    source has sent (chaotic iteration: each document recomputes from
@@ -36,7 +40,8 @@
 //    bit-identical for every thread count.
 //  * Same-peer updates are applied locally without network messages
 //    (Fig. 1 step b); cross-peer updates are counted in the traffic
-//    meter.
+//    meter, which every delivery mode bills once per pass from a local
+//    tally.
 //  * Churn (§3.1, §4.3): documents on absent peers neither compute nor
 //    receive. Updates addressed to an absent peer wait in the sender's
 //    per-edge outbox (newest value wins) and are delivered on the first
@@ -100,9 +105,22 @@ class DistributedPagerank : public PagerankEngineInterface {
   /// are rejected at compile time).
   DistributedPagerank(const Digraph& g, const Placement& placement,
                       const PagerankOptions& options);
+  /// Warm start: every document starts at start_ranks[v] instead of
+  /// options.initial_rank (the three-argument form passes that vector
+  /// filled with initial_rank). Throws std::invalid_argument unless the
+  /// vector covers the documents.
+  DistributedPagerank(const Digraph& g, const Placement& placement,
+                      const PagerankOptions& options,
+                      std::vector<double> start_ranks);
   DistributedPagerank(Digraph&&, const Placement&, PagerankOptions) = delete;
   DistributedPagerank(const Digraph&, Placement&&, PagerankOptions) = delete;
   DistributedPagerank(Digraph&&, Placement&&, PagerankOptions) = delete;
+  DistributedPagerank(Digraph&&, const Placement&, PagerankOptions,
+                      std::vector<double>) = delete;
+  DistributedPagerank(const Digraph&, Placement&&, PagerankOptions,
+                      std::vector<double>) = delete;
+  DistributedPagerank(Digraph&&, Placement&&, PagerankOptions,
+                      std::vector<double>) = delete;
 
   /// Meter overlay hop costs (§3.2): every cross-peer update consults
   /// `cache` over `ring` — an enabled cache models IP caching (first
@@ -199,9 +217,12 @@ class DistributedPagerank : public PagerankEngineInterface {
   }
   [[nodiscard]] std::uint64_t outbox_peak() const { return outbox_peak_; }
   /// Bytes held by the engine's per-document / per-edge arrays (capacity,
-  /// not size — what the allocator actually carries). Graph storage is
-  /// reported separately by Digraph::memory_bytes(); both feed the mem.*
-  /// gauges and the scale bench's bytes-per-edge figure.
+  /// not size — what the allocator actually carries), including those
+  /// only attachments allocate: the mass-audit ledger and workspace, the
+  /// channel's per-slot records, the edge-source map, the replica rank
+  /// store and the parked trace ids. Graph storage is reported
+  /// separately by Digraph::memory_bytes(); both feed the mem.* gauges
+  /// and the scale bench's bytes-per-edge figure.
   [[nodiscard]] std::uint64_t memory_bytes() const;
   [[nodiscard]] const PagerankOptions& options() const { return options_; }
   [[nodiscard]] std::uint64_t replica_messages() const {
@@ -309,6 +330,8 @@ class DistributedPagerank : public PagerankEngineInterface {
   void send_to_replicas(PeerId src, NodeId v,
                         const std::vector<bool>& presence,
                         PassStats& stats);
+  /// Bill this pass's tally into the traffic meter and reset it.
+  void bill_pass();
 
   // ---- fault-plan machinery ----
   void prepare_fault_state();
@@ -534,6 +557,15 @@ class DistributedPagerank : public PagerankEngineInterface {
   std::vector<std::uint8_t> defer_age_;  // consecutive deferrals
 
   TrafficMeter meter_;
+  // The pass's wire messages, their overlay hops and its local updates,
+  // tallied by emission, late delivery and replica fan-out and billed
+  // into meter_ once per pass (each meter add is an atomic RMW).
+  struct PassBill {
+    std::uint64_t messages = 0;
+    std::uint64_t hops = 0;
+    std::uint64_t local = 0;
+  };
+  PassBill bill_;
   std::vector<PassStats> history_;
   bool ran_ = false;
 

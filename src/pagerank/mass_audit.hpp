@@ -46,9 +46,11 @@ struct MassAuditReport {
 
 class MassAuditor {
  public:
-  /// The ledger starts from the engine's initial state: every edge u->v
-  /// carries initial_rank / outdeg(u).
-  MassAuditor(const Digraph& g, double initial_rank);
+  /// The ledger starts from the engine's start state: every edge u->v
+  /// carries start_ranks[u] / outdeg(u) (a cold start fills the vector
+  /// with initial_rank). Throws std::invalid_argument unless the vector
+  /// covers the documents.
+  MassAuditor(const Digraph& g, const std::vector<double>& start_ranks);
 
   /// The sender refreshed its contribution on edge `e` (an emission, a
   /// recovery re-request response, or a repair re-send).
@@ -56,6 +58,10 @@ class MassAuditor {
 
   [[nodiscard]] double expected(EdgeId e) const { return expected_[e]; }
   [[nodiscard]] std::uint64_t num_edges() const { return expected_.size(); }
+  /// Bytes held by the ledger (capacity).
+  [[nodiscard]] std::uint64_t memory_bytes() const {
+    return static_cast<std::uint64_t>(expected_.capacity()) * sizeof(double);
+  }
 
   /// A known, attributable loss (crash wipe, outbox eviction, unacked
   /// drop): cheap per-pass signal, tracked without scanning.

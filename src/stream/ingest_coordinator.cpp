@@ -87,6 +87,7 @@ IngestCoordinator::IngestCoordinator(MutableDigraph graph,
   if (config_.batch_size == 0) {
     throw std::invalid_argument("IngestCoordinator: zero batch_size");
   }
+  warm_ranks_ = ranks_;
   deleted_.assign(graph_.num_nodes(), 0);
   snap_epoch_.assign(graph_.num_nodes(), 0);
   pending_.reserve(config_.batch_size);
@@ -211,11 +212,19 @@ IngestBatchStats IngestCoordinator::flush() {
 
 void IngestCoordinator::reconverge() {
   flush();
+  // Telemetry measuring the harness, like flush()'s clock.
+  // dprank-analyze: allow(nondet-source) -- measures the harness only
+  const auto t0 = std::chrono::steady_clock::now();
   ChaosCampaignConfig cc = config_.reconverge;
   cc.options = config_.options;
   cc.seed = mix64(config_.seed ^ (kReconvergeSalt + reconverge_cycles_));
   const Digraph snapshot = graph_.freeze();
-  ChaosCampaignReport rep = run_chaos_campaign(snapshot, cc, metrics_);
+  // Warm start (see the header): documents inserted since the last mark
+  // start cold.
+  warm_ranks_.resize(graph_.num_nodes(), config_.options.initial_rank);
+  ChaosCampaignReport rep =
+      run_chaos_campaign(snapshot, cc, std::move(warm_ranks_), metrics_);
+  warm_ranks_ = rep.final_ranks;
   ranks_ = std::move(rep.final_ranks);
   // The campaign ranks every node of the frozen graph; tombstones come
   // back at the isolated-node fixed point (1-d) and must stay zeroed.
@@ -231,10 +240,26 @@ void IngestCoordinator::reconverge() {
     validate();
     if (metrics_ != nullptr) metrics_->counter("stream.contract_sweeps").add();
   }
+  // dprank-analyze: allow(nondet-source) -- measures the harness only
+  const auto t1 = std::chrono::steady_clock::now();
+  const ReconvergeStats mark{
+      .events_offered = events_offered_,
+      .passes = rep.result.passes,
+      .docs_recomputed = rep.docs_recomputed,
+      .messages = rep.messages,
+      .wall_us = std::chrono::duration<double, std::micro>(t1 - t0).count()};
+  reconverge_history_.push_back(mark);
   if (metrics_ != nullptr) {
+    const auto x = static_cast<double>(events_offered_);
     metrics_->counter("stream.reconverges").add();
-    metrics_->series("stream.mass_ratio")
-        .append(static_cast<double>(events_offered_), rep.result.mass_ratio);
+    metrics_->series("stream.mass_ratio").append(x, rep.result.mass_ratio);
+    metrics_->histogram("stream.reconverge_us").record(mark.wall_us);
+    metrics_->series("stream.reconverge_passes")
+        .append(x, static_cast<double>(mark.passes));
+    metrics_->series("stream.reconverge_recomputes")
+        .append(x, static_cast<double>(mark.docs_recomputed));
+    metrics_->series("stream.reconverge_messages")
+        .append(x, static_cast<double>(mark.messages));
   }
 }
 

@@ -38,18 +38,25 @@
 //     run_chaos_campaign over a freeze() of the current graph,
 //     churn/crash faults and the mass audit active — replaces the
 //     incrementally maintained ranks with the engine's converged
-//     solution. The audit's mass_ratio at each such quiescence point is
-//     recorded (mass_ratios()); the stream bench gates on every entry
-//     being 1.0.
+//     solution. The campaign is warm-started from the previous mark's
+//     raw campaign output (the constructor's ranks at the first mark;
+//     ids inserted since start at initial_rank), not from the served
+//     vector: the served ranks depend on the batch size, the previous
+//     mark's output does not. The audit's mass_ratio at each such
+//     quiescence point is recorded (mass_ratios()); the stream bench
+//     gates on every entry being 1.0. Each mark's wall time and the
+//     campaign's passes, recomputes and messages are recorded too
+//     (reconverge_history()).
 //     Reconvergence fires at fixed OFFERED-event marks, not applied
 //     marks, so runs with different batch sizes reconverge on identical
-//     graphs and adopt identical ranks — the property that makes the
-//     staleness-vs-batch-size comparison well posed.
+//     graphs from identical start vectors and adopt identical ranks —
+//     the property that makes the staleness-vs-batch-size comparison
+//     well posed.
 //
 // Determinism: the coordinator's state after N offered events is a pure
 // function of (initial graph, initial ranks, config, event sequence).
-// Wall-clock reads exist only to feed the stream.batch_apply_us
-// telemetry; no control flow depends on them.
+// Wall-clock reads exist only to feed the stream.batch_apply_us and
+// stream.reconverge_us telemetry; no control flow depends on them.
 
 #include <cstdint>
 #include <functional>
@@ -111,6 +118,15 @@ struct IngestBatchStats {
   double apply_us = 0.0;
 };
 
+/// One reconvergence mark: the campaign's work and the mark's wall time.
+struct ReconvergeStats {
+  std::uint64_t events_offered = 0;  // the mark
+  std::uint64_t passes = 0;
+  std::uint64_t docs_recomputed = 0;
+  std::uint64_t messages = 0;
+  double wall_us = 0.0;
+};
+
 class IngestCoordinator {
  public:
   /// `ranks` must be converged for `graph` (callers typically run the
@@ -167,6 +183,11 @@ class IngestCoordinator {
   [[nodiscard]] std::uint64_t reconverge_cycles() const {
     return reconverge_cycles_;
   }
+  /// One entry per reconvergence, parallel to mass_ratios().
+  [[nodiscard]] const std::vector<ReconvergeStats>& reconverge_history()
+      const {
+    return reconverge_history_;
+  }
   [[nodiscard]] const PagerankOptions& options() const {
     return config_.options;
   }
@@ -207,6 +228,10 @@ class IngestCoordinator {
   std::uint64_t reconverge_cycles_ = 0;
   std::vector<NodeId> last_batch_touched_;
   std::vector<double> mass_ratios_;
+  std::vector<ReconvergeStats> reconverge_history_;
+  // The next reconvergence's start vector: the previous mark's raw
+  // campaign output (tombstones included), or the constructor's ranks.
+  std::vector<double> warm_ranks_;
 
   // First-touch markers: snap_epoch_[v] == batch_epoch_ means v is
   // already snapshotted for the in-flight batch.

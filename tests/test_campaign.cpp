@@ -123,36 +123,90 @@ TEST(ChaosCampaign, BitReproducibleForFixedSeed) {
   EXPECT_NE(c.rank_digest, a.rank_digest);
 }
 
+/// Everything a campaign reports, folded into one digest.
+std::uint64_t campaign_digest(const ChaosCampaignReport& rep) {
+  Fnv f;
+  f.mix_value(rep.rank_digest);
+  f.mix_value(rep.result.passes);
+  f.mix_value(rep.result.converged);
+  f.mix_value(rep.result.mass_ratio);
+  f.mix_value(rep.result.repair_rounds);
+  for (const std::uint64_t c :
+       {rep.joins, rep.leaves, rep.crashes, rep.handoff_docs,
+        rep.stale_owner_queries, rep.outbox_dropped_dead, rep.gave_up,
+        rep.declared_dead, rep.false_suspicions, rep.ring_repairs,
+        rep.stabilize_rounds, rep.retransmissions, rep.recovered_docs,
+        rep.replica_restores, rep.known_loss_events}) {
+    f.mix_value(c);
+  }
+  for (const std::uint64_t lat : rep.detection_latencies) f.mix_value(lat);
+  f.mix_value(rep.audited_known_loss);
+  return f.value();
+}
+
+// Membership handoffs, crash-range reconstruction, lossy acked sends and
+// the quiescence audit in one seeded campaign (16 peers, 8 events),
+// pinned by a digest recorded on the engine before its pass pipeline was
+// unified.
+constexpr std::uint64_t kGoldenCampaignDigest = 0xfa28e7235d254f02ULL;
+
+ChaosCampaignConfig golden_config(std::uint32_t threads) {
+  ChaosCampaignConfig cfg = small_config(42);
+  cfg.events = 8;
+  cfg.options.threads = threads;
+  return cfg;
+}
+
 TEST(ChaosCampaign, GoldenDigestAtOneAndFourThreads) {
-  // Membership handoffs, crash-range reconstruction, lossy acked sends
-  // and the quiescence audit in one seeded campaign (16 peers, 8 events),
-  // pinned by a digest recorded on the engine before its pass pipeline
-  // was unified.
   const Digraph g = paper_graph(400, 9);
   for (const std::uint32_t threads : {1u, 4u}) {
-    ChaosCampaignConfig cfg = small_config(42);
-    cfg.events = 8;
-    cfg.options.threads = threads;
-    const ChaosCampaignReport rep = run_chaos_campaign(g, cfg);
-    Fnv f;
-    f.mix_value(rep.rank_digest);
-    f.mix_value(rep.result.passes);
-    f.mix_value(rep.result.converged);
-    f.mix_value(rep.result.mass_ratio);
-    f.mix_value(rep.result.repair_rounds);
-    for (const std::uint64_t c :
-         {rep.joins, rep.leaves, rep.crashes, rep.handoff_docs,
-          rep.stale_owner_queries, rep.outbox_dropped_dead, rep.gave_up,
-          rep.declared_dead, rep.false_suspicions, rep.ring_repairs,
-          rep.stabilize_rounds, rep.retransmissions, rep.recovered_docs,
-          rep.replica_restores, rep.known_loss_events}) {
-      f.mix_value(c);
-    }
-    for (const std::uint64_t lat : rep.detection_latencies) f.mix_value(lat);
-    f.mix_value(rep.audited_known_loss);
-    EXPECT_EQ(f.value(), 0xfa28e7235d254f02ULL)
-        << std::hex << "digest 0x" << f.value() << std::dec
+    const std::uint64_t digest =
+        campaign_digest(run_chaos_campaign(g, golden_config(threads)));
+    EXPECT_EQ(digest, kGoldenCampaignDigest)
+        << std::hex << "digest 0x" << digest << std::dec
         << " threads=" << threads;
+  }
+}
+
+TEST(ChaosCampaign, InitialRankStartVectorIsTheColdStart) {
+  // The warm-start entry point given initial_rank everywhere is the cold
+  // start, bit for bit: same golden digest at 1 and 4 threads.
+  const Digraph g = paper_graph(400, 9);
+  for (const std::uint32_t threads : {1u, 4u}) {
+    const ChaosCampaignConfig cfg = golden_config(threads);
+    const std::vector<double> start(g.num_nodes(), cfg.options.initial_rank);
+    const std::uint64_t digest =
+        campaign_digest(run_chaos_campaign(g, cfg, start));
+    EXPECT_EQ(digest, kGoldenCampaignDigest)
+        << std::hex << "digest 0x" << digest << std::dec
+        << " threads=" << threads;
+  }
+}
+
+TEST(ChaosCampaign, WarmStartFromTheFixedPointConvergesFaster) {
+  // Restarting from a converged vector reaches an accounted end state
+  // with less work. (The pass count is bounded below by the membership
+  // schedule: the run cannot converge before every crash is declared.)
+  const Digraph g = paper_graph(400, 9);
+  const ChaosCampaignConfig cfg = golden_config(1);
+  const ChaosCampaignReport cold = run_chaos_campaign(g, cfg);
+  const ChaosCampaignReport warm =
+      run_chaos_campaign(g, cfg, cold.final_ranks);
+  EXPECT_TRUE(warm.result.converged);
+  EXPECT_NEAR(warm.result.mass_ratio, 1.0, 1e-9);
+  EXPECT_LE(warm.result.passes, cold.result.passes);
+  EXPECT_LT(warm.docs_recomputed, cold.docs_recomputed);
+  EXPECT_LT(warm.messages, cold.messages);
+}
+
+TEST(ChaosCampaign, RejectsAStartVectorOfTheWrongSize) {
+  const Digraph g = paper_graph(100, 9);
+  const ChaosCampaignConfig cfg = small_config(42);
+  for (const std::size_t n : {0, 99, 101}) {
+    EXPECT_THROW(
+        (void)run_chaos_campaign(g, cfg, std::vector<double>(n, 1.0)),
+        std::invalid_argument)
+        << "size " << n;
   }
 }
 

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <vector>
 
+#include "fault/fault_plan.hpp"
 #include "graph/generator.hpp"
 #include "pagerank/centralized.hpp"
 #include "pagerank/quality.hpp"
@@ -22,6 +23,62 @@ TEST(DistributedEngine, ValidatesPlacementSize) {
   const Digraph g = figure2_graph();
   const auto p = Placement::random(5, 2, 1);  // 5 != 6 nodes
   EXPECT_THROW(DistributedPagerank(g, p, opts(1e-3)), std::invalid_argument);
+}
+
+TEST(DistributedEngine, ValidatesStartVectorSize) {
+  const Digraph g = figure2_graph();
+  const auto p = Placement::random(6, 2, 1);
+  for (const std::size_t n : {0, 5, 7}) {
+    EXPECT_THROW(
+        DistributedPagerank(g, p, opts(1e-3), std::vector<double>(n, 1.0)),
+        std::invalid_argument)
+        << "size " << n;
+  }
+}
+
+TEST(DistributedEngine, WarmStartReachesTheSameFixedPoint) {
+  // §2.3: the chaotic iteration converges from any start. An
+  // initial_rank-filled start vector is the cold start bit for bit; the
+  // converged vector as a start settles in a few passes.
+  const Digraph g = paper_graph(1000, 12);
+  const auto p = Placement::random(1000, 20, 12);
+  DistributedPagerank cold(g, p, opts(1e-6));
+  const auto cold_run = cold.run();
+  ASSERT_TRUE(cold_run.converged);
+  DistributedPagerank same(g, p, opts(1e-6),
+                           std::vector<double>(g.num_nodes(), 1.0));
+  ASSERT_TRUE(same.run().converged);
+  EXPECT_EQ(same.ranks(), cold.ranks());
+  EXPECT_EQ(same.traffic().messages(), cold.traffic().messages());
+
+  DistributedPagerank warm(g, p, opts(1e-6), cold.ranks());
+  const auto run = warm.run();
+  ASSERT_TRUE(run.converged);
+  EXPECT_LT(run.passes, cold_run.passes / 2);
+  const auto ref = centralized_pagerank(g, 0.85, 1e-13).ranks;
+  EXPECT_LT(summarize_quality(warm.ranks(), ref).max, 1e-4);
+}
+
+TEST(DistributedEngine, MemoryBytesCountsAttachmentArrays) {
+  // An audited, acked-delivery run holds per-edge arrays a plain run
+  // never allocates: the audit ledger and its workspace (doubles), the
+  // edge-source map and the channel's per-slot records (an issued and an
+  // applied sequence number each).
+  const Digraph g = paper_graph(500, 5);
+  const auto p = Placement::random(500, 10, 5);
+  DistributedPagerank plain(g, p, opts(1e-3));
+  ASSERT_TRUE(plain.run().converged);
+  FaultPlanConfig fpc;
+  fpc.acked_delivery = true;
+  FaultPlan plan(fpc);
+  DistributedPagerank audited(g, p, opts(1e-3));
+  audited.attach_fault_plan(plan);
+  audited.enable_mass_audit();
+  ASSERT_TRUE(audited.run().converged);
+  const std::uint64_t m = g.num_edges();
+  const std::uint64_t attached =
+      m * (2 * sizeof(double) + sizeof(NodeId) + 2 * sizeof(std::uint32_t));
+  EXPECT_GE(audited.memory_bytes(), plain.memory_bytes() + attached);
 }
 
 TEST(DistributedEngine, RunsOnlyOnce) {

@@ -29,7 +29,7 @@ PagerankOptions opts(double eps) {
 
 TEST(MassAuditor, StartsConservedAtInitialState) {
   const Digraph g = figure2_graph();
-  MassAuditor auditor(g, 1.0);
+  MassAuditor auditor(g, std::vector<double>(g.num_nodes(), 1.0));
   // The engine's initial contribution cells are exactly the ledger's
   // initial expectation.
   std::vector<double> effective(g.num_edges(), 0.0);
@@ -47,7 +47,7 @@ TEST(MassAuditor, StartsConservedAtInitialState) {
 
 TEST(MassAuditor, DetectsAndLocatesLeaks) {
   const Digraph g = figure2_graph();
-  MassAuditor auditor(g, 1.0);
+  MassAuditor auditor(g, std::vector<double>(g.num_nodes(), 1.0));
   std::vector<double> effective(g.num_edges());
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
     auditor.on_emit(e, 0.25);
@@ -65,7 +65,7 @@ TEST(MassAuditor, DetectsAndLocatesLeaks) {
 
 TEST(MassAuditor, KnownLossIsACheapCounter) {
   const Digraph g = figure2_graph();
-  MassAuditor auditor(g, 1.0);
+  MassAuditor auditor(g, std::vector<double>(g.num_nodes(), 1.0));
   auditor.on_known_loss(0.5);
   auditor.on_known_loss(-0.25);  // magnitudes accumulate
   EXPECT_DOUBLE_EQ(auditor.known_lost(), 0.75);
@@ -74,7 +74,7 @@ TEST(MassAuditor, KnownLossIsACheapCounter) {
 
 TEST(MassAuditor, RejectsMismatchedEffectiveVector) {
   const Digraph g = figure2_graph();
-  MassAuditor auditor(g, 1.0);
+  MassAuditor auditor(g, std::vector<double>(g.num_nodes(), 1.0));
   const std::vector<double> wrong(g.num_edges() + 1, 0.0);
   EXPECT_THROW((void)auditor.audit(wrong), std::invalid_argument);
   EXPECT_THROW((void)auditor.leaking_edges(wrong), std::invalid_argument);

@@ -181,6 +181,22 @@ TEST(TrafficMeter, LocalUpdatesAndResendsSeparate) {
   EXPECT_EQ(m.bytes(), 24u);
 }
 
+TEST(TrafficMeter, BulkBillingMatchesPerMessageHops) {
+  // Three messages: one direct, one routed over 4 hops, one over 2. The
+  // bulk form bills the same totals as the per-message calls, with hop
+  // transmissions (7) distinct from messages (3).
+  TrafficMeter each;
+  for (const std::uint64_t hops : {1, 4, 2}) each.record_message(24, hops);
+  TrafficMeter bulk;
+  bulk.record_messages(/*count=*/3, /*bytes_each=*/24, /*hops=*/7);
+  EXPECT_EQ(bulk.messages(), 3u);
+  EXPECT_EQ(bulk.hop_transmissions(), 7u);
+  EXPECT_EQ(bulk.bytes(), 7u * 24u);
+  EXPECT_EQ(bulk.messages(), each.messages());
+  EXPECT_EQ(bulk.hop_transmissions(), each.hop_transmissions());
+  EXPECT_EQ(bulk.bytes(), each.bytes());
+}
+
 TEST(TrafficMeter, MergeAndReset) {
   TrafficMeter a;
   TrafficMeter b;

@@ -10,7 +10,9 @@
 #include "graph/generator.hpp"
 #include "graph/mutable_digraph.hpp"
 #include "obs/metrics.hpp"
+#include "p2p/placement.hpp"
 #include "pagerank/centralized.hpp"
+#include "pagerank/distributed_engine.hpp"
 #include "pagerank/quality.hpp"
 #include "stream/ingest_coordinator.hpp"
 #include "stream/live_rank_service.hpp"
@@ -295,6 +297,89 @@ TEST(IngestCoordinator, DeterministicDoubleRunWithReconvergence) {
     } else {
       EXPECT_EQ(coord.digest(), first);
     }
+  }
+}
+
+TEST(IngestCoordinator, WarmStartedMarksAgreeAcrossBatchSizes) {
+  // Three reconvergence marks, each warm-started from the previous mark's
+  // campaign output: identical at every batch size after every mark,
+  // fully accounted, and within the engine's quality bound of the exact
+  // solution of the graph at the mark.
+  constexpr std::uint64_t kEvery = 40;
+  const StreamSourceConfig sc = source_config(150, 31);
+  std::vector<IngestCoordinator> coords;
+  std::vector<StreamSource> sources;
+  for (const std::uint32_t batch : {1u, 8u, 32u}) {
+    IngestConfig ic = ingest_config(batch);
+    ic.reconverge_every_events = kEvery;
+    coords.push_back(make_coordinator(150, 31, ic));
+    sources.emplace_back(sc);
+  }
+  for (std::uint64_t mark = 1; mark <= 3; ++mark) {
+    for (std::size_t c = 0; c < coords.size(); ++c) {
+      for (const StreamEvent& ev : sources[c].take(kEvery)) {
+        coords[c].offer(ev);
+      }
+      ASSERT_EQ(coords[c].reconverge_cycles(), mark);
+      EXPECT_NEAR(coords[c].mass_ratios().back(), 1.0, 1e-9);
+      EXPECT_EQ(coords[c].digest(), coords[0].digest())
+          << "batch index " << c << ", mark " << mark;
+    }
+    const IngestCoordinator& coord = coords[0];
+    const Digraph frozen = coord.graph().freeze();
+    const std::vector<double> exact =
+        centralized_pagerank(frozen, coord.options().damping, 1e-13).ranks;
+    std::vector<double> served;
+    std::vector<double> reference;
+    for (NodeId v = 0; v < frozen.num_nodes(); ++v) {
+      if (coord.is_deleted(v)) continue;
+      served.push_back(coord.ranks()[v]);
+      reference.push_back(exact[v]);
+    }
+    const Placement placement = Placement::random(frozen.num_nodes(), 4, 1);
+    const double bound =
+        DistributedPagerank(frozen, placement, coord.options())
+            .traits()
+            .quality_bound;
+    EXPECT_LE(summarize_quality(served, reference).avg, bound)
+        << "mark " << mark;
+  }
+}
+
+TEST(IngestCoordinator, ReconvergenceRecordsEachMark) {
+  const StreamSourceConfig sc = source_config(120, 13);
+  IngestConfig ic = ingest_config(8);
+  ic.reconverge_every_events = 50;
+  const Digraph base = paper_graph(120, 13);
+  std::vector<double> ranks =
+      centralized_pagerank(base, ic.options.damping, 1e-13).ranks;
+  obs::MetricsRegistry metrics;
+  IngestCoordinator coord(MutableDigraph(base), std::move(ranks), ic,
+                          &metrics);
+  StreamSource src(sc);
+  for (const StreamEvent& ev : src.take(110)) coord.offer(ev);
+
+  const auto& history = coord.reconverge_history();
+  ASSERT_EQ(history.size(), 2u);
+  ASSERT_EQ(coord.mass_ratios().size(), history.size());
+  const auto snap = metrics.snapshot();
+  EXPECT_EQ(snap.histograms.at("stream.reconverge_us").count, 2u);
+  for (std::size_t i = 0; i < history.size(); ++i) {
+    EXPECT_EQ(history[i].events_offered, 50u * (i + 1));
+    EXPECT_GT(history[i].passes, 0u);
+    EXPECT_GT(history[i].docs_recomputed, 0u);
+    EXPECT_GT(history[i].messages, 0u);
+    EXPECT_GT(history[i].wall_us, 0.0);
+    const auto x = static_cast<double>(history[i].events_offered);
+    const std::pair<double, double> passes{
+        x, static_cast<double>(history[i].passes)};
+    const std::pair<double, double> recomputes{
+        x, static_cast<double>(history[i].docs_recomputed)};
+    const std::pair<double, double> messages{
+        x, static_cast<double>(history[i].messages)};
+    EXPECT_EQ(snap.series.at("stream.reconverge_passes")[i], passes);
+    EXPECT_EQ(snap.series.at("stream.reconverge_recomputes")[i], recomputes);
+    EXPECT_EQ(snap.series.at("stream.reconverge_messages")[i], messages);
   }
 }
 

@@ -25,6 +25,7 @@
 #include "graph/mutable_digraph.hpp"
 #include "net/reliable_channel.hpp"
 #include "p2p/churn.hpp"
+#include "p2p/membership.hpp"
 #include "p2p/placement.hpp"
 #include "pagerank/distributed_engine.hpp"
 
@@ -64,13 +65,11 @@ struct TestCorruptor {
   static void corrupt_channel_seq(ReliableChannel& ch) {
     // Receiver claims to have applied a fresher value than the sender
     // ever issued on the slot.
-    bool done = false;
-    ch.edges_.for_each(
-        [&](std::uint64_t, ReliableChannel::EdgeRecord& record) {
-          if (done || record.issued == 0) return;
-          record.applied = record.issued + 1;
-          done = true;
-        });
+    for (ReliableChannel::EdgeRecord& record : ch.edges_) {
+      if (record.issued == 0) continue;
+      record.applied = record.issued + 1;
+      return;
+    }
   }
   static void corrupt_dirty_set(DistributedPagerank& engine) {
     // Queue a document without flagging it: the dedup flag array and
@@ -155,6 +154,19 @@ TEST(ValidatorNegative, ChannelCatchesSeqRegression) {
   ch.validate();
   TestCorruptor::corrupt_channel_seq(ch);
   expect_violation("net", [&] { ch.validate(); });
+}
+
+TEST(ValidatorNegative, MembershipCatchesMisplacedDocument) {
+  SKIP_WITHOUT_CONTRACTS();
+  const PeerId peers = 8;
+  const ChordRing seed_ring(peers);
+  Placement placement = Placement::by_dht(300, seed_ring);
+  MembershipCoordinator membership(placement, peers, {});
+  membership.validate();  // healthy: every document on its ring successor
+  // Move one live, non-frozen document to a wrong live peer.
+  const NodeId doc = 17;
+  placement.reassign(doc, (placement.peer_of(doc) + 1) % peers);
+  expect_violation("p2p", [&] { membership.validate(); });
 }
 
 TEST(ValidatorNegative, EngineCatchesCorruptDirtySet) {

@@ -32,8 +32,10 @@
 //           into coalesced rank cascades while top-k and point queries
 //           are served between batches; --reconverge-every R runs a
 //           full distributed reconvergence (churn + mass audit) every
-//           R offered events. Prints per-mark staleness vs the
-//           fully-reconverged oracle and the final top-k.
+//           R offered events, warm-started from the previous mark.
+//           Prints per-mark staleness vs the fully-reconverged oracle,
+//           each reconvergence's mass_ratio, passes and wall time, and
+//           the final top-k.
 //           (`dprank_cli --stream ...` is accepted as an alias.)
 //
 // rank/insert/search also take the telemetry flags:
@@ -579,11 +581,17 @@ int cmd_stream(const Args& args) {
   std::cout << "\nlive docs:     " << format_count(source.live_docs())
             << " (of " << format_count(coord.graph().num_nodes())
             << " ever allocated)\n"
-            << "reconverges:   " << format_count(coord.reconverge_cycles());
-  for (const double m : coord.mass_ratios()) {
-    std::cout << "  mass_ratio " << format_fixed(m, 6);
+            << "reconverges:   " << format_count(coord.reconverge_cycles())
+            << "\n";
+  for (std::size_t i = 0; i < coord.reconverge_history().size(); ++i) {
+    const ReconvergeStats& m = coord.reconverge_history()[i];
+    std::cout << "  at " << format_count(m.events_offered)
+              << " events  mass_ratio "
+              << format_fixed(coord.mass_ratios()[i], 6) << "  "
+              << format_count(m.passes) << " passes  "
+              << format_fixed(m.wall_us / 1e3, 1) << " ms\n";
   }
-  std::cout << "\nrank digest:   " << coord.digest() << "\n"
+  std::cout << "rank digest:   " << coord.digest() << "\n"
             << "topk cache:    " << format_count(service.topk_cache_hits())
             << " hits / " << format_count(service.topk_recomputes())
             << " recomputes\n\ntop-" << top_k << " documents:\n";
