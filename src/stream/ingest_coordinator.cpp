@@ -231,7 +231,6 @@ void IngestCoordinator::reconverge() {
   for (NodeId v = 0; v < graph_.num_nodes(); ++v) {
     if (deleted_[v] != 0) ranks_[v] = 0.0;
   }
-  mass_ratios_.push_back(rep.result.mass_ratio);
   ++reconverge_cycles_;
   ++version_;
   last_batch_touched_.clear();  // whole vector replaced: full refresh
@@ -244,6 +243,7 @@ void IngestCoordinator::reconverge() {
   const auto t1 = std::chrono::steady_clock::now();
   const ReconvergeStats mark{
       .events_offered = events_offered_,
+      .mass_ratio = rep.result.mass_ratio,
       .passes = rep.result.passes,
       .docs_recomputed = rep.docs_recomputed,
       .messages = rep.messages,
@@ -252,7 +252,7 @@ void IngestCoordinator::reconverge() {
   if (metrics_ != nullptr) {
     const auto x = static_cast<double>(events_offered_);
     metrics_->counter("stream.reconverges").add();
-    metrics_->series("stream.mass_ratio").append(x, rep.result.mass_ratio);
+    metrics_->series("stream.mass_ratio").append(x, mark.mass_ratio);
     metrics_->histogram("stream.reconverge_us").record(mark.wall_us);
     metrics_->series("stream.reconverge_passes")
         .append(x, static_cast<double>(mark.passes));
@@ -275,6 +275,15 @@ void IngestCoordinator::offer(const StreamEvent& ev) {
     metrics_->gauge("stream.pending")
         .set(static_cast<double>(pending_.size()));
   }
+}
+
+std::vector<double> IngestCoordinator::mass_ratios() const {
+  std::vector<double> ratios;
+  ratios.reserve(reconverge_history_.size());
+  for (const ReconvergeStats& m : reconverge_history_) {
+    ratios.push_back(m.mass_ratio);
+  }
+  return ratios;
 }
 
 std::uint64_t IngestCoordinator::digest() const {

@@ -43,10 +43,9 @@
 //     ids inserted since start at initial_rank), not from the served
 //     vector: the served ranks depend on the batch size, the previous
 //     mark's output does not. The audit's mass_ratio at each such
-//     quiescence point is recorded (mass_ratios()); the stream bench
-//     gates on every entry being 1.0. Each mark's wall time and the
-//     campaign's passes, recomputes and messages are recorded too
-//     (reconverge_history()).
+//     quiescence point is recorded with the mark's wall time and the
+//     campaign's passes, recomputes and messages (reconverge_history(),
+//     mass_ratios()); the stream bench gates on every ratio being 1.0.
 //     Reconvergence fires at fixed OFFERED-event marks, not applied
 //     marks, so runs with different batch sizes reconverge on identical
 //     graphs from identical start vectors and adopt identical ranks —
@@ -118,9 +117,11 @@ struct IngestBatchStats {
   double apply_us = 0.0;
 };
 
-/// One reconvergence mark: the campaign's work and the mark's wall time.
+/// One reconvergence mark: the audit's verdict, the campaign's work and
+/// the mark's wall time.
 struct ReconvergeStats {
   std::uint64_t events_offered = 0;  // the mark
+  double mass_ratio = 1.0;
   std::uint64_t passes = 0;
   std::uint64_t docs_recomputed = 0;
   std::uint64_t messages = 0;
@@ -177,13 +178,11 @@ class IngestCoordinator {
     return last_batch_touched_;
   }
   /// mass_ratio observed at every reconvergence quiescence point.
-  [[nodiscard]] const std::vector<double>& mass_ratios() const {
-    return mass_ratios_;
-  }
+  [[nodiscard]] std::vector<double> mass_ratios() const;
   [[nodiscard]] std::uint64_t reconverge_cycles() const {
     return reconverge_cycles_;
   }
-  /// One entry per reconvergence, parallel to mass_ratios().
+  /// One entry per reconvergence, in mark order.
   [[nodiscard]] const std::vector<ReconvergeStats>& reconverge_history()
       const {
     return reconverge_history_;
@@ -227,7 +226,6 @@ class IngestCoordinator {
   std::uint64_t version_ = 0;
   std::uint64_t reconverge_cycles_ = 0;
   std::vector<NodeId> last_batch_touched_;
-  std::vector<double> mass_ratios_;
   std::vector<ReconvergeStats> reconverge_history_;
   // The next reconvergence's start vector: the previous mark's raw
   // campaign output (tombstones included), or the constructor's ranks.

@@ -78,6 +78,9 @@ TEST(MassAuditor, RejectsMismatchedEffectiveVector) {
   const std::vector<double> wrong(g.num_edges() + 1, 0.0);
   EXPECT_THROW((void)auditor.audit(wrong), std::invalid_argument);
   EXPECT_THROW((void)auditor.leaking_edges(wrong), std::invalid_argument);
+  // The start vector covers documents, not edges.
+  EXPECT_THROW(MassAuditor(g, std::vector<double>(g.num_nodes() + 1, 1.0)),
+               std::invalid_argument);
 }
 
 // ---- engine-level recovery ----

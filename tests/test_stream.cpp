@@ -361,7 +361,8 @@ TEST(IngestCoordinator, ReconvergenceRecordsEachMark) {
 
   const auto& history = coord.reconverge_history();
   ASSERT_EQ(history.size(), 2u);
-  ASSERT_EQ(coord.mass_ratios().size(), history.size());
+  EXPECT_EQ(coord.mass_ratios(), (std::vector<double>{history[0].mass_ratio,
+                                                      history[1].mass_ratio}));
   const auto snap = metrics.snapshot();
   EXPECT_EQ(snap.histograms.at("stream.reconverge_us").count, 2u);
   for (std::size_t i = 0; i < history.size(); ++i) {

@@ -583,12 +583,10 @@ int cmd_stream(const Args& args) {
             << " ever allocated)\n"
             << "reconverges:   " << format_count(coord.reconverge_cycles())
             << "\n";
-  for (std::size_t i = 0; i < coord.reconverge_history().size(); ++i) {
-    const ReconvergeStats& m = coord.reconverge_history()[i];
+  for (const ReconvergeStats& m : coord.reconverge_history()) {
     std::cout << "  at " << format_count(m.events_offered)
-              << " events  mass_ratio "
-              << format_fixed(coord.mass_ratios()[i], 6) << "  "
-              << format_count(m.passes) << " passes  "
+              << " events  mass_ratio " << format_fixed(m.mass_ratio, 6)
+              << "  " << format_count(m.passes) << " passes  "
               << format_fixed(m.wall_us / 1e3, 1) << " ms\n";
   }
   std::cout << "rank digest:   " << coord.digest() << "\n"
