@@ -365,22 +365,22 @@ TEST(IngestCoordinator, ReconvergenceRecordsEachMark) {
                                                       history[1].mass_ratio}));
   const auto snap = metrics.snapshot();
   EXPECT_EQ(snap.histograms.at("stream.reconverge_us").count, 2u);
+  // Each series point is (events offered at the mark, the mark's count).
+  const auto point = [&](const char* series, std::size_t i) {
+    const auto [x, y] = snap.series.at(series)[i];
+    EXPECT_EQ(x, static_cast<double>(history[i].events_offered)) << series;
+    return static_cast<std::uint64_t>(y);
+  };
   for (std::size_t i = 0; i < history.size(); ++i) {
     EXPECT_EQ(history[i].events_offered, 50u * (i + 1));
     EXPECT_GT(history[i].passes, 0u);
     EXPECT_GT(history[i].docs_recomputed, 0u);
     EXPECT_GT(history[i].messages, 0u);
     EXPECT_GT(history[i].wall_us, 0.0);
-    const auto x = static_cast<double>(history[i].events_offered);
-    const std::pair<double, double> passes{
-        x, static_cast<double>(history[i].passes)};
-    const std::pair<double, double> recomputes{
-        x, static_cast<double>(history[i].docs_recomputed)};
-    const std::pair<double, double> messages{
-        x, static_cast<double>(history[i].messages)};
-    EXPECT_EQ(snap.series.at("stream.reconverge_passes")[i], passes);
-    EXPECT_EQ(snap.series.at("stream.reconverge_recomputes")[i], recomputes);
-    EXPECT_EQ(snap.series.at("stream.reconverge_messages")[i], messages);
+    EXPECT_EQ(point("stream.reconverge_passes", i), history[i].passes);
+    EXPECT_EQ(point("stream.reconverge_recomputes", i),
+              history[i].docs_recomputed);
+    EXPECT_EQ(point("stream.reconverge_messages", i), history[i].messages);
   }
 }
 
