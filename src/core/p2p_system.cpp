@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "net/message.hpp"
 #include "pagerank/distributed_engine.hpp"
@@ -76,11 +77,13 @@ NodeId P2PSystem::add_document(const std::vector<TermId>& doc_terms,
       id, static_cast<PeerId>(rng_.bounded(config_.num_peers)));
   terms_.push_back(doc_terms);
   live_.push_back(true);
+  // Taken before the new document has a rank, so refresh_index leaves it
+  // to the one publication below.
+  const std::vector<double> before = ranks_;
   ranks_.push_back(config_.pagerank.initial_rank);
 
   // §3.1: seed with the initial constant, send updates to out-links,
   // then reconverge the new document itself (no in-links => rank 1-d).
-  const std::vector<double> before = ranks_;
   IncrementalPagerank engine(graph_, ranks_, config_.pagerank, &placement_);
   std::vector<NodeId> touched;
   const auto stats = engine.integrate_insert(id, &touched);
@@ -89,7 +92,7 @@ NodeId P2PSystem::add_document(const std::vector<TermId>& doc_terms,
 
   index_.publish_one(id, doc_terms, ranks_[id], placement_.peer_of(id),
                      &meter_);
-  refresh_index(touched, before);
+  refresh_index(std::move(touched), before);
   return id;
 }
 
@@ -105,7 +108,7 @@ void P2PSystem::remove_document(NodeId doc) {
   const auto stats = engine.propagate_delete(doc);
   meter_.record_messages(stats.cross_peer_messages,
                          PagerankUpdate::kWireBytes);
-  const std::vector<NodeId> touched = engine.last_touched();
+  std::vector<NodeId> touched = engine.last_touched();
 
   graph_.isolate_node(doc);
   ranks_[doc] = 0.0;
@@ -113,7 +116,7 @@ void P2PSystem::remove_document(NodeId doc) {
   index_.remove_document(doc, terms_[doc], placement_.peer_of(doc),
                          &meter_);
   terms_[doc].clear();
-  refresh_index(touched, before);
+  refresh_index(std::move(touched), before);
 }
 
 QueryOutcome P2PSystem::search(const std::vector<TermId>& query_terms,
@@ -158,10 +161,15 @@ std::vector<std::string> P2PSystem::validate() const {
     }
   }
 
-  // Index <-> liveness/terms agreement.
+  // The index's own order and rank invariants, then its agreement with
+  // liveness and terms, over the lists as stored (reading them through
+  // postings() would sort them).
+  for (const std::string& issue : index_.validate()) {
+    complain("index: " + issue);
+  }
   std::vector<std::uint64_t> postings_per_doc(n, 0);
   for (TermId t = 0; t < index_.num_terms(); ++t) {
-    for (const Posting& p : index_.postings(t)) {
+    for (const Posting& p : index_.stored_postings(t)) {
       if (p.doc >= n) {
         complain("posting for unknown doc " + std::to_string(p.doc));
         continue;
@@ -183,8 +191,12 @@ std::vector<std::string> P2PSystem::validate() const {
   return issues;
 }
 
-void P2PSystem::refresh_index(const std::vector<NodeId>& touched,
+void P2PSystem::refresh_index(std::vector<NodeId> touched,
                               const std::vector<double>& before) {
+  // An insert's cascades may each touch the same document: publish it
+  // once.
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
   for (const NodeId v : touched) {
     if (v >= before.size()) continue;  // the new document: already published
     if (!live_[v]) continue;

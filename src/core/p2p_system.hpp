@@ -11,8 +11,9 @@
 //                         publication of ranks into the index (§2.4.2);
 //   * add_document()    — §3.1 insert: place the document, seed its
 //                         rank, propagate increments (Fig. 2), add its
-//                         postings, refresh index entries of every
-//                         document the cascade moved;
+//                         postings, refresh the index entries of every
+//                         document the cascades moved, once per
+//                         document per write;
 //   * remove_document() — §3.1 delete: negated-rank propagation, link
 //                         and posting removal, index refresh;
 //   * search()          — §2.4.3 incremental multi-word search over the
@@ -102,8 +103,10 @@ class P2PSystem {
 
   /// Cross-component consistency check; returns human-readable
   /// violations (empty = healthy). Verifies that ranks, liveness, graph
-  /// state and index postings agree — the invariant set every mutation
-  /// must preserve. O(total postings); intended for tests, the CLI
+  /// state and index postings agree, and appends the index's own
+  /// findings (DistributedIndex::validate) — the invariant set every
+  /// mutation must preserve. Reads the postings as stored, without
+  /// sorting them. O(total postings); intended for tests, the CLI
   /// doctor, and debugging sessions.
   [[nodiscard]] std::vector<std::string> validate() const;
 
@@ -112,8 +115,13 @@ class P2PSystem {
   }
 
  private:
-  /// Refresh index entries for documents the last cascade moved.
-  void refresh_index(const std::vector<NodeId>& touched,
+  friend struct TestCorruptor;  // negative invariant tests corrupt privates
+
+  /// Refresh index entries for the live documents a write's cascades
+  /// moved past the refresh threshold, each once whatever the number of
+  /// cascades that touched it. Documents beyond `before` are skipped:
+  /// the caller publishes a new document itself.
+  void refresh_index(std::vector<NodeId> touched,
                      const std::vector<double>& before);
 
   P2PSystemConfig config_;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -11,29 +13,28 @@ namespace dprank {
 
 namespace {
 
-/// Top-x% selection with the paper's min-20 escape hatch. Input is
-/// already rank-sorted.
-std::vector<Posting> apply_top_fraction(const std::vector<Posting>& hits,
-                                        const SearchPolicy& policy) {
-  if (policy.forward_fraction >= 1.0) return hits;
+/// How many of `n` rank-sorted hits the policy forwards: the top x%, or
+/// all of them under the paper's min-20 escape hatch.
+std::size_t forward_count(std::size_t n, const SearchPolicy& policy) {
+  if (policy.forward_fraction >= 1.0) return n;
   const auto want = static_cast<std::size_t>(
-      std::ceil(policy.forward_fraction * static_cast<double>(hits.size())));
-  if (want < policy.min_forward) return hits;  // forward everything
-  std::vector<Posting> out(hits.begin(),
-                           hits.begin() + static_cast<std::ptrdiff_t>(want));
-  return out;
+      std::ceil(policy.forward_fraction * static_cast<double>(n)));
+  if (want < policy.min_forward) return n;  // forward everything
+  return want;
 }
 
 /// Intersect `incoming` with `local`, preserving local's rank order.
-std::vector<Posting> intersect(const std::vector<Posting>& incoming,
-                               const std::vector<Posting>& local) {
-  std::unordered_set<NodeId> ids;
-  ids.reserve(incoming.size() * 2);
-  for (const Posting& p : incoming) ids.insert(p.doc);
+/// `marked` is a per-document array, all zero on entry and on return.
+std::vector<Posting> intersect(std::span<const Posting> incoming,
+                               std::span<const Posting> local,
+                               std::vector<std::uint8_t>& marked) {
+  for (const Posting& p : incoming) marked[p.doc] = 1;
   std::vector<Posting> out;
+  out.reserve(std::min(incoming.size(), local.size()));
   for (const Posting& p : local) {
-    if (ids.contains(p.doc)) out.push_back(p);
+    if (marked[p.doc] != 0) out.push_back(p);
   }
+  for (const Posting& p : incoming) marked[p.doc] = 0;
   return out;
 }
 
@@ -45,15 +46,19 @@ QueryOutcome SearchEngine::run_query(const std::vector<TermId>& terms,
     throw std::invalid_argument("SearchEngine::run_query: no terms");
   }
   QueryOutcome out;
-  std::vector<Posting> current = index_.postings(terms[0]);
+  // The first hop forwards straight from the index's list; each later
+  // hop from the intersection the previous one left in `working`.
+  std::span<const Posting> current = index_.postings(terms[0]);
+  std::vector<Posting> working;
+  std::vector<std::uint8_t> marked(terms.size() > 1 ? index_.doc_bound() : 0);
   PeerId holder = index_.peer_of_term(terms[0]);
 
   for (std::size_t i = 1; i < terms.size(); ++i) {
     const PeerId next_peer = index_.peer_of_term(terms[i]);
     const bool free_hop =
         policy.free_same_peer_hops && next_peer == holder;
-    const std::vector<Posting> forwarded =
-        apply_top_fraction(current, policy);
+    const std::span<const Posting> forwarded =
+        current.first(forward_count(current.size(), policy));
     out.forwarded_per_hop.push_back(
         static_cast<std::uint32_t>(forwarded.size()));
     if (tracer_ != nullptr) {
@@ -80,16 +85,17 @@ QueryOutcome SearchEngine::run_query(const std::vector<TermId>& terms,
         out.wire_bytes += filter.byte_count() +
                           candidates.size() * policy.bytes_per_doc_id;
       }
-      current = intersect(candidates, forwarded);
+      working = intersect(candidates, forwarded, marked);
       // holder unchanged: the coordinator retains the working set.
     } else {
       if (!free_hop) {
         out.ids_transferred += forwarded.size();
         out.wire_bytes += forwarded.size() * policy.bytes_per_doc_id;
       }
-      current = intersect(forwarded, index_.postings(terms[i]));
+      working = intersect(forwarded, index_.postings(terms[i]), marked);
       holder = next_peer;
     }
+    current = working;
   }
 
   // Final transfer of the surviving hits back to the querying user.

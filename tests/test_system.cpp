@@ -6,9 +6,12 @@
 #include <set>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "graph/generator.hpp"
 #include "pagerank/centralized.hpp"
+#include "pagerank/options.hpp"
 #include "pagerank/quality.hpp"
+#include "run_digest.hpp"
 
 namespace dprank {
 namespace {
@@ -158,6 +161,48 @@ TEST_F(SystemTest, IndexRefreshTracksCascadedRankChanges) {
   EXPECT_GT(system_.traffic().messages(), msgs_before);
 }
 
+// A document with no out-links moves no other rank, so its insert
+// publishes three postings once: three index updates, not six.
+TEST_F(SystemTest, InsertWithoutLinksBillsOneUpdatePerTerm) {
+  (void)system_.converge();
+  const TrafficMeter& t = system_.traffic();
+  const auto before = t.messages() + t.local_updates();
+  (void)system_.add_document({3, 4, 5}, {});
+  EXPECT_EQ(t.messages() + t.local_updates() - before, 3u);
+}
+
+// On one peer no pagerank update crosses peers and every index update
+// is local, so the ledger's local updates count index updates exactly.
+// An insert publishes itself and each document its cascades moved past
+// the refresh threshold once, however many of its cascades reached it.
+TEST(SystemBilling, InsertPublishesEachMovedDocumentOnce) {
+  const Digraph graph = paper_graph(1500, 4);
+  const Corpus corpus = Corpus::synthesize(tiny_corpus());
+  P2PSystemConfig cfg;
+  cfg.num_peers = 1;
+  cfg.pagerank.epsilon = 1e-5;
+  cfg.seed = 4;
+  P2PSystem system(graph, corpus, cfg);
+  (void)system.converge();
+  const TrafficMeter& t = system.traffic();
+  const std::vector<double> before = system.ranks();
+  const auto local_before = t.local_updates();
+  const auto messages_before = t.messages();
+
+  const NodeId id = system.add_document({3, 4, 5}, {0, 1, 2});
+  std::uint64_t expected = 3;
+  for (NodeId v = 0; v < id; ++v) {
+    if (system.is_live(v) &&
+        relative_change(before[v], system.rank_of(v)) >
+            cfg.index_refresh_threshold) {
+      expected += system.terms_of(v).size();
+    }
+  }
+  EXPECT_GT(expected, 3u) << "the cascades moved no indexed rank";
+  EXPECT_EQ(t.local_updates() - local_before, expected);
+  EXPECT_EQ(t.messages(), messages_before);
+}
+
 TEST_F(SystemTest, ValidateHoldsThroughLifecycle) {
   (void)system_.converge();
   EXPECT_TRUE(system_.validate().empty());
@@ -190,6 +235,83 @@ TEST_F(SystemTest, IncrementalSearchPolicyWorksOnLiveSystem) {
   EXPECT_LE(inc.ids_transferred, base.ids_transferred);
   const std::set<NodeId> base_set(base.hits.begin(), base.hits.end());
   for (const NodeId d : inc.hits) EXPECT_TRUE(base_set.contains(d));
+}
+
+// Query outcomes over a seeded stream of queries, inserts and deletes:
+// hits, ids transferred, wire bytes and the per-hop forward counts of
+// every query, under the top-10% policy, the forward-everything
+// baseline and the Bloom prefilter. Recorded when every write re-sorted
+// whole posting lists; keeping them sorted across writes must not move
+// a single hit.
+TEST(SystemGolden, QueryOutcomesOverMixedStream) {
+  constexpr std::uint64_t kGolden = 18113734221083033358ULL;
+  const Digraph graph = paper_graph(1500, 4);
+  const Corpus corpus = Corpus::synthesize(tiny_corpus());
+  P2PSystemConfig cfg;
+  cfg.num_peers = 25;
+  cfg.pagerank.epsilon = 1e-4;
+  cfg.seed = 4;
+  P2PSystem system(graph, corpus, cfg);
+  (void)system.converge();
+
+  SearchPolicy top10;
+  top10.forward_fraction = 0.10;
+  SearchPolicy bloom = top10;
+  bloom.bloom_prefilter = true;
+  const SearchPolicy policies[] = {top10, kForwardEverything, bloom};
+
+  Rng rng(16);
+  Fnv f;
+  std::size_t queries = 0;
+  for (int op = 0; op < 600; ++op) {
+    const auto roll = rng.bounded(10);
+    if (roll < 7) {
+      std::vector<TermId> terms(1 + rng.bounded(3));
+      for (TermId& t : terms) {
+        t = static_cast<TermId>(rng.bounded(system.vocabulary()));
+      }
+      const QueryOutcome out =
+          system.search(terms, policies[rng.bounded(3)]);
+      f.mix(out.hits.data(), out.hits.size() * sizeof(NodeId));
+      f.mix_value(out.hits.size());
+      f.mix_value(out.ids_transferred);
+      f.mix_value(out.wire_bytes);
+      f.mix(out.forwarded_per_hop.data(),
+            out.forwarded_per_hop.size() * sizeof(std::uint32_t));
+      f.mix_value(out.forwarded_per_hop.size());
+      ++queries;
+    } else if (roll < 9) {
+      std::vector<TermId> terms;
+      const auto want = 1 + rng.bounded(4);
+      while (terms.size() < want) {
+        const auto t = static_cast<TermId>(rng.bounded(system.vocabulary()));
+        if (std::find(terms.begin(), terms.end(), t) == terms.end()) {
+          terms.push_back(t);
+        }
+      }
+      std::vector<NodeId> links;
+      const auto degree = rng.bounded(4);
+      while (links.size() < degree) {
+        const auto v = static_cast<NodeId>(rng.bounded(system.num_documents()));
+        if (system.is_live(v) &&
+            std::find(links.begin(), links.end(), v) == links.end()) {
+          links.push_back(v);
+        }
+      }
+      (void)system.add_document(terms, links);
+    } else {
+      NodeId victim = 0;
+      do {
+        victim = static_cast<NodeId>(rng.bounded(system.num_documents()));
+      } while (!system.is_live(victim));
+      system.remove_document(victim);
+    }
+  }
+  EXPECT_GT(queries, 350u);
+  // validate() is not asserted here: deleting a document on a link cycle
+  // lets its negated cascade pass back through it, which can push live
+  // ranks below the teleport floor in this stream.
+  EXPECT_EQ(f.value(), kGolden) << "query outcome digest " << f.value();
 }
 
 }  // namespace

@@ -7,6 +7,10 @@
 // only passes on healthy structures proves nothing; these tests prove
 // each one can actually fail.
 //
+// The keyword index and the assembled system report their findings as
+// strings instead of throwing, so their negative cases assert on the
+// returned list; they check something in every build.
+//
 // The positive half runs the distributed engine with
 // validate_every_n_passes=1 across clean / churn / crash-fault
 // configurations at 1 and 4 threads: the full invariant walk at every
@@ -14,10 +18,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/contracts.hpp"
+#include "core/p2p_system.hpp"
 #include "dht/ring.hpp"
 #include "fault/fault_plan.hpp"
 #include "graph/digraph.hpp"
@@ -28,6 +34,8 @@
 #include "p2p/membership.hpp"
 #include "p2p/placement.hpp"
 #include "pagerank/distributed_engine.hpp"
+#include "search/corpus.hpp"
+#include "search/distributed_index.hpp"
 
 namespace dprank {
 
@@ -80,6 +88,19 @@ struct TestCorruptor {
     // Inflate one stored contribution: the MassAuditor ledger no longer
     // balances against the applied + parked values.
     engine.contrib_[0] += 0.25;
+  }
+  static void swap_postings(DistributedIndex& index, TermId term) {
+    // Swap a list's first two entries: every posting keeps its rank,
+    // only the list's order is broken.
+    std::swap(index.postings_[term][0], index.postings_[term][1]);
+  }
+  static void stale_rank(DistributedIndex& index, TermId term) {
+    // Raise a rank-ordered list's leader: it still leads, so the order
+    // holds, but it no longer carries its document's recorded rank.
+    index.postings_[term][0].rank += 1.0;
+  }
+  static DistributedIndex& index_of(P2PSystem& system) {
+    return system.index_;
   }
 };
 
@@ -193,6 +214,85 @@ TEST(ValidatorNegative, EngineCatchesLeakedRankMass) {
   engine.validate_state();
   TestCorruptor::leak_rank_mass(engine);
   expect_violation("pagerank", [&] { engine.validate_state(); });
+}
+
+CorpusParams small_corpus() {
+  CorpusParams p;
+  p.num_docs = 300;
+  p.vocabulary = 40;
+  p.mean_terms = 10;
+  p.min_terms = 3;
+  p.max_terms = 30;
+  p.seed = 21;
+  return p;
+}
+
+// An index with distinct published ranks and term 0's list read, so
+// term 0 is in rank order and term 1 still in document order.
+DistributedIndex published_index(const Corpus& corpus,
+                                 const ChordRing& ring) {
+  DistributedIndex index(corpus, ring);
+  std::vector<double> ranks(corpus.num_docs());
+  for (NodeId d = 0; d < corpus.num_docs(); ++d) {
+    ranks[d] = 0.15 + 0.01 * static_cast<double>((d * 37) % 300);
+  }
+  index.publish_ranks(ranks, std::vector<PeerId>(corpus.num_docs(), 0));
+  (void)index.postings(0);
+  return index;
+}
+
+bool mentions(const std::vector<std::string>& issues, const char* what) {
+  for (const std::string& issue : issues) {
+    if (issue.find(what) != std::string::npos) return true;
+  }
+  return false;
+}
+
+TEST(ValidatorNegative, IndexCatchesSwappedPairInRankOrder) {
+  const Corpus corpus = Corpus::synthesize(small_corpus());
+  const ChordRing ring(8);
+  DistributedIndex index = published_index(corpus, ring);
+  ASSERT_TRUE(index.validate().empty());
+  TestCorruptor::swap_postings(index, 0);
+  const auto issues = index.validate();
+  ASSERT_EQ(issues.size(), 1u);
+  EXPECT_NE(issues[0].find("break rank order"), std::string::npos)
+      << issues[0];
+}
+
+TEST(ValidatorNegative, IndexCatchesSwappedPairInDocumentOrder) {
+  const Corpus corpus = Corpus::synthesize(small_corpus());
+  const ChordRing ring(8);
+  DistributedIndex index = published_index(corpus, ring);
+  TestCorruptor::swap_postings(index, 1);
+  const auto issues = index.validate();
+  ASSERT_EQ(issues.size(), 1u);
+  EXPECT_NE(issues[0].find("break document order"), std::string::npos)
+      << issues[0];
+}
+
+TEST(ValidatorNegative, IndexCatchesStaleRank) {
+  const Corpus corpus = Corpus::synthesize(small_corpus());
+  const ChordRing ring(8);
+  DistributedIndex index = published_index(corpus, ring);
+  TestCorruptor::stale_rank(index, 0);
+  const auto issues = index.validate();
+  ASSERT_EQ(issues.size(), 1u);
+  EXPECT_NE(issues[0].find("not its recorded"), std::string::npos)
+      << issues[0];
+}
+
+TEST(ValidatorNegative, SystemAppendsIndexFindings) {
+  const Corpus corpus = Corpus::synthesize(small_corpus());
+  const Digraph g = paper_graph(300, 21);
+  P2PSystemConfig cfg;
+  cfg.num_peers = 8;
+  P2PSystem system(g, corpus, cfg);
+  (void)system.converge();
+  (void)system.search({0, 1}, kForwardEverything);
+  ASSERT_TRUE(system.validate().empty());
+  TestCorruptor::stale_rank(TestCorruptor::index_of(system), 0);
+  EXPECT_TRUE(mentions(system.validate(), "index: term 0"));
 }
 
 // ---- positive: the full walk never fires on correct runs ----
