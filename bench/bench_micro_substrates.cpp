@@ -62,7 +62,19 @@ void BM_ChordRoute(benchmark::State& state) {
     benchmark::DoNotOptimize(route.hop_count());
   }
 }
-BENCHMARK(BM_ChordRoute)->Arg(50)->Arg(500);
+BENCHMARK(BM_ChordRoute)->Arg(50)->Arg(500)->Arg(2'000);
+
+// The ring table is rebuilt by construction, join and leave; this is the
+// cost moved out of each lookup.
+void BM_ChordRingBuild(benchmark::State& state) {
+  const auto peers = static_cast<PeerId>(state.range(0));
+  for (auto _ : state) {
+    const ChordRing ring(peers);
+    benchmark::DoNotOptimize(ring.size());
+  }
+}
+BENCHMARK(BM_ChordRingBuild)->Arg(50)->Arg(500)->Arg(2'000)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_PastryRoute(benchmark::State& state) {
   const auto peers = static_cast<PeerId>(state.range(0));

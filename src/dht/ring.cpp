@@ -1,6 +1,7 @@
 #include "dht/ring.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -10,121 +11,213 @@
 
 namespace dprank {
 
+namespace {
+
+/// Bit width of `d`: the smallest k with 2^k > d (128 past the top bit).
+int bit_width(U128 d) {
+  return d.hi != 0 ? 64 + static_cast<int>(std::bit_width(d.hi))
+                   : static_cast<int>(std::bit_width(d.lo));
+}
+
+}  // namespace
+
 ChordRing::ChordRing(PeerId num_peers) {
-  for (PeerId p = 0; p < num_peers; ++p) join(p, peer_guid(p));
+  std::vector<std::pair<Guid, PeerId>> ring(num_peers);
+  for (PeerId p = 0; p < num_peers; ++p) ring[p] = {peer_guid(p), p};
+  std::sort(ring.begin(), ring.end());
+  ids_.reserve(num_peers);
+  peers_.reserve(num_peers);
+  for (const auto& [id, peer] : ring) {
+    if (!ids_.empty() && ids_.back() == id) {
+      throw std::invalid_argument("ChordRing: GUID collision");
+    }
+    ids_.push_back(id);
+    peers_.push_back(peer);
+  }
+  rebuild();
 }
 
 void ChordRing::join(PeerId peer, Guid id) {
-  if (guid_of_peer_.contains(peer)) {
+  if (peer == kInvalidPeer) {
+    throw std::invalid_argument("ChordRing::join: kInvalidPeer is no peer");
+  }
+  if (contains(peer)) {
     throw std::invalid_argument("ChordRing::join: peer already present");
   }
-  const auto [it, inserted] = by_id_.emplace(id, peer);
-  if (!inserted) {
+  const auto at = std::lower_bound(ids_.begin(), ids_.end(), id);
+  if (at != ids_.end() && *at == id) {
     throw std::invalid_argument("ChordRing::join: GUID collision");
   }
-  guid_of_peer_.emplace(peer, id);
+  peers_.insert(peers_.begin() + (at - ids_.begin()), peer);
+  ids_.insert(at, id);
+  rebuild();
 }
 
 void ChordRing::leave(PeerId peer) {
-  const auto it = guid_of_peer_.find(peer);
-  if (it == guid_of_peer_.end()) return;
-  by_id_.erase(it->second);
-  guid_of_peer_.erase(it);
+  const Pos p = position_of(peer);
+  if (p == kNoPos) return;
+  ids_.erase(ids_.begin() + p);
+  peers_.erase(peers_.begin() + p);
+  rebuild();
 }
 
-bool ChordRing::contains(PeerId peer) const {
-  return guid_of_peer_.contains(peer);
+void ChordRing::rebuild() {
+  const std::size_t n = ids_.size();
+  PeerId max_peer = 0;
+  for (const PeerId p : peers_) max_peer = std::max(max_peer, p);
+  pos_of_.assign(n == 0 ? 0 : std::size_t{max_peer} + 1, kNoPos);
+  for (std::size_t i = 0; i < n; ++i) {
+    pos_of_[peers_[i]] = static_cast<Pos>(i);
+  }
+
+  row_begin_.assign(1, 0);
+  row_begin_.reserve(n + 1);
+  fingers_.clear();
+  for (std::size_t i = 0; i < n; ++i) {
+    // Distinct fingers, nearest first, then reversed. Finger 0 is the
+    // successor, and finger k stays the same peer while 2^k is at most
+    // that peer's distance d, so the next distinct one is at
+    // k = bit_width(d): one binary search per distinct finger, not one
+    // per k.
+    Pos f = i + 1 == n ? 0 : static_cast<Pos>(i + 1);
+    while (f != i) {
+      fingers_.push_back(f);
+      const int k = bit_width(ids_[f] - ids_[i]);
+      if (k > 127) break;
+      f = position_of_key(ids_[i] + U128::pow2(k));
+    }
+    const auto row = static_cast<std::ptrdiff_t>(row_begin_.back());
+    std::reverse(fingers_.begin() + row, fingers_.end());
+    row_begin_.push_back(fingers_.size());
+  }
+}
+
+ChordRing::Pos ChordRing::position_of_key(Guid key) const {
+  if (ids_.empty()) {
+    throw std::logic_error("ChordRing::successor_of_key: empty ring");
+  }
+  const auto it = std::lower_bound(ids_.begin(), ids_.end(), key);
+  return it == ids_.end() ? 0 : static_cast<Pos>(it - ids_.begin());
 }
 
 Guid ChordRing::id_of(PeerId peer) const {
-  const auto it = guid_of_peer_.find(peer);
-  if (it == guid_of_peer_.end()) {
+  const Pos p = position_of(peer);
+  if (p == kNoPos) {
     throw std::out_of_range("ChordRing::id_of: unknown peer");
   }
-  return it->second;
+  return ids_[p];
 }
 
 PeerId ChordRing::successor_of_key(Guid key) const {
-  if (by_id_.empty()) {
-    throw std::logic_error("ChordRing::successor_of_key: empty ring");
-  }
-  const auto it = by_id_.lower_bound(key);
-  return it == by_id_.end() ? by_id_.begin()->second : it->second;
+  return peers_[position_of_key(key)];
 }
 
 PeerId ChordRing::successor_peer(Guid id) const {
-  if (by_id_.empty()) {
+  if (ids_.empty()) {
     throw std::logic_error("ChordRing::successor_peer: empty ring");
   }
-  auto it = by_id_.upper_bound(id);
-  return it == by_id_.end() ? by_id_.begin()->second : it->second;
+  const auto it = std::upper_bound(ids_.begin(), ids_.end(), id);
+  return it == ids_.end() ? peers_.front()
+                          : peers_[static_cast<std::size_t>(it - ids_.begin())];
 }
 
 PeerId ChordRing::finger(PeerId peer, int k) const {
   if (k < 0 || k > 127) {
     throw std::out_of_range("ChordRing::finger: k outside [0,127]");
   }
-  return successor_of_key(id_of(peer) + U128::pow2(k));
+  const Pos p = position_of(peer);
+  if (p == kNoPos) {
+    throw std::out_of_range("ChordRing::finger: unknown peer");
+  }
+  // Finger k is the nearest distinct finger at least 2^k ahead; the peer
+  // itself when the offset passes every other peer.
+  for (std::size_t j = row_begin_[p + 1]; j > row_begin_[p]; --j) {
+    const Pos f = fingers_[j - 1];
+    if (ids_[f] - ids_[p] >= U128::pow2(k)) return peers_[f];
+  }
+  return peer;
+}
+
+template <typename OnHop>
+PeerId ChordRing::walk(PeerId from, Guid key, OnHop&& on_hop) const {
+  const Pos target = position_of_key(key);
+  Pos current = position_of(from);
+  if (current == kNoPos) {
+    throw std::out_of_range("ChordRing::route: unknown peer");
+  }
+  const std::size_t n = ids_.size();
+  // Positions ahead of `current`, clockwise. Every peer fewer positions
+  // ahead than the owner lies in (current, key), and no other does.
+  const auto ahead = [&](Pos p) -> std::size_t {
+    return p >= current ? p - current : p + n - current;
+  };
+  while (current != target) {
+    // The successor ends the walk when it owns the key; otherwise forward
+    // to the closest preceding finger, the farthest row entry short of
+    // the owner (the row's last entry, the successor, always is).
+    Pos next = current + 1 == n ? 0 : current + 1;
+    if (next != target) {
+      const std::size_t to_target = ahead(target);
+      for (std::size_t j = row_begin_[current]; j < row_begin_[current + 1];
+           ++j) {
+        if (ahead(fingers_[j]) < to_target) {
+          next = fingers_[j];
+          break;
+        }
+      }
+    }
+    on_hop(peers_[next]);
+    current = next;
+  }
+  return peers_[target];
 }
 
 ChordRing::Route ChordRing::route(PeerId from, Guid key) const {
-  const PeerId target = successor_of_key(key);
   Route r;
-  r.destination = target;
-  PeerId current = from;
-  // Forward to the closest preceding finger of `key` until the key falls
-  // in (current, successor(current)], then one final hop to the owner.
-  while (current != target) {
-    const Guid cur_id = id_of(current);
-    const PeerId succ = successor_peer(cur_id);
-    if (in_interval_oc(key, cur_id, id_of(succ))) {
-      r.hops.push_back(succ);
-      current = succ;
-      break;
-    }
-    // Closest preceding finger: largest finger in (current, key).
-    PeerId next = succ;  // fallback: always make progress via successor
-    for (int k = 127; k >= 0; --k) {
-      const PeerId f = finger(current, k);
-      if (f == current) continue;
-      if (in_interval_oo(id_of(f), cur_id, key)) {
-        next = f;
-        break;
-      }
-    }
-    r.hops.push_back(next);
-    current = next;
-  }
+  r.destination = walk(from, key, [&](PeerId p) { r.hops.push_back(p); });
   return r;
+}
+
+ChordRing::Lookup ChordRing::lookup(PeerId from, Guid key) const {
+  Lookup l;
+  l.destination = walk(from, key, [&](PeerId) { ++l.hop_count; });
+  return l;
 }
 
 void ChordRing::validate(std::size_t route_samples) const {
   if (!contracts::enabled()) return;
   [[maybe_unused]] const char* kSub = "dht";
-  DPRANK_INVARIANT(by_id_.size() == guid_of_peer_.size(), kSub,
-                   "ring and reverse index disagree on membership size");
-  for (const auto& [id, peer] : by_id_) {
-    const auto it = guid_of_peer_.find(peer);
-    DPRANK_INVARIANT(it != guid_of_peer_.end(), kSub,
-                     "peer " + std::to_string(peer) +
-                         " on the ring is missing from the reverse index");
-    DPRANK_INVARIANT(it->second == id, kSub,
-                     "peer " + std::to_string(peer) +
-                         " has mismatched GUIDs in ring vs reverse index");
-  }
-  if (by_id_.empty()) return;
-  const std::size_t n = by_id_.size();
-
-  // Independently sorted membership copy: the reference the finger table
-  // and ownership checks compare against.
-  std::vector<std::pair<Guid, PeerId>> sorted(guid_of_peer_.size());
-  std::size_t w = 0;
-  for (const auto& [peer, id] : guid_of_peer_) sorted[w++] = {id, peer};
-  std::sort(sorted.begin(), sorted.end());
+  const std::size_t n = ids_.size();
+  DPRANK_INVARIANT(peers_.size() == n, kSub,
+                   "the ring's GUID and peer columns differ in length");
   for (std::size_t i = 1; i < n; ++i) {
-    DPRANK_INVARIANT(sorted[i - 1].first < sorted[i].first, kSub,
-                     "two peers share one GUID");
+    DPRANK_INVARIANT(ids_[i - 1] < ids_[i], kSub,
+                     "ring GUIDs are not strictly ascending at position " +
+                         std::to_string(i));
   }
+  const auto indexed = static_cast<std::size_t>(
+      std::count_if(pos_of_.begin(), pos_of_.end(),
+                    [](Pos p) { return p != kNoPos; }));
+  DPRANK_INVARIANT(indexed == n, kSub,
+                   "the position index holds " + std::to_string(indexed) +
+                       " peers, the ring " + std::to_string(n));
+  for (std::size_t i = 0; i < n; ++i) {
+    DPRANK_INVARIANT(position_of(peers_[i]) == i, kSub,
+                     "the position index is not inverse to the peer "
+                     "column at peer " +
+                         std::to_string(peers_[i]));
+  }
+  if (n == 0) return;
+  DPRANK_INVARIANT(row_begin_.size() == n + 1 && row_begin_.front() == 0 &&
+                       row_begin_.back() == fingers_.size() &&
+                       std::is_sorted(row_begin_.begin(), row_begin_.end()),
+                   kSub, "the finger rows do not partition the CSR array");
+
+  // Independently sorted membership copy: the reference the finger rows
+  // and lookups are checked against.
+  std::vector<std::pair<Guid, PeerId>> sorted(n);
+  for (std::size_t i = 0; i < n; ++i) sorted[i] = {ids_[i], peers_[i]};
+  std::sort(sorted.begin(), sorted.end());
   const auto independent_successor = [&](Guid key) -> PeerId {
     const auto it = std::lower_bound(
         sorted.begin(), sorted.end(), key,
@@ -132,24 +225,29 @@ void ChordRing::validate(std::size_t route_samples) const {
     return it == sorted.end() ? sorted.front().second : it->second;
   };
 
-  // Ownership: every peer owns the arc ending at its own id.
-  for (const auto& [id, peer] : by_id_) {
-    DPRANK_INVARIANT(successor_of_key(id) == peer, kSub,
-                     "peer " + std::to_string(peer) +
-                         " is not the successor of its own id");
-  }
-
-  // Finger-table consistency (§2.4.2), sampled around the ring when the
-  // membership is large: finger k is the successor of id + 2^k.
-  const std::size_t peer_step = n <= 32 ? 1 : n / 32;
-  for (std::size_t i = 0; i < n; i += peer_step) {
+  // Finger rows (§2.4.2), sampled around the ring when the membership is
+  // large: finger k is the successor of id + 2^k, and a row holds the
+  // distinct fingers other than the peer itself for k = 127..0.
+  const std::size_t row_step = n <= 64 ? 1 : n / 64;
+  std::vector<PeerId> expected;
+  for (std::size_t i = 0; i < n; i += row_step) {
     const auto [id, peer] = sorted[i];
-    for (int k = 0; k < 128; ++k) {
-      DPRANK_INVARIANT(
-          finger(peer, k) == independent_successor(id + U128::pow2(k)), kSub,
-          "finger " + std::to_string(k) + " of peer " +
-              std::to_string(peer) + " does not match the sorted ring");
+    expected.clear();
+    for (int k = 127; k >= 0; --k) {
+      const PeerId f = independent_successor(id + U128::pow2(k));
+      if (f != peer && (expected.empty() || expected.back() != f)) {
+        expected.push_back(f);
+      }
     }
+    const std::size_t begin = row_begin_[i];
+    bool same = row_begin_[i + 1] - begin == expected.size();
+    for (std::size_t j = 0; same && j < expected.size(); ++j) {
+      const Pos f = fingers_[begin + j];
+      same = f < n && peers_[f] == expected[j];
+    }
+    DPRANK_INVARIANT(same, kSub,
+                     "the finger row of peer " + std::to_string(peer) +
+                         " does not match the sorted ring");
   }
 
   // Routability: greedy lookups resolve at the true owner within the
@@ -176,13 +274,6 @@ void ChordRing::validate(std::size_t route_samples) const {
                          " hops, over the O(log N) budget of " +
                          std::to_string(hop_cap));
   }
-}
-
-std::vector<PeerId> ChordRing::peers_in_ring_order() const {
-  std::vector<PeerId> out;
-  out.reserve(by_id_.size());
-  for (const auto& [id, peer] : by_id_) out.push_back(peer);
-  return out;
 }
 
 // ---------------------------------------------------------------------------

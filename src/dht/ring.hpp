@@ -14,6 +14,16 @@
 // so finger tables are derived from the sorted ring instead of gossiping —
 // the *routing behaviour* (hop sequences, hop counts) matches a converged
 // Chord network exactly, which is what the traffic accounting needs.
+//
+// Layout (DESIGN.md §16): one flat table in ring order — GUIDs ascending
+// and the peer at each position — plus a dense peer -> position index and
+// each position's *distinct* fingers as positions in one CSR array,
+// farthest first. The constructor, join() and leave() rebuild the table;
+// every query reads it. A lookup walks positions: the successor is the
+// next position, and because the key's owner is known up front, "finger
+// lies in (current, key)" is "finger is fewer positions ahead than the
+// owner". The first such row entry is the finger the 127 -> 0 scan over
+// all 128 fingers picks, so routes equal that scan's hop for hop.
 
 #include <cstdint>
 #include <map>
@@ -34,16 +44,20 @@ class ChordRing {
   /// Construct with peers 0..num_peers-1, ids from peer_guid().
   explicit ChordRing(PeerId num_peers);
 
-  /// Add a peer with an explicit GUID. Throws std::invalid_argument on a
-  /// GUID collision (128-bit collisions do not occur from peer_guid()).
+  /// Add a peer with an explicit GUID. Throws std::invalid_argument on
+  /// kInvalidPeer, a duplicate peer or a GUID collision (128-bit
+  /// collisions do not occur from peer_guid()). Rebuilds the table: O(N log^2 N). The peer index
+  /// is dense, so it grows to the largest peer number joined.
   void join(PeerId peer, Guid id);
 
   /// Remove a peer; its arc is absorbed by its successor, exactly as keys
-  /// fail over in Chord. No-op if absent.
+  /// fail over in Chord. No-op if absent. Rebuilds like join().
   void leave(PeerId peer);
 
-  [[nodiscard]] bool contains(PeerId peer) const;
-  [[nodiscard]] std::size_t size() const { return by_id_.size(); }
+  [[nodiscard]] bool contains(PeerId peer) const {
+    return position_of(peer) != kNoPos;
+  }
+  [[nodiscard]] std::size_t size() const { return ids_.size(); }
   [[nodiscard]] Guid id_of(PeerId peer) const;
 
   /// The peer whose arc contains `key`: the first peer id clockwise at or
@@ -68,18 +82,26 @@ class ChordRing {
   /// key. Hop count is O(log N) w.h.p.
   [[nodiscard]] Route route(PeerId from, Guid key) const;
 
+  /// route()'s destination and hop count, without the hop list: the IP
+  /// cache bills a miss without allocating.
+  struct Lookup {
+    PeerId destination = kInvalidPeer;
+    std::size_t hop_count = 0;
+  };
+  [[nodiscard]] Lookup lookup(PeerId from, Guid key) const;
+
   /// All live peers, ascending id order around the ring.
-  [[nodiscard]] std::vector<PeerId> peers_in_ring_order() const;
+  [[nodiscard]] std::vector<PeerId> peers_in_ring_order() const {
+    return peers_;
+  }
 
   /// Structural invariant walk (contracts.hpp; subsystem "dht"):
-  ///  * by_id_ and guid_of_peer_ are inverse bijections (the successor
-  ///    list IS the sorted map — consistency of the two indices is the
-  ///    ring's membership invariant);
-  ///  * ownership: every peer is the successor of its own id, so each
-  ///    arc (predecessor, self] has exactly one owner;
-  ///  * finger-table consistency: finger(p, k) equals the successor of
-  ///    id(p) + 2^k recomputed against an independently sorted copy of
-  ///    the membership (§2.4.2);
+  ///  * the flat table: GUIDs strictly ascending, and the position index
+  ///    inverse to the peer column (exactly the live peers indexed);
+  ///  * finger rows: each row equals the distinct, non-self successors
+  ///    of id + 2^k over k = 127..0, recomputed against an independently
+  ///    sorted copy of the membership (every row up to 64 peers, a
+  ///    sample of 64 rows above that);
   ///  * routability: greedy lookups from sampled origins terminate at
   ///    the true owner of the key in at most max(16, 2·ceil(log2 N) + 8)
   ///    hops — the paper's O(log N) claim with deterministic slack.
@@ -90,8 +112,26 @@ class ChordRing {
 
  private:
   friend struct TestCorruptor;  // negative invariant tests corrupt privates
-  std::map<Guid, PeerId> by_id_;         // the ring, sorted by GUID
-  std::map<PeerId, Guid> guid_of_peer_;  // reverse index
+  using Pos = std::uint32_t;    // a position in ring order
+  static constexpr Pos kNoPos = ~Pos{0};
+
+  [[nodiscard]] Pos position_of(PeerId peer) const {
+    return peer < pos_of_.size() ? pos_of_[peer] : kNoPos;
+  }
+  /// Position of the first GUID at or after `key`, wrapping to 0.
+  [[nodiscard]] Pos position_of_key(Guid key) const;
+  /// Rebuild the position index and every finger row from ids_/peers_.
+  void rebuild();
+  /// The greedy walk behind route() and lookup(): calls on_hop(peer) for
+  /// each hop and returns the destination.
+  template <typename OnHop>
+  PeerId walk(PeerId from, Guid key, OnHop&& on_hop) const;
+
+  std::vector<Guid> ids_;      // the ring: GUIDs strictly ascending
+  std::vector<PeerId> peers_;  // peers_[i] owns the arc ending at ids_[i]
+  std::vector<Pos> pos_of_;    // peer -> position; kNoPos when absent
+  std::vector<std::size_t> row_begin_;  // CSR offsets into fingers_ (N+1)
+  std::vector<Pos> fingers_;   // distinct non-self fingers, farthest first
 };
 
 // Self-healing Chord ring (extension; ROADMAP items 1 and 5).

@@ -7,11 +7,11 @@
 namespace dprank {
 
 std::uint64_t IpCache::send_hops(PeerId src, Guid key, const ChordRing& ring) {
-  const auto route = ring.route(src, key);
-  if (route.hop_count() == 0) return 0;  // key is local to src
+  const auto route = ring.lookup(src, key);
+  if (route.hop_count == 0) return 0;  // key is local to src
   if (!enabled_) {
-    note_hops(route.hop_count());
-    return route.hop_count();
+    note_hops(route.hop_count);
+    return route.hop_count;
   }
 
   if (knows(src, route.destination)) {
@@ -20,9 +20,9 @@ std::uint64_t IpCache::send_hops(PeerId src, Guid key, const ChordRing& ring) {
     return 1;
   }
   note_miss();
-  note_hops(route.hop_count());
+  note_hops(route.hop_count);
   learn(src, route.destination);
-  return route.hop_count();
+  return route.hop_count;
 }
 
 std::uint64_t IpCache::send_hops_to_peer(PeerId src, PeerId holder, Guid key,
@@ -37,10 +37,10 @@ std::uint64_t IpCache::send_hops_to_peer(PeerId src, PeerId holder, Guid key,
     note_miss();
     learn(src, holder);
   }
-  const auto route = ring.route(src, key);
+  const auto route = ring.lookup(src, key);
   // Route to the directory entry, then one hop to the holder (free when
   // the directory owner already is the holder).
-  const auto to_directory = route.hop_count();
+  const auto to_directory = route.hop_count;
   const std::uint64_t hops =
       to_directory + (route.destination == holder ? 0 : 1);
   note_hops(hops);

@@ -52,6 +52,7 @@ void IncrementalPagerank<Graph>::deliver(const WorkItem& item,
                                          std::vector<WorkItem>& queue,
                                          bool restore) {
   const NodeId v = item.node;
+  if (v == deleting_) return;  // the deleted document takes no feedback
   if (restore && covered_epoch_[v] != epoch_) {
     undo_log_.emplace_back(v, ranks_[v]);
   }
@@ -159,7 +160,12 @@ PropagationStats IncrementalPagerank<Graph>::propagate_delete(NodeId node) {
   }
   std::uint64_t cross = 0;
   auto items = make_seed_items(node, -ranks_[node], cross);
+  // The document keeps its out-links until the caller isolates it, so
+  // on a link cycle the negated cascade comes back to it; delivered
+  // there, its feedback would be subtracted a second time.
+  deleting_ = node;
   auto stats = run_cascade(std::move(items), false);
+  deleting_ = kNoNode;
   stats.cross_peer_messages += cross;
   // The deleted document itself is touched: its rank is zeroed by the
   // caller (propagate_full_delete / delete_document), and index

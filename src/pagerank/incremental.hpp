@@ -95,7 +95,9 @@ class IncrementalPagerank {
 
   /// Document deletion (§3.1): propagate the node's rank negated to its
   /// out-links. Does not modify the graph; pair with
-  /// MutableDigraph::isolate_node for a full delete. Mutates ranks.
+  /// MutableDigraph::isolate_node for a full delete. On a link cycle the
+  /// cascade reaches the node again; those deliveries are dropped, so
+  /// its feedback is subtracted once. Mutates ranks.
   PropagationStats propagate_delete(NodeId node);
 
   /// Raw increment injection: deliver `delta` to `node` at depth 0 and
@@ -164,6 +166,10 @@ class IncrementalPagerank {
   std::vector<std::uint32_t> covered_epoch_;
   std::uint32_t epoch_ = 0;
   std::vector<NodeId> last_touched_;
+  // The document whose delete cascade is running: deliveries to it are
+  // dropped (kNoNode outside propagate_delete).
+  static constexpr NodeId kNoNode = ~NodeId{0};
+  NodeId deleting_ = kNoNode;
 };
 
 extern template class IncrementalPagerank<Digraph>;

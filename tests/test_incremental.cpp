@@ -158,6 +158,25 @@ TEST(Incremental, DeleteThenExactRecomputeAgree) {
   EXPECT_LT(q.max, 1e-4);
 }
 
+TEST(Incremental, DeleteOnACycleTakesNoFeedback) {
+  // 0 <-> 1 at its fixed point (both ranks 1). Deleting 0 leaves 1 with
+  // no in-link, so it must land on the teleport floor 1 - d. The negated
+  // cascade reaches 0 again through 1; delivered there, it would be
+  // subtracted from 1 a second time and drive it negative.
+  MutableDigraph g(NodeId{2});
+  g.add_edge(0, 1);
+  g.add_edge(1, 0);
+  std::vector<double> ranks =
+      centralized_pagerank(g.freeze(), 0.85, 1e-13).ranks;
+  ASSERT_NEAR(ranks[1], 1.0, 1e-9);
+  const auto stats = delete_document(g, ranks, 0, opts(1e-9));
+  EXPECT_EQ(stats.updates_delivered, 1u);
+  EXPECT_NEAR(ranks[1], 0.15, 1e-9);
+  EXPECT_DOUBLE_EQ(ranks[0], 0.0);
+  EXPECT_NEAR(centralized_pagerank(g.freeze(), 0.85, 1e-13).ranks[1],
+              ranks[1], 1e-9);
+}
+
 TEST(Incremental, InsertThenDeleteIsNoOp) {
   // Inserting a document and immediately deleting it must return every
   // other rank to its original value (within tolerance).

@@ -4,7 +4,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <set>
 #include <stdexcept>
+#include <vector>
 
 #include "common/rng.hpp"
 
@@ -183,6 +186,239 @@ TEST(ChordRing, RejoinRestoresOwnership) {
   ring.join(5, id5);
   EXPECT_EQ(ring.successor_of_key(key), 5u);
 }
+
+TEST(ChordRing, JoinRejectsTheInvalidPeer) {
+  // kInvalidPeer is the "no peer" sentinel; the dense peer index would
+  // also have to grow to 2^32 entries to hold it.
+  ChordRing ring(4);
+  EXPECT_THROW(ring.join(kInvalidPeer, Guid{9, 9}), std::invalid_argument);
+  EXPECT_EQ(ring.size(), 4u);
+}
+
+// ---- RingModel: the flat table against the map-based reference ----
+
+/// Reference ring that keeps the map-based algorithm: two maps, every
+/// finger re-derived with a map search, and the closest preceding finger
+/// found by scanning all 128 fingers from the farthest. ChordRing must
+/// answer every query the same way, hop for hop.
+class RingModel {
+ public:
+  void join(PeerId peer, Guid id) {
+    by_id_.emplace(id, peer);
+    guid_of_peer_.emplace(peer, id);
+  }
+  void leave(PeerId peer) {
+    by_id_.erase(guid_of_peer_.at(peer));
+    guid_of_peer_.erase(peer);
+  }
+  [[nodiscard]] Guid id_of(PeerId peer) const {
+    return guid_of_peer_.at(peer);
+  }
+  [[nodiscard]] PeerId successor_of_key(Guid key) const {
+    const auto it = by_id_.lower_bound(key);
+    return it == by_id_.end() ? by_id_.begin()->second : it->second;
+  }
+  [[nodiscard]] PeerId successor_peer(Guid id) const {
+    const auto it = by_id_.upper_bound(id);
+    return it == by_id_.end() ? by_id_.begin()->second : it->second;
+  }
+  [[nodiscard]] PeerId finger(PeerId peer, int k) const {
+    return successor_of_key(id_of(peer) + U128::pow2(k));
+  }
+  [[nodiscard]] ChordRing::Route route(PeerId from, Guid key) const {
+    const PeerId target = successor_of_key(key);
+    ChordRing::Route r;
+    r.destination = target;
+    PeerId current = from;
+    while (current != target) {
+      const Guid cur_id = id_of(current);
+      const PeerId succ = successor_peer(cur_id);
+      if (in_interval_oc(key, cur_id, id_of(succ))) {
+        r.hops.push_back(succ);
+        break;
+      }
+      PeerId next = succ;
+      for (int k = 127; k >= 0; --k) {
+        const PeerId f = finger(current, k);
+        if (f == current) continue;
+        if (in_interval_oo(id_of(f), cur_id, key)) {
+          next = f;
+          break;
+        }
+      }
+      r.hops.push_back(next);
+      current = next;
+    }
+    return r;
+  }
+  [[nodiscard]] std::vector<PeerId> peers_in_ring_order() const {
+    std::vector<PeerId> out;
+    for (const auto& [id, peer] : by_id_) out.push_back(peer);
+    return out;
+  }
+
+ private:
+  std::map<Guid, PeerId> by_id_;
+  std::map<PeerId, Guid> guid_of_peer_;
+};
+
+/// How a model ring draws its GUIDs: hashed like peer_guid(), or packed
+/// into a short arc across 2^128 - 1 -> 0, so fingers are few, most
+/// offsets wrap and the ring edges sit next to each other.
+enum class GuidStyle { kHashed, kPackedAcrossZero };
+
+class RingModelBuilder {
+ public:
+  RingModelBuilder(GuidStyle style, std::size_t size, std::uint64_t seed)
+      : style_(style),
+        rng_(seed),
+        next_packed_(U128::max() - U128{0, 40 * size}) {}
+
+  /// A peer number not used before: sparse, not 0..N-1.
+  PeerId fresh_peer() {
+    while (true) {
+      const auto p = static_cast<PeerId>(rng_.bounded(100'000));
+      if (used_.insert(p).second) return p;
+    }
+  }
+  Guid fresh_guid(PeerId peer) {
+    if (style_ == GuidStyle::kHashed) return peer_guid(peer);
+    next_packed_ = next_packed_ + U128{0, 1 + rng_.bounded(64)};
+    return next_packed_;
+  }
+  Rng& rng() { return rng_; }
+
+ private:
+  GuidStyle style_;
+  Rng rng_;
+  Guid next_packed_;
+  std::set<PeerId> used_;
+};
+
+/// Every query of `ring` must equal `model`'s: membership order, owner
+/// and successor of each probe key, the route (destination and every
+/// hop) and the lookup (destination and hop count) from random origins,
+/// and all 128 fingers. Probe keys are 0,
+/// 2^128 - 1, random keys, and each sampled peer's id and id +- 1; at
+/// most `sampled_peers` peers give boundary keys and finger checks.
+void expect_same_ring(const ChordRing& ring, const RingModel& model, Rng& rng,
+                      std::size_t sampled_peers) {
+  const std::vector<PeerId> peers = model.peers_in_ring_order();
+  ASSERT_EQ(ring.peers_in_ring_order(), peers);
+  ASSERT_EQ(ring.size(), peers.size());
+  if (peers.empty()) {
+    EXPECT_THROW((void)ring.successor_of_key(Guid{1, 2}), std::logic_error);
+    EXPECT_THROW((void)ring.route(0, Guid{1, 2}), std::logic_error);
+    return;
+  }
+  const std::size_t step =
+      std::max<std::size_t>(1, peers.size() / sampled_peers);
+  std::vector<PeerId> sampled;
+  for (std::size_t i = 0; i < peers.size(); i += step) {
+    sampled.push_back(peers[i]);
+  }
+  std::vector<Guid> keys = {Guid{0, 0}, U128::max()};
+  for (const PeerId p : sampled) {
+    const Guid id = model.id_of(p);
+    keys.insert(keys.end(), {id, id + U128{0, 1}, id - U128{0, 1}});
+  }
+  for (std::size_t i = 0; i < 64; ++i) keys.push_back(Guid{rng(), rng()});
+
+  for (const Guid key : keys) {
+    ASSERT_EQ(ring.successor_of_key(key), model.successor_of_key(key));
+    ASSERT_EQ(ring.successor_peer(key), model.successor_peer(key));
+    for (int o = 0; o < 3; ++o) {
+      const PeerId from = peers[rng.bounded(peers.size())];
+      const ChordRing::Route got = ring.route(from, key);
+      const ChordRing::Route want = model.route(from, key);
+      ASSERT_EQ(got.destination, want.destination) << "from " << from;
+      ASSERT_EQ(got.hops, want.hops) << "from " << from;
+      const ChordRing::Lookup bill = ring.lookup(from, key);
+      ASSERT_EQ(bill.destination, want.destination) << "from " << from;
+      ASSERT_EQ(bill.hop_count, want.hops.size()) << "from " << from;
+    }
+  }
+  for (const PeerId p : sampled) {
+    ASSERT_EQ(ring.id_of(p), model.id_of(p));
+    for (int k = 0; k < 128; ++k) {
+      ASSERT_EQ(ring.finger(p, k), model.finger(p, k))
+          << "peer " << p << " k " << k;
+    }
+  }
+}
+
+class RingModelTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(RingModelTest, ConstructorMatchesReference) {
+  const auto size = static_cast<PeerId>(GetParam());
+  const ChordRing ring(size);
+  ring.validate();
+  RingModel model;
+  for (PeerId p = 0; p < size; ++p) model.join(p, peer_guid(p));
+  Rng rng(1000 + size);
+  ASSERT_NO_FATAL_FAILURE(expect_same_ring(ring, model, rng, 500));
+}
+
+TEST_P(RingModelTest, SparseJoinsMatchReference) {
+  const std::size_t size = GetParam();
+  for (const GuidStyle style :
+       {GuidStyle::kHashed, GuidStyle::kPackedAcrossZero}) {
+    RingModelBuilder build(style, size, 2000 + size);
+    ChordRing ring;
+    RingModel model;
+    for (std::size_t i = 0; i < size; ++i) {
+      const PeerId p = build.fresh_peer();
+      const Guid id = build.fresh_guid(p);
+      ring.join(p, id);
+      model.join(p, id);
+    }
+    ring.validate();
+    ASSERT_NO_FATAL_FAILURE(expect_same_ring(ring, model, build.rng(), 500));
+  }
+}
+
+TEST_P(RingModelTest, JoinLeaveSequencesMatchReference) {
+  // Random membership changes, each checked against the reference; a
+  // ring may empty out and fill again.
+  const std::size_t size = GetParam();
+  const int ops = size > 100 ? 12 : 48;
+  for (const GuidStyle style :
+       {GuidStyle::kHashed, GuidStyle::kPackedAcrossZero}) {
+    RingModelBuilder build(style, size + static_cast<std::size_t>(ops),
+                           3000 + size);
+    ChordRing ring;
+    RingModel model;
+    std::vector<PeerId> live;
+    for (std::size_t i = 0; i < size; ++i) {
+      const PeerId p = build.fresh_peer();
+      const Guid id = build.fresh_guid(p);
+      ring.join(p, id);
+      model.join(p, id);
+      live.push_back(p);
+    }
+    Rng& rng = build.rng();
+    for (int op = 0; op < ops; ++op) {
+      if (!live.empty() && rng.bounded(2) == 0) {
+        const std::size_t at = rng.bounded(live.size());
+        ring.leave(live[at]);
+        model.leave(live[at]);
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(at));
+      } else {
+        const PeerId p = build.fresh_peer();
+        const Guid id = build.fresh_guid(p);
+        ring.join(p, id);
+        model.join(p, id);
+        live.push_back(p);
+      }
+      ring.validate(/*route_samples=*/16);
+      ASSERT_NO_FATAL_FAILURE(expect_same_ring(ring, model, rng, 16))
+          << "after op " << op;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, RingModelTest,
+                         ::testing::Values(1, 2, 3, 8, 64, 500));
 
 // ---- SelfHealingRing: local tables, stabilization, repair ----
 

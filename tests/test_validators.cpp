@@ -63,12 +63,16 @@ struct TestCorruptor {
     }
   }
   static void corrupt_ring_index(ChordRing& ring) {
-    // Swap two peers' GUIDs in the reverse index only: by_id_ and
-    // guid_of_peer_ stop being inverse bijections, and every finger
-    // computed through id_of() goes stale.
-    auto a = ring.guid_of_peer_.begin();
-    auto b = std::next(a);
-    std::swap(a->second, b->second);
+    // Swap two peers' entries in the peer -> position index only: the
+    // index stops being inverse to the peer column, and every lookup
+    // started from either peer would begin at the other's place.
+    std::swap(ring.pos_of_[ring.peers_[0]], ring.pos_of_[ring.peers_[1]]);
+  }
+  static void corrupt_finger(ChordRing& ring) {
+    // Point the first position's farthest finger one position further
+    // on: the table still reads as a ring, only that row is stale.
+    ChordRing::Pos& f = ring.fingers_[ring.row_begin_[0]];
+    f = f + 1 < ring.size() ? f + 1 : f - 1;
   }
   static void corrupt_channel_seq(ReliableChannel& ch) {
     // Receiver claims to have applied a fresher value than the sender
@@ -165,6 +169,14 @@ TEST(ValidatorNegative, RingCatchesBrokenFingerIndex) {
   ring.validate();
   TestCorruptor::corrupt_ring_index(ring);
   expect_violation("dht", [&] { ring.validate(); });
+}
+
+TEST(ValidatorNegative, RingCatchesStaleFinger) {
+  SKIP_WITHOUT_CONTRACTS();
+  ChordRing ring(32);
+  ring.validate();
+  TestCorruptor::corrupt_finger(ring);
+  expect_violation("dht", [&] { ring.validate(/*route_samples=*/0); });
 }
 
 TEST(ValidatorNegative, ChannelCatchesSeqRegression) {
