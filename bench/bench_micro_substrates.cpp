@@ -19,6 +19,7 @@
 #include "search/distributed_index.hpp"
 #include "sim/experiment.hpp"
 
+#include <algorithm>
 #include <vector>
 
 namespace dprank {
@@ -166,6 +167,49 @@ void BM_IndexBuild(benchmark::State& state) {
   state.SetLabel("11k docs / 1880 terms");
 }
 BENCHMARK(BM_IndexBuild)->Unit(benchmark::kMillisecond);
+
+// One write's index refresh at search_mixed scale (11k docs, 1880 terms,
+// 50 peers): 24 documents each take a new rank, 1% up or down, under all
+// their terms, as P2PSystem::refresh_index does after an insert. Ranks
+// come from the paper graph's pagerank. Arg 0 reads no list after
+// publish_ranks, so every list is in document order; arg 1 reads every
+// list first, so every update moves entries in rank order.
+void BM_IndexUpdateRank(benchmark::State& state) {
+  const bool read_all = state.range(0) != 0;
+  const CorpusParams cp;
+  const Corpus corpus = Corpus::synthesize(cp);
+  const ChordRing ring(50);
+  DistributedIndex index(corpus, ring);
+  std::vector<double> ranks =
+      centralized_pagerank(paper_graph(cp.num_docs, cp.seed), 0.85, 1e-9)
+          .ranks;
+  Rng rng(5);
+  std::vector<PeerId> owner(cp.num_docs);
+  for (PeerId& o : owner) o = static_cast<PeerId>(rng.bounded(50));
+  index.publish_ranks(ranks, owner);
+  if (read_all) {
+    for (TermId t = 0; t < corpus.vocabulary(); ++t) (void)index.postings(t);
+  }
+  std::vector<NodeId> docs;
+  while (docs.size() < 24) {
+    const auto d = static_cast<NodeId>(rng.bounded(cp.num_docs));
+    if (std::find(docs.begin(), docs.end(), d) == docs.end()) docs.push_back(d);
+  }
+  TrafficMeter meter;
+  double factor = 1.01;
+  for (auto _ : state) {
+    for (const NodeId d : docs) {
+      ranks[d] *= factor;
+      index.update_rank(d, corpus.terms_of(d), ranks[d], owner[d], &meter);
+    }
+    factor = 1.0 / factor;
+  }
+  benchmark::DoNotOptimize(meter.messages());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(docs.size()));
+  state.SetLabel(read_all ? "every list read" : "no list read");
+}
+BENCHMARK(BM_IndexUpdateRank)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace dprank

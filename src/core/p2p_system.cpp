@@ -78,7 +78,7 @@ NodeId P2PSystem::add_document(const std::vector<TermId>& doc_terms,
   terms_.push_back(doc_terms);
   live_.push_back(true);
   // Taken before the new document has a rank, so refresh_index leaves it
-  // to the one publication below.
+  // to the one posting below.
   const std::vector<double> before = ranks_;
   ranks_.push_back(config_.pagerank.initial_rank);
 
@@ -90,8 +90,8 @@ NodeId P2PSystem::add_document(const std::vector<TermId>& doc_terms,
   meter_.record_messages(stats.cross_peer_messages,
                          PagerankUpdate::kWireBytes);
 
-  index_.publish_one(id, doc_terms, ranks_[id], placement_.peer_of(id),
-                     &meter_);
+  index_.post_document(id, doc_terms, ranks_[id], placement_.peer_of(id),
+                       &meter_);
   refresh_index(std::move(touched), before);
   return id;
 }
@@ -161,24 +161,24 @@ std::vector<std::string> P2PSystem::validate() const {
     }
   }
 
-  // The index's own order and rank invariants, then its agreement with
-  // liveness and terms, over the lists as stored (reading them through
-  // postings() would sort them).
+  // The index's own order invariants, then its agreement with liveness
+  // and terms, over the lists as stored (reading them through postings()
+  // would sort them).
   for (const std::string& issue : index_.validate()) {
     complain("index: " + issue);
   }
   std::vector<std::uint64_t> postings_per_doc(n, 0);
   for (TermId t = 0; t < index_.num_terms(); ++t) {
-    for (const Posting& p : index_.stored_postings(t)) {
-      if (p.doc >= n) {
-        complain("posting for unknown doc " + std::to_string(p.doc));
+    for (const NodeId d : index_.stored_postings(t)) {
+      if (d >= n) {
+        complain("posting for unknown doc " + std::to_string(d));
         continue;
       }
-      if (!live_[p.doc]) {
-        complain("dead doc " + std::to_string(p.doc) +
+      if (!live_[d]) {
+        complain("dead doc " + std::to_string(d) +
                  " still posted under term " + std::to_string(t));
       }
-      ++postings_per_doc[p.doc];
+      ++postings_per_doc[d];
     }
   }
   for (NodeId d = 0; d < n; ++d) {
@@ -193,16 +193,16 @@ std::vector<std::string> P2PSystem::validate() const {
 
 void P2PSystem::refresh_index(std::vector<NodeId> touched,
                               const std::vector<double>& before) {
-  // An insert's cascades may each touch the same document: publish it
+  // An insert's cascades may each touch the same document: update it
   // once.
   std::sort(touched.begin(), touched.end());
   touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
   for (const NodeId v : touched) {
-    if (v >= before.size()) continue;  // the new document: already published
+    if (v >= before.size()) continue;  // the new document: already posted
     if (!live_[v]) continue;
     if (relative_change(before[v], ranks_[v]) >
         config_.index_refresh_threshold) {
-      index_.publish_one(v, terms_[v], ranks_[v], placement_.peer_of(v),
+      index_.update_rank(v, terms_[v], ranks_[v], placement_.peer_of(v),
                          &meter_);
     }
   }

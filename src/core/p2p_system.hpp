@@ -10,10 +10,11 @@
 //   * converge()        — initial distributed pagerank (Fig. 1) and
 //                         publication of ranks into the index (§2.4.2);
 //   * add_document()    — §3.1 insert: place the document, seed its
-//                         rank, propagate increments (Fig. 2), add its
-//                         postings, refresh the index entries of every
-//                         document the cascades moved, once per
-//                         document per write;
+//                         rank, propagate increments (Fig. 2), post it
+//                         under its terms, and update the recorded rank
+//                         of every document the cascades moved, once per
+//                         document per write (one index update per
+//                         (document, term));
 //   * remove_document() — §3.1 delete: negated-rank propagation, link
 //                         and posting removal, index refresh;
 //   * search()          — §2.4.3 incremental multi-word search over the
@@ -103,9 +104,9 @@ class P2PSystem {
 
   /// Cross-component consistency check; returns human-readable
   /// violations (empty = healthy). Verifies that ranks, liveness, graph
-  /// state and index postings agree, and appends the index's own
+  /// state and the index's posted ids agree, and appends the index's own
   /// findings (DistributedIndex::validate) — the invariant set every
-  /// mutation must preserve. Reads the postings as stored, without
+  /// mutation must preserve. Reads the id lists as stored, without
   /// sorting them. O(total postings); intended for tests, the CLI
   /// doctor, and debugging sessions.
   [[nodiscard]] std::vector<std::string> validate() const;
@@ -117,10 +118,10 @@ class P2PSystem {
  private:
   friend struct TestCorruptor;  // negative invariant tests corrupt privates
 
-  /// Refresh index entries for the live documents a write's cascades
+  /// Update the recorded rank of the live documents a write's cascades
   /// moved past the refresh threshold, each once whatever the number of
   /// cascades that touched it. Documents beyond `before` are skipped:
-  /// the caller publishes a new document itself.
+  /// the caller posts a new document itself.
   void refresh_index(std::vector<NodeId> touched,
                      const std::vector<double>& before);
 

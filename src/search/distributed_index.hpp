@@ -10,21 +10,22 @@
 // sent, and the pagerank is noted in the index."
 //
 // Terms are partitioned across peers by hashing the term GUID onto the
-// DHT ring; each posting carries the document id and its recorded
-// pagerank so index peers can sort hits without contacting the owners.
+// DHT ring. A posting list holds document ids only (4 B an entry); the
+// index stores each document's pagerank once, and index peers sort hits
+// by it without contacting the owners.
 //
-// The index records one rank per document, and every posting of that
-// document carries exactly that rank. Each posting list is always in one
-// of two total orders:
-//   * document order (doc ascending), from construction or
+// Each posting list is always in one of two total orders:
+//   * document order (id ascending), from construction or
 //     publish_ranks() until the list's first read;
-//   * rank order (rank descending, then doc ascending), from that read on.
-// So postings() sorts a list at most once per publish_ranks(). A write
-// finds each posting by binary search in its list's current order, and
-// in a rank-ordered list publish_one() moves the one changed entry to its
-// new place instead of unsorting the list: a write costs O(log L) per
-// term plus the shift of the entries it moves past. Each call bills its
-// index updates to the meter once, not per posting.
+//   * rank order (recorded rank descending, then id ascending), from that
+//     read on.
+// So postings() sorts a list at most once per publish_ranks(). A rank
+// update leaves a document-ordered list untouched, since its order does
+// not depend on ranks. In a rank-ordered list it finds the entry by
+// binary search on the document's old rank and gallops from there to its
+// new place: O(log L + log d) for a move of d places, plus the shift of
+// the entries it passes. Index updates are billed one per (document,
+// term), to the meter once per call.
 
 #include <cstdint>
 #include <string>
@@ -36,11 +37,6 @@
 #include "search/corpus.hpp"
 
 namespace dprank {
-
-struct Posting {
-  NodeId doc = 0;
-  double rank = 0.0;
-};
 
 class DistributedIndex {
  public:
@@ -59,14 +55,22 @@ class DistributedIndex {
                      const std::vector<PeerId>& doc_owner,
                      TrafficMeter* meter = nullptr);
 
-  /// Update one document's recorded rank across all its terms (used
-  /// after incremental updates); a term the document is not yet posted
-  /// under gains a posting. `terms` must be distinct and include every
-  /// term the document is already posted under, so that all its postings
-  /// keep one rank.
-  void publish_one(NodeId doc, const std::vector<TermId>& terms,
-                   double rank, PeerId doc_owner,
-                   TrafficMeter* meter = nullptr);
+  /// Post a new document under `terms` at `rank`, each entry at its place
+  /// in its list's current order. The document must not be posted under
+  /// any term yet. Throws std::invalid_argument, before any change, when
+  /// `terms` repeats a term or the document is already posted under one
+  /// of them.
+  void post_document(NodeId doc, const std::vector<TermId>& terms,
+                     double rank, PeerId doc_owner,
+                     TrafficMeter* meter = nullptr);
+
+  /// Record a posted document's new rank (after an incremental update).
+  /// `terms` must be exactly the distinct terms the document is posted
+  /// under. Throws std::invalid_argument, before any change, when the
+  /// document was never posted or a rank-ordered list of `terms` lacks
+  /// it: an update never posts.
+  void update_rank(NodeId doc, const std::vector<TermId>& terms, double rank,
+                   PeerId doc_owner, TrafficMeter* meter = nullptr);
 
   /// Remove a deleted document's postings (§3.1's delete path at the
   /// index). One deletion notice per term whose partition lives on a
@@ -78,17 +82,20 @@ class DistributedIndex {
     return term_peer_[term];
   }
 
-  /// Postings for a term, sorted by descending pagerank (ties by doc id).
+  /// A term's document ids, by descending recorded rank (ties by id).
   /// The first read after publish_ranks() sorts the list; writes keep it
   /// sorted from then on.
-  [[nodiscard]] const std::vector<Posting>& postings(TermId term) const;
+  [[nodiscard]] const std::vector<NodeId>& postings(TermId term) const;
 
   /// A term's list as stored, never sorted by the call: document order
   /// until its first postings() read, rank order after.
-  [[nodiscard]] const std::vector<Posting>& stored_postings(
+  [[nodiscard]] const std::vector<NodeId>& stored_postings(
       TermId term) const {
     return postings_[term];
   }
+
+  /// The rank the index records for `doc` (below doc_bound()).
+  [[nodiscard]] double rank_of(NodeId doc) const { return doc_rank_[doc]; }
 
   /// One past the highest document id the index records a rank for:
   /// every posted document is below it (sizes per-document arrays).
@@ -100,25 +107,25 @@ class DistributedIndex {
   [[nodiscard]] std::size_t num_terms() const { return postings_.size(); }
 
   /// Check the stored lists without sorting them; returns human-readable
-  /// violations (empty = healthy). Each list must be strictly in its
-  /// current order, each posting must carry its document's recorded
-  /// rank, and total_postings() must equal the summed list sizes.
+  /// violations (empty = healthy). Each id must be below doc_bound(), each
+  /// list strictly in its current order, and total_postings() must equal
+  /// the summed list sizes.
   [[nodiscard]] std::vector<std::string> validate() const;
 
  private:
   friend struct TestCorruptor;  // negative invariant tests corrupt privates
 
-  /// Where `doc`, recorded at `rank`, sits (or would sit) in term `t`'s
-  /// list, searched in the list's current order.
-  [[nodiscard]] std::vector<Posting>::iterator locate(TermId t, NodeId doc,
-                                                      double rank);
+  /// Where `doc`, keyed by `rank`, sits (or would sit) in term `t`'s list,
+  /// searched in the list's current order.
+  [[nodiscard]] std::vector<NodeId>::iterator locate(TermId t, NodeId doc,
+                                                     double rank);
 
   // postings() sorts a list on its first read; the two mutable members
   // are that one-time sort's state.
-  mutable std::vector<std::vector<Posting>> postings_;  // by term
-  mutable std::vector<bool> rank_ordered_;              // by term
+  mutable std::vector<std::vector<NodeId>> postings_;  // by term
+  mutable std::vector<bool> rank_ordered_;             // by term
   std::vector<PeerId> term_peer_;
-  std::vector<double> doc_rank_;  // by document: the rank its postings carry
+  std::vector<double> doc_rank_;  // by document: the one stored rank
   std::uint64_t total_postings_ = 0;
 };
 

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <unordered_set>
 
 #include "search/bloom.hpp"
@@ -25,16 +26,16 @@ std::size_t forward_count(std::size_t n, const SearchPolicy& policy) {
 
 /// Intersect `incoming` with `local`, preserving local's rank order.
 /// `marked` is a per-document array, all zero on entry and on return.
-std::vector<Posting> intersect(std::span<const Posting> incoming,
-                               std::span<const Posting> local,
-                               std::vector<std::uint8_t>& marked) {
-  for (const Posting& p : incoming) marked[p.doc] = 1;
-  std::vector<Posting> out;
+std::vector<NodeId> intersect(std::span<const NodeId> incoming,
+                              std::span<const NodeId> local,
+                              std::vector<std::uint8_t>& marked) {
+  for (const NodeId d : incoming) marked[d] = 1;
+  std::vector<NodeId> out;
   out.reserve(std::min(incoming.size(), local.size()));
-  for (const Posting& p : local) {
-    if (marked[p.doc] != 0) out.push_back(p);
+  for (const NodeId d : local) {
+    if (marked[d] != 0) out.push_back(d);
   }
-  for (const Posting& p : incoming) marked[p.doc] = 0;
+  for (const NodeId d : incoming) marked[d] = 0;
   return out;
 }
 
@@ -45,11 +46,17 @@ QueryOutcome SearchEngine::run_query(const std::vector<TermId>& terms,
   if (terms.empty()) {
     throw std::invalid_argument("SearchEngine::run_query: no terms");
   }
+  // Rejects NaN too: a negative share of the hits has no meaning.
+  if (!(policy.forward_fraction >= 0.0)) {
+    throw std::invalid_argument(
+        "SearchEngine::run_query: forward_fraction must be >= 0, got " +
+        std::to_string(policy.forward_fraction));
+  }
   QueryOutcome out;
   // The first hop forwards straight from the index's list; each later
   // hop from the intersection the previous one left in `working`.
-  std::span<const Posting> current = index_.postings(terms[0]);
-  std::vector<Posting> working;
+  std::span<const NodeId> current = index_.postings(terms[0]);
+  std::vector<NodeId> working;
   std::vector<std::uint8_t> marked(terms.size() > 1 ? index_.doc_bound() : 0);
   PeerId holder = index_.peer_of_term(terms[0]);
 
@@ -57,7 +64,7 @@ QueryOutcome SearchEngine::run_query(const std::vector<TermId>& terms,
     const PeerId next_peer = index_.peer_of_term(terms[i]);
     const bool free_hop =
         policy.free_same_peer_hops && next_peer == holder;
-    const std::span<const Posting> forwarded =
+    const std::span<const NodeId> forwarded =
         current.first(forward_count(current.size(), policy));
     out.forwarded_per_hop.push_back(
         static_cast<std::uint32_t>(forwarded.size()));
@@ -72,10 +79,10 @@ QueryOutcome SearchEngine::run_query(const std::vector<TermId>& terms,
       // (filtered) set, the term peer replies with matching candidate
       // ids, and exact intersection locally removes false positives.
       BloomFilter filter(forwarded.size(), policy.bloom_bits_per_item);
-      for (const Posting& p : forwarded) filter.insert(p.doc);
-      std::vector<Posting> candidates;
-      for (const Posting& p : index_.postings(terms[i])) {
-        if (filter.possibly_contains(p.doc)) candidates.push_back(p);
+      for (const NodeId d : forwarded) filter.insert(d);
+      std::vector<NodeId> candidates;
+      for (const NodeId d : index_.postings(terms[i])) {
+        if (filter.possibly_contains(d)) candidates.push_back(d);
       }
       if (!free_hop) {
         const std::uint64_t filter_ids =
@@ -101,8 +108,7 @@ QueryOutcome SearchEngine::run_query(const std::vector<TermId>& terms,
   // Final transfer of the surviving hits back to the querying user.
   out.ids_transferred += current.size();
   out.wire_bytes += current.size() * policy.bytes_per_doc_id;
-  out.hits.reserve(current.size());
-  for (const Posting& p : current) out.hits.push_back(p.doc);
+  out.hits.assign(current.begin(), current.end());
 
   if (metrics_ != nullptr) {
     metrics_->counter("search.queries").add(1);

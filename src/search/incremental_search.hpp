@@ -67,7 +67,8 @@ class SearchEngine {
   explicit SearchEngine(DistributedIndex&&) = delete;
 
   /// Run a boolean AND query over `terms` (2 and 3 terms in the paper's
-  /// evaluation; any count >= 1 works).
+  /// evaluation; any count >= 1 works). Throws std::invalid_argument on
+  /// no terms or a NaN or negative forward fraction.
   [[nodiscard]] QueryOutcome run_query(const std::vector<TermId>& terms,
                                        const SearchPolicy& policy) const;
 

@@ -176,7 +176,7 @@ TEST(Integration, IncrementalUpdateKeepsIndexFresh) {
   opts.epsilon = 1e-6;
   NodeId id = 0;
   (void)insert_document(g, ranks, {1, 2, 3}, opts, &id);
-  index.publish_one(id, {0, 7}, ranks[id], 0);
+  index.post_document(id, {0, 7}, ranks[id], 0);
 
   SearchEngine engine(index);
   const auto outcome = engine.run_query({0, 7}, kForwardEverything);

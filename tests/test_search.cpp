@@ -196,6 +196,20 @@ TEST_F(SearchTest, EmptyQueryRejected) {
                std::invalid_argument);
 }
 
+TEST_F(SearchTest, NegativeOrNanFractionRejected) {
+  // A negative fraction would wrap to a huge forward count and read past
+  // the posting list.
+  SearchEngine engine(index_);
+  SearchPolicy policy;
+  for (const double fraction : {-0.05, -1.0, std::nan("")}) {
+    policy.forward_fraction = fraction;
+    EXPECT_THROW((void)engine.run_query({0, 1}, policy), std::invalid_argument)
+        << fraction;
+  }
+  policy.forward_fraction = 0.0;  // forwards under the min-20 rule
+  EXPECT_NO_THROW((void)engine.run_query({0, 1}, policy));
+}
+
 TEST_F(SearchTest, DisjointTermsGiveEmptyResult) {
   // Construct a query from two rare tail terms that share no documents
   // (if the seed happens to share them, the assertion is vacuous).

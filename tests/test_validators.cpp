@@ -94,14 +94,21 @@ struct TestCorruptor {
     engine.contrib_[0] += 0.25;
   }
   static void swap_postings(DistributedIndex& index, TermId term) {
-    // Swap a list's first two entries: every posting keeps its rank,
+    // Swap a list's first two entries: every document keeps its rank,
     // only the list's order is broken.
     std::swap(index.postings_[term][0], index.postings_[term][1]);
   }
-  static void stale_rank(DistributedIndex& index, TermId term) {
-    // Raise a rank-ordered list's leader: it still leads, so the order
-    // holds, but it no longer carries its document's recorded rank.
-    index.postings_[term][0].rank += 1.0;
+  static void set_doc_rank(DistributedIndex& index, NodeId doc,
+                           double rank) {
+    // Change a posted document's one stored rank without moving any
+    // entry: the lists that hold it in rank order no longer are.
+    index.doc_rank_[doc] = rank;
+  }
+  static void post_unknown_doc(DistributedIndex& index, TermId term) {
+    // Overwrite a list's last entry with an id far beyond doc_bound():
+    // the posting count holds, but the id has no rank to read.
+    index.postings_[term].back() =
+        static_cast<NodeId>(index.doc_rank_.size() + (1U << 24));
   }
   static DistributedIndex& index_of(P2PSystem& system) {
     return system.index_;
@@ -283,14 +290,28 @@ TEST(ValidatorNegative, IndexCatchesSwappedPairInDocumentOrder) {
       << issues[0];
 }
 
-TEST(ValidatorNegative, IndexCatchesStaleRank) {
+TEST(ValidatorNegative, IndexCatchesRankOutOfOrder) {
   const Corpus corpus = Corpus::synthesize(small_corpus());
   const ChordRing ring(8);
   DistributedIndex index = published_index(corpus, ring);
-  TestCorruptor::stale_rank(index, 0);
+  // Term 0's last document jumps to the top rank behind the index's back.
+  const NodeId last = index.stored_postings(0).back();
+  TestCorruptor::set_doc_rank(index, last, 1e9);
   const auto issues = index.validate();
   ASSERT_EQ(issues.size(), 1u);
-  EXPECT_NE(issues[0].find("not its recorded"), std::string::npos)
+  EXPECT_NE(issues[0].find("break rank order"), std::string::npos)
+      << issues[0];
+}
+
+TEST(ValidatorNegative, IndexCatchesUnknownDoc) {
+  const Corpus corpus = Corpus::synthesize(small_corpus());
+  const ChordRing ring(8);
+  DistributedIndex index = published_index(corpus, ring);
+  // In the rank-ordered list, where checking the order reads ranks.
+  TestCorruptor::post_unknown_doc(index, 0);
+  const auto issues = index.validate();
+  ASSERT_EQ(issues.size(), 1u);
+  EXPECT_NE(issues[0].find("beyond doc_bound()"), std::string::npos)
       << issues[0];
 }
 
@@ -303,7 +324,7 @@ TEST(ValidatorNegative, SystemAppendsIndexFindings) {
   (void)system.converge();
   (void)system.search({0, 1}, kForwardEverything);
   ASSERT_TRUE(system.validate().empty());
-  TestCorruptor::stale_rank(TestCorruptor::index_of(system), 0);
+  TestCorruptor::swap_postings(TestCorruptor::index_of(system), 0);
   EXPECT_TRUE(mentions(system.validate(), "index: term 0"));
 }
 

@@ -24,7 +24,8 @@
 //   insert  --graph FILE [--epsilon E] [--count K] [--seed S]
 //           measure insert-propagation cost (Table 4's experiment)
 //   search  [--docs N] [--peers P] [--queries Q] [--terms T] [--top PCT]
-//           corpus + distributed index + incremental search
+//           corpus + distributed index + incremental search (Q >= 1,
+//           PCT in (0, 100])
 //   stream  [--docs N] [--events E] [--batch B] [--reconverge-every R]
 //           [--rate EPS] [--epsilon E] [--seed S] [--top K]
 //           continuous ingest through the live-rank service: a seeded
@@ -380,8 +381,17 @@ int cmd_search(const Args& args) {
   cp.seed = args.get_uint("seed", 42);
   const auto peers = args.get_uint<PeerId>("peers", 50);
   const auto num_queries = args.get_uint<std::uint32_t>("queries", 20);
+  if (num_queries == 0) {
+    throw std::invalid_argument("--queries: expected at least 1, got '" +
+                                args.get("queries", "") + "'");
+  }
   const auto terms = args.get_uint<std::uint32_t>("terms", 2);
   const double top_pct = args.get_double("top", 10.0);
+  if (!(top_pct > 0.0 && top_pct <= 100.0)) {
+    throw std::invalid_argument(
+        "--top: expected a percentage in (0, 100], got '" +
+        args.get("top", "") + "'");
+  }
 
   const Corpus corpus = Corpus::synthesize(cp);
   ExperimentConfig cfg;
