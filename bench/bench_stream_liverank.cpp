@@ -20,6 +20,9 @@
 //   (b) mass_ratio == 1.0 at every audited reconvergence quiescence;
 //   (c) mean measured staleness decreases monotonically as the batch
 //       size shrinks at fixed ingest rate.
+// Next to the staleness columns each case reports what it paid: the
+// median batch-apply time (from its own metrics registry, so cases do
+// not mix) and the median reconvergence-mark wall time.
 
 #include "bench_util.hpp"
 
@@ -67,6 +70,8 @@ struct Row {
   std::uint64_t batches = 0;
   std::uint64_t topk_cache_hits = 0;
   std::uint64_t topk_recomputes = 0;
+  double batch_apply_p50_ms = 0.0;
+  double mark_median_ms = 0.0;
   double wall_seconds = 0.0;
 };
 
@@ -100,6 +105,7 @@ struct ScenarioResult {
   std::uint64_t batches = 0;
   std::uint64_t topk_cache_hits = 0;
   std::uint64_t topk_recomputes = 0;
+  std::vector<double> mark_wall_us;
 };
 
 ScenarioResult run_scenario(std::uint32_t batch,
@@ -157,17 +163,30 @@ ScenarioResult run_scenario(std::uint32_t batch,
   r.topk_recomputes = service.topk_recomputes();
   // version() bumps once per applied batch and once per reconvergence.
   r.batches = coord.version() - coord.reconverge_cycles();
+  for (const ReconvergeStats& mark : coord.reconverge_history()) {
+    r.mark_wall_us.push_back(mark.wall_us);
+  }
   return r;
+}
+
+double median(std::vector<double> v) {
+  if (v.empty()) return 0.0;
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
 }
 
 void BM_StreamLiveRank(benchmark::State& state) {
   const StreamCase& c = kCases[static_cast<std::size_t>(state.range(0))];
   for (auto _ : state) {
     benchutil::WallTimer timer;
-    const ScenarioResult first = run_scenario(c.batch,
-                                              &obs::default_registry());
+    obs::MetricsRegistry case_metrics;
+    const ScenarioResult first = run_scenario(c.batch, &case_metrics);
     Row row;
     row.wall_seconds = timer.seconds();
+    row.batch_apply_p50_ms =
+        case_metrics.histogram("stream.batch_apply_us").quantile(0.5) / 1e3;
+    row.mark_median_ms = median(first.mark_wall_us) / 1e3;
     row.batch = c.batch;
     row.digest = first.digest;
     row.mass_ratios = first.mass_ratios;
@@ -186,13 +205,18 @@ void BM_StreamLiveRank(benchmark::State& state) {
                        : first.lag_sum /
                              static_cast<double>(first.staleness_marks);
     if (c.determinism_check) {
-      const ScenarioResult again = run_scenario(c.batch, nullptr);
+      // The rerun feeds the shared registry that the JSON export (and
+      // bench_compare.py's wall gate) read; it does the same work.
+      const ScenarioResult again =
+          run_scenario(c.batch, &obs::default_registry());
       row.digest_stable = again.digest == first.digest;
     }
     store().put(case_key(c), row);
     state.counters["staleness_mean"] = row.staleness_mean;
     state.counters["lag_mean"] = row.lag_mean;
     state.counters["batches"] = static_cast<double>(row.batches);
+    state.counters["batch_apply_p50_ms"] = row.batch_apply_p50_ms;
+    state.counters["mark_median_ms"] = row.mark_median_ms;
   }
 }
 
@@ -217,7 +241,8 @@ void print_table() {
   benchutil::print_banner(
       "Streaming live-rank: staleness vs batch size at fixed ingest rate");
   TextTable table({"Config", "events", "batches", "staleness mean",
-                   "staleness max", "lag mean", "mass worst", "topk hit/rec",
+                   "staleness max", "apply p50 ms", "mark median ms",
+                   "lag mean", "mass worst", "topk hit/rec",
                    "stable digest"});
   for (const StreamCase& c : kCases) {
     const auto* r = store().find(case_key(c));
@@ -226,6 +251,8 @@ void print_table() {
                    format_count(r->batches),
                    format_sig(r->staleness_mean, 3),
                    format_sig(r->staleness_max, 3),
+                   format_sig(r->batch_apply_p50_ms, 3),
+                   format_sig(r->mark_median_ms, 3),
                    format_fixed(r->lag_mean, 1),
                    format_fixed(mass_worst(r->mass_ratios), 6),
                    format_count(r->topk_cache_hits) + "/" +
@@ -248,9 +275,14 @@ void write_json() {
   bool stable = true;
   bool monotone = true;
   std::vector<double> means;
+  std::map<std::string, double> metrics;
   for (const StreamCase& c : kCases) {
     const auto* r = store().find(case_key(c));
     if (r == nullptr) continue;
+    const std::string batch = std::to_string(c.batch);
+    metrics["staleness_mean_batch" + batch] = r->staleness_mean;
+    metrics["batch_apply_p50_ms_batch" + batch] = r->batch_apply_p50_ms;
+    metrics["mark_median_ms_batch" + batch] = r->mark_median_ms;
     wall += r->wall_seconds;
     for (const double m : r->mass_ratios) mass_min = std::min(mass_min, m);
     stable = stable && r->digest_stable;
@@ -263,15 +295,9 @@ void write_json() {
   config["stream_docs"] = std::to_string(stream_docs());
   config["stream_events"] = std::to_string(stream_events());
   config["reconverge_every"] = std::to_string(kReconvergeEvery);
-  std::map<std::string, double> metrics{
-      {"digest_stable", stable ? 1.0 : 0.0},
-      {"staleness_monotone", monotone ? 1.0 : 0.0},
-      {"mass_ratio_min", mass_min},
-  };
-  for (std::size_t i = 0; i < kCases.size() && i < means.size(); ++i) {
-    metrics["staleness_mean_batch" + std::to_string(kCases[i].batch)] =
-        means[i];
-  }
+  metrics["digest_stable"] = stable ? 1.0 : 0.0;
+  metrics["staleness_monotone"] = monotone ? 1.0 : 0.0;
+  metrics["mass_ratio_min"] = mass_min;
   benchutil::write_bench_json("stream_liverank", wall, config, metrics);
 }
 

@@ -169,7 +169,58 @@ const MembershipCoordinator::PassPlan& MembershipCoordinator::begin_pass(
 }
 
 void MembershipCoordinator::recompute_ownership() {
-  for (NodeId d = 0; d < placement_.num_docs(); ++d) {
+  // Only two kinds of document can change owner on an event pass (every
+  // other one is frozen on an undetected crash or already owned by the
+  // successor of its GUID): those owned by a peer that left or was
+  // declared dead, and those whose GUID falls in a joiner's arc.
+  std::vector<NodeId> candidates;
+  if (!plan_.leaves.empty() || !plan_.declared_dead.empty()) {
+    std::vector<std::uint8_t> departed(placement_.num_peers(), 0);
+    for (const auto& [peer, heir] : plan_.leaves) departed[peer] = 1;
+    for (const PeerId peer : plan_.declared_dead) departed[peer] = 1;
+    for (NodeId d = 0; d < placement_.num_docs(); ++d) {
+      if (departed[placement_.peer_of(d)] != 0) candidates.push_back(d);
+    }
+  }
+  if (!plan_.joins.empty()) {
+    const std::vector<PeerId> ring_order = ring_.peers_in_ring_order();
+    const auto docs_after = [this](Guid key) {
+      return std::upper_bound(
+          docs_by_guid_.begin(), docs_by_guid_.end(), key,
+          [](const Guid& k, const std::pair<Guid, NodeId>& e) {
+            return k < e.first;
+          });
+    };
+    const auto take = [&candidates](auto first, auto last) {
+      for (auto it = first; it != last; ++it) candidates.push_back(it->second);
+    };
+    for (const PeerId joiner : plan_.joins) {
+      if (!ring_.contains(joiner)) continue;  // departed again this pass
+      // The joiner owns the keys in (predecessor's id, its own id].
+      const auto pos = static_cast<std::size_t>(
+          std::find(ring_order.begin(), ring_order.end(), joiner) -
+          ring_order.begin());
+      const PeerId pred =
+          ring_order[(pos == 0 ? ring_order.size() : pos) - 1];
+      const auto lo = docs_after(ring_.id_of(pred));
+      const auto hi = docs_after(ring_.id_of(joiner));
+      if (pred == joiner) {  // alone on the ring: every key
+        take(docs_by_guid_.begin(), docs_by_guid_.end());
+      } else if (pos == 0) {  // the arc wraps past the largest id
+        take(lo, docs_by_guid_.end());
+        take(docs_by_guid_.begin(), hi);
+      } else {
+        take(lo, hi);
+      }
+    }
+  }
+  // Ascending document order, each once: the handoff list of a walk
+  // over every document.
+  std::sort(candidates.begin(), candidates.end());
+  candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                   candidates.end());
+
+  for (const NodeId d : candidates) {
     const PeerId old_owner = placement_.peer_of(d);
     if (undetected_crashes_.contains(old_owner)) continue;
     const PeerId now = ring_.successor_of_key(document_guid(d));

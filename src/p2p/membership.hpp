@@ -186,6 +186,12 @@ class MembershipCoordinator {
   void validate() const;
 
  private:
+  /// Move documents to the ring successor of their GUID after an event
+  /// pass, appending one handoff per move in ascending document id.
+  /// Re-resolves only the documents the pass can move: those owned by a
+  /// peer that left or was declared dead, and those in a joiner's arc
+  /// (binary search in docs_by_guid_). Documents of an undetected crash
+  /// stay frozen.
   void recompute_ownership();
 
   Placement& placement_;
@@ -193,7 +199,8 @@ class MembershipCoordinator {
   FailureDetector detector_;
   MembershipConfig config_;
   std::vector<MembershipEvent> schedule_;  // stable-sorted by pass
-  // Every document with its GUID, ascending by GUID (validate()'s walk).
+  // Every document with its GUID, ascending by GUID (validate()'s walk,
+  // recompute_ownership()'s joiner arcs).
   std::vector<std::pair<Guid, NodeId>> docs_by_guid_;
   std::size_t cursor_ = 0;
   // Liveness per peer id; indexed to capacity. vector<bool> is fine

@@ -24,16 +24,46 @@ IncrementalPagerank<Graph>::IncrementalPagerank(
 }
 
 template <typename Graph>
-PropagationStats IncrementalPagerank<Graph>::run_cascade(
-    std::vector<WorkItem> queue, bool restore) {
+void IncrementalPagerank<Graph>::begin_cascade() {
   ++epoch_;
   undo_log_.clear();
   last_touched_.clear();
+  messages_.clear();
+  fifo_.clear();
+}
+
+template <typename Graph>
+template <bool kCoalesce>
+void IncrementalPagerank<Graph>::enqueue(NodeId node, double delta,
+                                         std::uint32_t depth) {
+  if constexpr (kCoalesce) {
+    Pending& p = pending_[node];
+    if (p.queued_epoch == epoch_) {
+      p.delta += delta;  // already queued: join its pending sum
+    } else {
+      p = {delta, epoch_, depth};
+      fifo_.push_back(node);
+    }
+  } else {
+    messages_.push_back({node, delta, depth});
+  }
+}
+
+template <typename Graph>
+template <bool kCoalesce>
+PropagationStats IncrementalPagerank<Graph>::run_cascade(bool restore) {
   PropagationStats stats;
-  std::size_t head = 0;
-  while (head < queue.size()) {
-    const WorkItem item = queue[head++];
-    deliver(item, stats, queue, restore);
+  for (std::size_t head = 0;
+       head < (kCoalesce ? fifo_.size() : messages_.size()); ++head) {
+    WorkItem item;
+    if constexpr (kCoalesce) {
+      Pending& p = pending_[fifo_[head]];
+      item = {fifo_[head], p.delta, p.depth};
+      p.queued_epoch = 0;  // popped: its next arrival queues it again
+    } else {
+      item = messages_[head];
+    }
+    deliver<kCoalesce>(item, stats, restore);
   }
   if (restore) {
     // Undo in reverse order; the first-touch log restores the
@@ -47,9 +77,9 @@ PropagationStats IncrementalPagerank<Graph>::run_cascade(
 }
 
 template <typename Graph>
+template <bool kCoalesce>
 void IncrementalPagerank<Graph>::deliver(const WorkItem& item,
                                          PropagationStats& stats,
-                                         std::vector<WorkItem>& queue,
                                          bool restore) {
   const NodeId v = item.node;
   if (v == deleting_) return;  // the deleted document takes no feedback
@@ -79,7 +109,7 @@ void IncrementalPagerank<Graph>::deliver(const WorkItem& item,
     if (placement_ != nullptr && placement_->peer_of(w) != pv) {
       ++stats.cross_peer_messages;
     }
-    queue.push_back({w, fwd, item.depth + 1});
+    enqueue<kCoalesce>(w, fwd, item.depth + 1);
   }
 }
 
@@ -97,9 +127,9 @@ PropagationStats IncrementalPagerank<Graph>::seed_and_propagate(NodeId node) {
     throw std::out_of_range("seed_and_propagate: bad node");
   }
   ranks_[node] = options_.initial_rank;
-  std::uint64_t cross = 0;
-  auto items = make_seed_items(node, options_.initial_rank, cross);
-  auto stats = run_cascade(std::move(items), false);
+  begin_cascade();
+  const std::uint64_t cross = enqueue_seeds(node, options_.initial_rank);
+  auto stats = run_cascade<false>(false);
   stats.cross_peer_messages += cross;
   touch_seed(node);  // the seed's own rank was rewritten above
   return stats;
@@ -112,9 +142,9 @@ PropagationStats IncrementalPagerank<Graph>::probe_insert(NodeId node) {
   }
   const double old = ranks_[node];
   ranks_[node] = options_.initial_rank;
-  std::uint64_t cross = 0;
-  auto items = make_seed_items(node, options_.initial_rank, cross);
-  auto stats = run_cascade(std::move(items), true);
+  begin_cascade();
+  const std::uint64_t cross = enqueue_seeds(node, options_.initial_rank);
+  auto stats = run_cascade<false>(true);
   stats.cross_peer_messages += cross;
   ranks_[node] = old;
   return stats;
@@ -158,13 +188,13 @@ PropagationStats IncrementalPagerank<Graph>::propagate_delete(NodeId node) {
   if (node >= graph_.num_nodes()) {
     throw std::out_of_range("propagate_delete: bad node");
   }
-  std::uint64_t cross = 0;
-  auto items = make_seed_items(node, -ranks_[node], cross);
+  begin_cascade();
+  const std::uint64_t cross = enqueue_seeds(node, -ranks_[node]);
   // The document keeps its out-links until the caller isolates it, so
   // on a link cycle the negated cascade comes back to it; delivered
   // there, its feedback would be subtracted a second time.
   deleting_ = node;
-  auto stats = run_cascade(std::move(items), false);
+  auto stats = run_cascade<false>(false);
   deleting_ = kNoNode;
   stats.cross_peer_messages += cross;
   // The deleted document itself is touched: its rank is zeroed by the
@@ -196,54 +226,44 @@ PropagationStats IncrementalPagerank<Graph>::inject(NodeId node,
   if (node >= graph_.num_nodes()) {
     throw std::out_of_range("inject: bad node");
   }
-  return run_cascade({{node, delta, 0}}, false);
+  begin_cascade();
+  enqueue<false>(node, delta, 0);
+  return run_cascade<false>(false);
 }
 
 template <typename Graph>
 PropagationStats IncrementalPagerank<Graph>::inject_batch(
-    std::vector<std::pair<NodeId, double>> deltas) {
+    const std::vector<std::pair<NodeId, double>>& deltas) {
   for (const auto& [node, delta] : deltas) {
     (void)delta;
     if (node >= graph_.num_nodes()) {
       throw std::out_of_range("inject_batch: bad node");
     }
   }
-  // Coalesce: one seed delivery per document, ascending id order (the
-  // deterministic order the streaming equivalence tests pin).
-  std::sort(deltas.begin(), deltas.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<WorkItem> items;
-  items.reserve(deltas.size());
-  for (const auto& [node, delta] : deltas) {
-    if (!items.empty() && items.back().node == node) {
-      items.back().delta += delta;
-    } else {
-      items.push_back({node, delta, 0});
-    }
-  }
-  return run_cascade(std::move(items), false);
+  pending_.resize(graph_.num_nodes());  // no-op after the first batch
+  begin_cascade();
+  for (const auto& [node, delta] : deltas) enqueue<true>(node, delta, 0);
+  return run_cascade<true>(false);
 }
 
 template <typename Graph>
-std::vector<typename IncrementalPagerank<Graph>::WorkItem>
-IncrementalPagerank<Graph>::make_seed_items(NodeId node, double rank_value,
-                                            std::uint64_t& cross_out) {
-  std::vector<WorkItem> items;
+std::uint64_t IncrementalPagerank<Graph>::enqueue_seeds(NodeId node,
+                                                        double rank_value) {
   const auto deg = graph_.out_degree(node);
-  if (deg == 0) return items;
+  if (deg == 0) return 0;
   // A document with rank R contributes R/outdeg on each out-link; the
   // damped effect on each target's rank is d * R / outdeg (Fig. 2 shows
   // the d = 1 case: 1/3 then 1/6).
   const double delta =
       options_.damping * rank_value / static_cast<double>(deg);
-  items.reserve(deg);
   const PeerId pn =
       placement_ != nullptr ? placement_->peer_of(node) : kInvalidPeer;
+  std::uint64_t cross = 0;
   for (const NodeId w : graph_.out_neighbors(node)) {
-    if (placement_ != nullptr && placement_->peer_of(w) != pn) ++cross_out;
-    items.push_back({w, delta, 1});
+    if (placement_ != nullptr && placement_->peer_of(w) != pn) ++cross;
+    enqueue<false>(w, delta, 1);
   }
-  return items;
+  return cross;
 }
 
 template class IncrementalPagerank<Digraph>;

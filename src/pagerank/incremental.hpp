@@ -32,6 +32,16 @@
 // isolates it, so no query can serve a rank for a document that no
 // longer exists.
 //
+// One cascade loop, two delivery modes. The paper's protocol is per
+// message: every forward is queued and applied on its own, so a document
+// reached by k paths applies and forwards k times (Figure 2, Table 4,
+// P2PSystem writes, deletes and probes). inject_batch, the stream's
+// batch entry point, coalesces instead, as D-Iteration (arXiv:1501.06350)
+// diffuses one pending "fluid" per node: a forward adds to the target's
+// pending delta and queues the target only on its first arrival, and a
+// pop applies the summed delta and forwards it once. Both modes pop in
+// FIFO order and differ only at the enqueue.
+//
 // One cascade, two graph types: IncrementalPagerank<Graph> walks either a
 // CSR Digraph (the Table 4 sweeps, `dprank_cli insert`) or the live
 // MutableDigraph a write has just mutated (the stream coordinator,
@@ -104,15 +114,17 @@ class IncrementalPagerank {
   /// run the cascade. Mutates ranks.
   PropagationStats inject(NodeId node, double delta);
 
-  /// Batched, coalesced injection — the streaming-ingest entry point:
-  /// deliver every (node, delta) seed at depth 0 in ONE cascade.
-  /// Duplicate nodes are coalesced first (deltas summed, ascending node
-  /// order), so a document hit by several events in a batch receives one
-  /// delivery and at most one forward fan-out instead of one cascade per
-  /// event. Numerically equivalent to per-event inject() within the
-  /// epsilon truncation tolerance (the significance test sees the summed
-  /// delta rather than each piece). Mutates ranks.
-  PropagationStats inject_batch(std::vector<std::pair<NodeId, double>> deltas);
+  /// Batched injection, the streaming-ingest entry point: deliver every
+  /// (node, delta) seed at depth 0 in ONE coalesced diffusion (see the
+  /// header comment). Every delta bound for a node, seed or forward,
+  /// joins the node's pending sum until the node is popped; the pop
+  /// applies the sum and forwards it when the relative change exceeds
+  /// epsilon. Seeds queue in first-arrival order. The significance test
+  /// sees sums rather than single messages, so the result differs from
+  /// per-message injection by the epsilon truncation, and
+  /// updates_delivered counts coalesced deliveries. Mutates ranks.
+  PropagationStats inject_batch(
+      const std::vector<std::pair<NodeId, double>>& deltas);
 
   /// Full document deletion paired with the mutable graph: propagate the
   /// negated rank over this engine's (pre-delete) graph, then isolate
@@ -137,24 +149,44 @@ class IncrementalPagerank {
     return last_touched_;
   }
 
+  /// After a cascade, add `node` to last_touched() unless the cascade
+  /// already did: for a document whose rank the caller rewrote outside
+  /// it (a seed's re-seeding, a deletion's zeroing, a stream batch's
+  /// inserts). Keeps last_touched() free of duplicates.
+  void touch_seed(NodeId node);
+
  private:
+  // One queued message of the per-message protocol.
   struct WorkItem {
     NodeId node;
     double delta;
     std::uint32_t depth;
   };
+  // A node's record in a coalesced cascade: the delta summed since it
+  // was queued, the epoch it was queued in (equal to epoch_ while it
+  // waits in fifo_) and the depth of the arrival that queued it.
+  struct Pending {
+    double delta = 0.0;
+    std::uint32_t queued_epoch = 0;
+    std::uint32_t depth = 0;
+  };
+  static_assert(sizeof(Pending) == 16, "one 16-byte record per node");
 
-  PropagationStats run_cascade(std::vector<WorkItem> initial, bool restore);
-  void deliver(const WorkItem& item, PropagationStats& stats,
-               std::vector<WorkItem>& queue, bool restore);
-  /// Record `node` in last_touched_ after a cascade that rewrote its
-  /// rank outside deliver() (seed re-seeding, delete zeroing).
-  void touch_seed(NodeId node);
-  /// Initial deltas from `node` to its out-links at depth 1, as if the
-  /// node's rank just became `rank_value`. Cross-peer seed messages are
-  /// tallied into `cross_out` when a placement is attached.
-  std::vector<WorkItem> make_seed_items(NodeId node, double rank_value,
-                                        std::uint64_t& cross_out);
+  /// Start a cascade: new epoch, empty queues, empty touched list.
+  void begin_cascade();
+  /// Send `delta` to `node`: a new message, or (kCoalesce) an addition
+  /// to the node's pending sum that queues the node on first arrival.
+  template <bool kCoalesce>
+  void enqueue(NodeId node, double delta, std::uint32_t depth);
+  /// Pop and deliver until the queue is empty.
+  template <bool kCoalesce>
+  PropagationStats run_cascade(bool restore);
+  template <bool kCoalesce>
+  void deliver(const WorkItem& item, PropagationStats& stats, bool restore);
+  /// Queue the per-message deltas from `node` to its out-links at depth
+  /// 1, as if the node's rank just became `rank_value`. Returns the
+  /// number of cross-peer seed messages (zero without a placement).
+  std::uint64_t enqueue_seeds(NodeId node, double rank_value);
 
   const Graph& graph_;
   std::vector<double>& ranks_;
@@ -166,6 +198,11 @@ class IncrementalPagerank {
   std::vector<std::uint32_t> covered_epoch_;
   std::uint32_t epoch_ = 0;
   std::vector<NodeId> last_touched_;
+  // The queue: whole messages, or node ids whose sums wait in pending_
+  // (sized on the first coalesced cascade, reset by epoch).
+  std::vector<WorkItem> messages_;
+  std::vector<NodeId> fifo_;
+  std::vector<Pending> pending_;
   // The document whose delete cascade is running: deliveries to it are
   // dropped (kNoNode outside propagate_delete).
   static constexpr NodeId kNoNode = ~NodeId{0};

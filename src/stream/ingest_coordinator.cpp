@@ -1,6 +1,5 @@
 #include "stream/ingest_coordinator.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <stdexcept>
 
@@ -166,21 +165,17 @@ IngestBatchStats IngestCoordinator::flush() {
   }
 
   out.events = pending_.size();
-  out.coalesced_seeds = deltas.size();
   // The cascade walks the live graph; the engine dies before the next
   // mutation.
   IncrementalPagerank engine(graph_, ranks_, config_.options);
-  out.cascade = engine.inject_batch(std::move(deltas));
+  out.cascade = engine.inject_batch(deltas);
 
+  // The engine's covered markers keep the list free of duplicates: the
+  // cascade's documents in delivery order, then the inserts and deletes
+  // it did not reach.
+  for (const NodeId id : inserted) engine.touch_seed(id);
+  for (const NodeId v : deleted_now) engine.touch_seed(v);
   last_batch_touched_ = engine.last_touched();
-  last_batch_touched_.insert(last_batch_touched_.end(), inserted.begin(),
-                             inserted.end());
-  last_batch_touched_.insert(last_batch_touched_.end(), deleted_now.begin(),
-                             deleted_now.end());
-  std::sort(last_batch_touched_.begin(), last_batch_touched_.end());
-  last_batch_touched_.erase(
-      std::unique(last_batch_touched_.begin(), last_batch_touched_.end()),
-      last_batch_touched_.end());
 
   events_applied_ += pending_.size();
   pending_.clear();

@@ -20,9 +20,11 @@
 //     all mutations, each such source contributes
 //       -d * rank_old / outdeg_old   to every old out-neighbor, and
 //       +d * rank_new / outdeg_new   to every current out-neighbor.
-//     The per-target sums — a document hit by several events in the
-//     batch gets ONE coalesced delta — are injected as a single
-//     IncrementalPagerank::inject_batch cascade that walks the live
+//     The per-target deltas are injected as a single
+//     IncrementalPagerank::inject_batch cascade, a coalesced diffusion:
+//     each document keeps one pending delta, so a document hit by
+//     several events or reached by several paths applies and forwards
+//     the sum once per pop. The cascade walks the live
 //     MutableDigraph in place: no CSR is rebuilt per batch. Its lists
 //     are kept ascending, so the walk is bit-identical to one over
 //     freeze(). The engine is built after the batch's mutations and
@@ -112,7 +114,6 @@ struct IngestConfig {
 
 struct IngestBatchStats {
   std::uint64_t events = 0;        // events in the applied batch
-  std::uint64_t coalesced_seeds = 0;  // deltas after per-target coalescing
   PropagationStats cascade{};
   double apply_us = 0.0;
 };
@@ -171,9 +172,11 @@ class IngestCoordinator {
   [[nodiscard]] const std::vector<StreamEvent>& pending() const {
     return pending_;
   }
-  /// Documents whose rank the last batch changed (deduplicated; includes
-  /// inserted and deleted documents). Empty right after reconvergence,
-  /// which replaces the whole vector — consumers must full-refresh.
+  /// Documents whose rank the last batch changed, each once and not
+  /// sorted: the cascade's documents in delivery order, then the batch's
+  /// inserted and deleted documents the cascade did not reach. Empty
+  /// right after reconvergence, which replaces the whole vector —
+  /// consumers must full-refresh.
   [[nodiscard]] const std::vector<NodeId>& last_batch_touched() const {
     return last_batch_touched_;
   }

@@ -286,6 +286,84 @@ TEST(Incremental, InjectBatchCoalescesDuplicates) {
   }
 }
 
+// Two paths into node 3 (0 -> 1 -> 3, 0 -> 2 -> 3) and a skip edge
+// 0 -> 4 that reaches 4 again through 3: documents reached twice.
+Digraph diamond_graph() {
+  return Digraph::from_edges(
+      6, {{0, 1}, {0, 2}, {0, 4}, {1, 3}, {2, 3}, {3, 4}, {3, 5}, {4, 5}});
+}
+
+TEST(Incremental, CoalescedCascadeDeliversATwiceReachedDocumentOnce) {
+  const Digraph g = diamond_graph();
+  std::vector<double> coalesced(6, 1.0);
+  std::vector<double> per_message(6, 1.0);
+  IncrementalPagerank batch(g, coalesced, opts(1e-9, 0.85));
+  IncrementalPagerank single(g, per_message, opts(1e-9, 0.85));
+  const auto c = batch.inject_batch({{0, 0.6}});
+  const auto m = single.inject(0, 0.6);
+  // Per message: 0, its 3 out-links, 3 twice, 4 twice more and 5 five
+  // times.
+  EXPECT_EQ(m.updates_delivered, 13u);
+  // Coalesced: 3's two arrivals join one sum. 4 was delivered (depth 1)
+  // before 3 forwarded to it, so 3's share reaches it in a second wave;
+  // 5 takes 4's first share and 3's together, then 4's second share.
+  EXPECT_EQ(c.updates_delivered, 8u);
+  EXPECT_EQ(c.nodes_covered, 6u);
+  EXPECT_EQ(m.nodes_covered, 6u);
+  EXPECT_EQ(c.path_length, m.path_length);
+  for (NodeId v = 0; v < 6; ++v) {
+    EXPECT_NEAR(coalesced[v], per_message[v], 1e-12 * per_message[v])
+        << "node " << v;
+  }
+  // Each document once in the touched list, in delivery order.
+  EXPECT_EQ(batch.last_touched(), (std::vector<NodeId>{0, 1, 2, 4, 3, 5}));
+}
+
+TEST(Incremental, CoalescedRanksMatchPerMessageOnADag) {
+  // A layered DAG: every path ends, and below a tiny epsilon both modes
+  // deliver the sum over all paths, so they agree up to rounding.
+  std::vector<Edge> edges;
+  for (NodeId layer = 0; layer < 4; ++layer) {
+    for (NodeId a = 0; a < 4; ++a) {
+      for (NodeId b = 0; b < 4; ++b) {
+        if ((a + b + layer) % 3 != 0) {
+          edges.push_back({layer * 4 + a, (layer + 1) * 4 + b});
+        }
+      }
+    }
+  }
+  const Digraph g = Digraph::from_edges(20, edges);
+  std::vector<double> coalesced(20, 0.5);
+  std::vector<double> per_message(20, 0.5);
+  const std::vector<std::pair<NodeId, double>> seeds{
+      {0, 0.4}, {2, -0.1}, {5, 0.25}, {0, 0.1}, {9, 0.3}};
+  IncrementalPagerank batch(g, coalesced, opts(1e-15, 0.85));
+  IncrementalPagerank single(g, per_message, opts(1e-15, 0.85));
+  const auto c = batch.inject_batch(seeds);
+  std::uint64_t messages = 0;
+  for (const auto& [node, delta] : seeds) {
+    messages += single.inject(node, delta).updates_delivered;
+  }
+  EXPECT_LT(c.updates_delivered, messages);
+  for (NodeId v = 0; v < 20; ++v) {
+    EXPECT_NEAR(coalesced[v], per_message[v],
+                1e-12 * std::abs(per_message[v]))
+        << "node " << v;
+  }
+}
+
+TEST(Incremental, DepthCapStopsACoalescedDampingOneCycle) {
+  // 0 <-> 1 at damping 1: every delivery forwards its whole delta and the
+  // relative change stays above epsilon, so only the depth cap ends it.
+  const Digraph g = Digraph::from_edges(2, {{0, 1}, {1, 0}});
+  std::vector<double> ranks(2, 1.0);
+  IncrementalPagerank engine(g, ranks, opts(1e-9, 1.0));
+  const auto stats = engine.inject_batch({{0, 1.0}});
+  EXPECT_EQ(stats.path_length, 1'000'000u);
+  EXPECT_EQ(stats.updates_delivered, 1'000'001u);
+  EXPECT_EQ(stats.nodes_covered, 2u);
+}
+
 TEST(Incremental, InjectBatchValidatesNodeIds) {
   const Digraph g = figure2_graph();
   std::vector<double> ranks(6, 1.0);

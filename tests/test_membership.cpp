@@ -4,9 +4,11 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <tuple>
 #include <vector>
 
 #include "common/guid.hpp"
+#include "fault/campaign.hpp"
 #include "graph/generator.hpp"
 #include "p2p/placement.hpp"
 #include "pagerank/distributed_engine.hpp"
@@ -153,6 +155,147 @@ TEST(MembershipCoordinator, CrashFreezesOwnershipUntilDeclared) {
     EXPECT_TRUE(std::find(frozen.begin(), frozen.end(), h.doc) !=
                 frozen.end());
   }
+}
+
+using Handoff = MembershipCoordinator::Handoff;
+using HandoffRow = std::tuple<NodeId, PeerId, PeerId, Reason>;
+
+std::vector<HandoffRow> rows(const std::vector<Handoff>& handoffs) {
+  std::vector<HandoffRow> out;
+  for (const Handoff& h : handoffs) {
+    out.emplace_back(h.doc, h.from, h.to, h.reason);
+  }
+  return out;
+}
+
+/// The ownership walk recompute_ownership() used to run on every event
+/// pass: each document, in ascending id, re-resolved with
+/// successor_of_key against the coordinator's state after the pass.
+/// Applies the moves to `owners` and returns them as handoff rows.
+std::vector<HandoffRow> full_rewalk(
+    const MembershipCoordinator& m,
+    const MembershipCoordinator::PassPlan& plan,
+    std::vector<PeerId>& owners) {
+  std::vector<HandoffRow> out;
+  for (NodeId d = 0; d < owners.size(); ++d) {
+    const PeerId old_owner = owners[d];
+    if (m.undetected_crash(old_owner)) continue;
+    const PeerId now = m.ring().successor_of_key(document_guid(d));
+    if (now == old_owner) continue;
+    owners[d] = now;
+    Reason reason;
+    if (m.detector().is_dead(old_owner)) {
+      reason = Reason::kReconstruct;
+    } else if (std::find(plan.joins.begin(), plan.joins.end(), now) !=
+               plan.joins.end()) {
+      reason = Reason::kJoinPull;
+    } else if (!m.presence()[old_owner]) {
+      reason = Reason::kLeavePush;
+    } else {
+      reason = Reason::kJoinPull;
+    }
+    out.emplace_back(d, old_owner, now, reason);
+  }
+  return out;
+}
+
+/// Drives `m` through passes [0, passes) and checks every pass's
+/// handoff list (order included) and the whole placement against
+/// full_rewalk(). Returns every pass's handoff rows, in pass order.
+std::vector<std::vector<HandoffRow>> check_against_rewalk(
+    MembershipCoordinator& m, const Placement& p, std::uint64_t passes) {
+  std::vector<PeerId> owners(p.num_docs());
+  for (NodeId d = 0; d < p.num_docs(); ++d) owners[d] = p.peer_of(d);
+  std::vector<std::vector<HandoffRow>> history;
+  for (std::uint64_t pass = 0; pass < passes; ++pass) {
+    const auto& plan = m.begin_pass(pass);
+    const std::vector<HandoffRow> expected =
+        plan.any_event() ? full_rewalk(m, plan, owners)
+                         : std::vector<HandoffRow>{};
+    EXPECT_EQ(rows(plan.handoffs), expected) << "pass " << pass;
+    std::size_t misplaced = 0;
+    for (NodeId d = 0; d < p.num_docs(); ++d) {
+      if (p.peer_of(d) != owners[d]) ++misplaced;
+    }
+    EXPECT_EQ(misplaced, 0u) << "pass " << pass;
+    m.validate();
+    history.push_back(rows(plan.handoffs));
+  }
+  return history;
+}
+
+TEST(MembershipCoordinator, OwnershipMovesMatchAFullRewalk) {
+  // Seeded chaos histories: joins, leaves, crashes and their detector
+  // verdicts, every pass checked against the per-document walk.
+  std::uint64_t moved = 0;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    ChaosCampaignConfig cc;
+    cc.initial_peers = 12;
+    cc.events = 14;
+    cc.min_live = 6;
+    cc.seed = seed;
+    const auto schedule = make_chaos_schedule(cc);
+    Placement p = dht_placement(
+        2000, cc.initial_peers,
+        chaos_peer_capacity(cc.initial_peers, schedule));
+    MembershipCoordinator m(p, cc.initial_peers, schedule);
+    const auto history =
+        check_against_rewalk(m, p, schedule.back().pass + 12);
+    EXPECT_TRUE(m.quiescent()) << "seed " << seed;
+    for (const auto& pass : history) moved += pass.size();
+  }
+  EXPECT_GT(moved, 2000u);
+}
+
+TEST(MembershipCoordinator, JoinInsideAnUndetectedCrashArc) {
+  // Peer 8's GUID falls in the arc of `victim`, which crashes one pass
+  // before 8 joins: the joiner's arc is still frozen on the dead owner,
+  // so the join moves nothing there and the declaration hands the part
+  // of the arc below 8's id to the joiner.
+  Placement p = dht_placement(2000, 8, 9);
+  const PeerId victim = SelfHealingRing(8).successor_of_key(peer_guid(8));
+  MembershipCoordinator m(p, 8,
+                          {{1, Kind::kCrash, victim}, {2, Kind::kJoin, 8}});
+  const auto history = check_against_rewalk(m, p, 12);
+  for (const HandoffRow& h : history[2]) {
+    EXPECT_NE(std::get<1>(h), victim);  // frozen until declared
+  }
+  std::size_t to_joiner = 0;
+  for (const auto& pass : history) {
+    for (const HandoffRow& h : pass) {
+      if (std::get<1>(h) == victim && std::get<2>(h) == 8) {
+        EXPECT_EQ(std::get<3>(h), Reason::kReconstruct);
+        ++to_joiner;
+      }
+    }
+  }
+  EXPECT_GT(to_joiner, 0u);
+  EXPECT_TRUE(m.quiescent());
+}
+
+TEST(MembershipCoordinator, JoinAndLeaveInTheSamePass) {
+  // Peer 8 joins inside the arc of `host`, which leaves in the same
+  // pass: the joiner's arc is both a joiner arc and a leaver's documents,
+  // and each of its documents must move once.
+  Placement p = dht_placement(2000, 8, 9);
+  const PeerId host = SelfHealingRing(8).successor_of_key(peer_guid(8));
+  MembershipCoordinator m(p, 8,
+                          {{2, Kind::kJoin, 8}, {2, Kind::kLeave, host}});
+  const auto history = check_against_rewalk(m, p, 6);
+  std::size_t pulled = 0;
+  std::size_t pushed = 0;
+  for (const HandoffRow& h : history[2]) {
+    EXPECT_EQ(std::get<1>(h), host);
+    if (std::get<2>(h) == 8) {
+      EXPECT_EQ(std::get<3>(h), Reason::kJoinPull);
+      ++pulled;
+    } else {
+      EXPECT_EQ(std::get<3>(h), Reason::kLeavePush);
+      ++pushed;
+    }
+  }
+  EXPECT_GT(pulled, 0u);
+  EXPECT_GT(pushed, 0u);
 }
 
 TEST(MembershipCoordinator, PassesMustIncrease) {

@@ -215,10 +215,11 @@ TEST(IngestCoordinator, CoalescedBatchMatchesPerEventIngest) {
   batched.flush();
 
   ASSERT_EQ(per_event.ranks().size(), batched.ranks().size());
-  // The interaction term scales with the window (measured for this
-  // seed: max 1e-3 at batch 2, 2.3e-3 at batch 8, 3e-2 at batch 24);
-  // the envelope is ~2x the batch-8 drift. Both modes independently
-  // satisfy the much looser fidelity bound against the exact solution
+  // The interaction term grows with the window (measured for this
+  // seed with coalesced batch cascades: max 4.6e-4 at batch 2, 9.0e-4
+  // at batch 8, 1.0e-3 at batch 24; per-message batch cascades read
+  // 9.6e-4, 2.9e-3 and 3.0e-2). Both modes independently satisfy the
+  // much looser fidelity bound against the exact solution
   // (TracksTheExactSolutionOfTheEvolvedGraph).
   const QualityReport q = summarize_quality(batched.ranks(), per_event.ranks());
   EXPECT_LT(q.max, 5e-3);
@@ -254,9 +255,11 @@ TEST(IngestCoordinator, TracksTheExactSolutionOfTheEvolvedGraph) {
   EXPECT_GT(live, 0u);
   // Incremental maintenance accumulates truncation + the paper's
   // unmodeled second-order terms; it must stay a faithful approximation.
-  // (Measured ~0.05 for this seed; batched ingest gets MORE accurate as
-  // the window grows — the emission diff over the final structure acts
-  // like a partial Jacobi sweep — so this bounds the worst mode.)
+  // (Measured 1.6e-5 for this seed with the coalesced batch cascade,
+  // 2.5e-2 when each message met the epsilon test alone; batched ingest
+  // gets MORE accurate as the window grows — the emission diff over the
+  // final structure acts like a partial Jacobi sweep — so this bounds
+  // the worst mode.)
   EXPECT_LT(max_err, 0.08);
 }
 
@@ -382,6 +385,65 @@ TEST(IngestCoordinator, ReconvergenceRecordsEachMark) {
               history[i].docs_recomputed);
     EXPECT_EQ(point("stream.reconverge_messages", i), history[i].messages);
   }
+}
+
+TEST(IngestCoordinator, LastBatchTouchedIsEveryChangedRankOnce) {
+  // Each batch's touched list holds no duplicate, and as a set it is
+  // exactly the documents whose served rank changed plus the batch's
+  // inserts and deletes (an insert deleted in its own batch included).
+  const StreamSourceConfig sc = source_config(300, 23);
+  StreamSource src(sc);
+  IngestCoordinator coord = make_coordinator(300, 23, ingest_config(8));
+  std::uint64_t batches = 0;
+  std::uint64_t touched_total = 0;
+  for (const StreamEvent& ev : src.take(400)) {
+    const std::vector<double> before = coord.ranks();
+    const std::vector<std::uint8_t> dead_before = coord.deleted();
+    coord.offer(ev);
+    if (!coord.pending().empty()) continue;  // no batch applied yet
+    ++batches;
+    std::vector<NodeId> expected;
+    for (NodeId v = 0; v < coord.ranks().size(); ++v) {
+      const bool existed = v < before.size();
+      const bool changed = !existed || coord.ranks()[v] != before[v];
+      const bool deleted_now =
+          coord.is_deleted(v) && (!existed || dead_before[v] == 0);
+      if (changed || deleted_now) expected.push_back(v);
+    }
+    std::vector<NodeId> touched = coord.last_batch_touched();
+    touched_total += touched.size();
+    std::sort(touched.begin(), touched.end());
+    EXPECT_EQ(std::adjacent_find(touched.begin(), touched.end()),
+              touched.end())
+        << "duplicate in batch " << batches;
+    EXPECT_EQ(touched, expected) << "batch " << batches;
+  }
+  EXPECT_EQ(batches, 50u);
+  EXPECT_GT(touched_total, 50u * 8u);
+
+  // One batch where the inserts overlap the cascade and the deletes: an
+  // insert that gains an in-link, and an insert deleted again.
+  const NodeId x = coord.graph().num_nodes();
+  std::vector<StreamEvent> batch(4);
+  batch[0].kind = StreamEvent::Kind::kInsert;
+  batch[0].node = x;
+  batch[0].out_links = {1, 2};
+  batch[1].kind = StreamEvent::Kind::kAddEdge;
+  batch[1].node = 5;
+  batch[1].target = x;
+  batch[2].kind = StreamEvent::Kind::kInsert;
+  batch[2].node = x + 1;
+  batch[2].out_links = {3};
+  batch[3].kind = StreamEvent::Kind::kDelete;
+  batch[3].node = x + 1;
+  for (const StreamEvent& ev : batch) coord.offer(ev);
+  (void)coord.flush();
+  std::vector<NodeId> touched = coord.last_batch_touched();
+  EXPECT_EQ(std::count(touched.begin(), touched.end(), x), 1);
+  EXPECT_EQ(std::count(touched.begin(), touched.end(), x + 1), 1);
+  std::sort(touched.begin(), touched.end());
+  EXPECT_EQ(std::adjacent_find(touched.begin(), touched.end()),
+            touched.end());
 }
 
 TEST(LiveRankService, TopKMatchesNaiveSortAndCaches) {

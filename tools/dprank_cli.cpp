@@ -153,6 +153,18 @@ class Args {
     }
     return v;
   }
+  /// Tolerance flag (--epsilon): finite and above zero. At or below zero
+  /// no significance test ever stops a cascade or a pass.
+  [[nodiscard]] double get_tolerance(const std::string& key,
+                                     double fallback) const {
+    const double v = get_double(key, fallback);
+    if (v <= 0.0) {
+      throw std::invalid_argument("--" + key +
+                                  ": expected a number above zero, got '" +
+                                  get(key, "") + "'");
+    }
+    return v;
+  }
 
  private:
   /// std::from_chars over the whole token: no whitespace, no '+', nothing
@@ -223,12 +235,12 @@ int cmd_stats(const Args& args) {
 }
 
 int cmd_rank(const Args& args) {
-  const Digraph g = load_graph(args.require("graph"));
   const auto peers = args.get_uint<PeerId>("peers", 500);
-  const double epsilon = args.get_double("epsilon", 1e-3);
+  const double epsilon = args.get_tolerance("epsilon", 1e-3);
   const double availability = args.get_double("availability", 1.0);
   const auto seed = args.get_uint("seed", 42);
   const std::string placement_mode = args.get("placement", "random");
+  const Digraph g = load_graph(args.require("graph"));
 
   const Placement placement =
       placement_mode == "cluster"
@@ -328,10 +340,10 @@ int cmd_rank(const Args& args) {
 }
 
 int cmd_insert(const Args& args) {
-  const Digraph g = load_graph(args.require("graph"));
-  const double epsilon = args.get_double("epsilon", 1e-3);
+  const double epsilon = args.get_tolerance("epsilon", 1e-3);
   const auto count = args.get_uint("count", 100);
   const auto seed = args.get_uint("seed", 42);
+  const Digraph g = load_graph(args.require("graph"));
 
   std::vector<double> ranks = centralized_pagerank(g, 0.85, 1e-10).ranks;
   PagerankOptions options;
@@ -456,12 +468,13 @@ int cmd_system(const Args& args) {
   cp.max_terms = 200;
   cp.seed = args.get_uint("seed", 42);
   const auto ops = args.get_uint("ops", 20);
+  const double epsilon = args.get_tolerance("epsilon", 1e-4);
 
   const Corpus corpus = Corpus::synthesize(cp);
   const Digraph graph = paper_graph(cp.num_docs, cp.seed);
   P2PSystemConfig cfg;
   cfg.num_peers = args.get_uint<PeerId>("peers", 50);
-  cfg.pagerank.epsilon = args.get_double("epsilon", 1e-4);
+  cfg.pagerank.epsilon = epsilon;
   cfg.seed = cp.seed;
   P2PSystem system(graph, corpus, cfg);
 
@@ -531,6 +544,7 @@ int cmd_stream(const Args& args) {
   const double rate = args.get_double("rate", 1'000.0);
   const auto seed = args.get_uint("seed", 42);
   const auto top_k = args.get_uint("top", 10);
+  const double epsilon = args.get_tolerance("epsilon", 1e-6);
 
   std::cout << "Seeding " << format_count(docs)
             << "-doc graph and converging the baseline ranks...\n";
@@ -539,7 +553,7 @@ int cmd_stream(const Args& args) {
   ic.batch_size = batch;
   ic.reconverge_every_events = reconverge_every;
   ic.seed = seed;
-  ic.options.epsilon = args.get_double("epsilon", 1e-6);
+  ic.options.epsilon = epsilon;
   ic.options.threads = 1;
   ic.reconverge.initial_peers = args.get_uint<PeerId>("peers", 16);
   ic.reconverge.events = 8;
