@@ -4,15 +4,13 @@
 // Runs the same pagerank computation at several availability levels and
 // shows that convergence survives churn — at a slower rate — with
 // undeliverable updates parked in sender outboxes and delivered when
-// peers return. Also demonstrates the threaded chaotic runtime on a
-// small network (the asynchronous algorithm with real threads).
+// peers return.
 //
 // Build & run:  ./build/examples/churn_demo
 
 #include <iostream>
 
 #include "common/table.hpp"
-#include "pagerank/async_runtime.hpp"
 #include "pagerank/quality.hpp"
 #include "sim/experiment.hpp"
 
@@ -59,23 +57,5 @@ int main() {
   std::cout << "\nHalving availability roughly doubles passes (the "
                "paper's Table 1 observation); accuracy is unaffected "
                "because updates wait in outboxes instead of being lost.\n";
-
-  std::cout << "\n--- Threaded chaotic runtime (8 peer threads, no "
-               "synchronization) ---\n";
-  ExperimentConfig cfg;
-  cfg.num_docs = 5'000;
-  cfg.num_peers = 8;
-  cfg.epsilon = 1e-6;
-  const StandardExperiment exp(cfg);
-  AsyncPagerankRuntime runtime(exp.graph(), exp.placement(),
-                               exp.pagerank_options());
-  const auto result = runtime.run();
-  const auto q = summarize_quality(result.ranks, exp.reference_ranks());
-  std::cout << "  quiescent after " << format_count(result.recomputes)
-            << " document recomputes, "
-            << format_count(result.cross_peer_messages)
-            << " cross-peer messages\n  max relative error vs R_c: "
-            << format_sig(q.max, 3)
-            << " (chaotic iteration reaches the same fixed point).\n";
   return 0;
 }

@@ -3,15 +3,15 @@
 # Any report aborts the run (-fno-sanitize-recover=all), so a green exit
 # means a clean pass.
 #
-# Default mode is ASan+UBSan (-DDPRANK_SANITIZE=ON). Pass --tsan as the
-# first argument to build with ThreadSanitizer instead
-# (-DDPRANK_SANITIZE_THREAD=ON, separate build directory) — the mode that
-# exercises the parallel pass engine, the thread pool and the async
-# runtime for data races.
+# Default mode is ASan+UBSan (-DDPRANK_SANITIZE=ON). Pass --tsan first to
+# build with ThreadSanitizer instead (-DDPRANK_SANITIZE_THREAD=ON,
+# separate build directory) — the mode that exercises the parallel pass
+# engine, the thread pool and the metrics registry's writers for races.
 #
-# Usage: scripts/run_sanitized.sh [--tsan] [ctest args...]
-#   e.g. scripts/run_sanitized.sh -R 'faults|recovery'
-#        scripts/run_sanitized.sh --tsan -R 'async|parallel|thread_pool'
+# Usage: scripts/run_sanitized.sh [--tsan] [ctest args...]; ctest -R is
+# case-sensitive and gtest names read Suite.Case, so match suite names:
+#   e.g. scripts/run_sanitized.sh -R 'Faults|Recovery'
+#        scripts/run_sanitized.sh --tsan -R 'Parallel|ThreadPool|Obs'
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"

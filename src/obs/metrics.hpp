@@ -8,8 +8,8 @@
 // registry holds named counters, gauges, log-bucketed histograms and
 // (x, y) series, designed for two very different callers:
 //
-//   * the async threaded runtime: every primitive is safe for concurrent
-//     writers (relaxed atomics on the hot path, a mutex only at
+//   * concurrent writers: every primitive is safe to update from many
+//     threads at once (relaxed atomics on the hot path, a mutex only at
 //     registration and snapshot time);
 //   * the pass simulator's per-message paths: an update is one relaxed
 //     atomic add (Counter) or two plus a few integer ops (Histogram) —

@@ -22,10 +22,10 @@
 // million messages must not make a million string allocations.
 //
 // Thread-safe: event emission takes a mutex (tracing is opt-in and the
-// pass engine is single-threaded; the threaded runtime traces coarse
-// spans only). Sampling: `sample_every = k` keeps every k-th minted
-// trace, letting big runs trace a representative subset; `max_events`
-// hard-caps memory, counting dropped events instead of growing.
+// pass engine emits its events from one thread). Sampling:
+// `sample_every = k` keeps every k-th minted trace, letting big runs
+// trace a representative subset; `max_events` hard-caps memory,
+// counting dropped events instead of growing.
 
 #include <cstdint>
 #include <mutex>

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "graph/generator.hpp"
-#include "pagerank/async_runtime.hpp"
 #include "pagerank/centralized.hpp"
 #include "pagerank/distributed_engine.hpp"
 #include "pagerank/event_engine.hpp"
@@ -74,9 +73,9 @@ TEST_P(OracleVsEngines, AllEnginesAgreeWithTheDirectSolve) {
   const auto oracle = dense_pagerank_oracle(g);
   const auto placement = Placement::random(300, 6, GetParam());
   // epsilon 1e-8: tight enough that every engine lands within 1e-5 of
-  // the direct solve, loose enough that the unbatched event/async
-  // cascades stay polynomial (their event counts grow steeply as the
-  // threshold tightens — see bench_ablation_event_time).
+  // the direct solve, loose enough that the unbatched event cascade
+  // stays polynomial (its event count grows steeply as the threshold
+  // tightens — see bench_ablation_event_time).
   PagerankOptions opts;
   opts.epsilon = 1e-8;
 
@@ -91,11 +90,6 @@ TEST_P(OracleVsEngines, AllEnginesAgreeWithTheDirectSolve) {
   DistributedPagerank pass_engine(g, placement, opts);
   ASSERT_TRUE(pass_engine.run().converged);
   EXPECT_LT(summarize_quality(pass_engine.ranks(), oracle).max, 1e-5);
-
-  AsyncPagerankRuntime async_engine(g, placement, opts);
-  const auto async_result = async_engine.run(/*message_cap=*/50'000'000);
-  ASSERT_TRUE(async_result.converged);
-  EXPECT_LT(summarize_quality(async_result.ranks, oracle).max, 1e-5);
 
   EventDrivenPagerank event_engine(g, placement, opts);
   const auto event_result = event_engine.run(/*event_cap=*/20'000'000);

@@ -133,7 +133,8 @@ TEST(Digraph, CrossIndexOnRandomGraph) {
 }
 
 TEST(Digraph, InNeighborsSortedBySource) {
-  // The async runtime relies on in-lists being ordered by source id.
+  // MutableDigraph copies in-lists as they are and relies on them being
+  // ordered by source id.
   Rng rng(7);
   std::vector<Edge> edges;
   const NodeId n = 100;

@@ -1,9 +1,9 @@
 // Observability subsystem tests: histogram quantile error bounds,
-// registry thread-safety (both a raw multi-writer hammer and the async
-// runtime's live instrumentation), deterministic trace export,
-// TrafficMeter shim arithmetic, and the two end-to-end acceptance
-// criteria — a faulty message journey reconstructable by trace id, and
-// the exported residual series matching the engine's pass history.
+// registry thread-safety (a raw multi-writer hammer), deterministic
+// trace export, TrafficMeter shim arithmetic, and the two end-to-end
+// acceptance criteria — a faulty message journey reconstructable by
+// trace id, and the exported residual series matching the engine's pass
+// history.
 
 #include <gtest/gtest.h>
 
@@ -25,7 +25,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "p2p/placement.hpp"
-#include "pagerank/async_runtime.hpp"
 #include "pagerank/distributed_engine.hpp"
 #include "sim/experiment.hpp"
 #include "sim/time_model.hpp"
@@ -142,27 +141,6 @@ TEST(ObsRegistry, StableAddressesAcrossLookups) {
   EXPECT_EQ(&a, &b);
   a.add(3);
   EXPECT_EQ(b.value(), 3u);
-}
-
-TEST(ObsRegistry, AsyncRuntimeLiveInstrumentation) {
-  // The threaded runtime streams into the registry from every worker
-  // concurrently; the flushed totals must match the run's own counts.
-  const Digraph g = paper_graph(2'000, 7);
-  const auto p = Placement::random(2'000, 8, 7);
-  PagerankOptions o;
-  o.epsilon = 1e-4;
-  AsyncPagerankRuntime runtime(g, p, o);
-  obs::MetricsRegistry reg;
-  runtime.bind_metrics(reg);
-  const auto result = runtime.run();
-  ASSERT_TRUE(result.converged);
-  const auto snap = reg.snapshot();
-  EXPECT_EQ(snap.counters.at("async.cross_messages"),
-            result.cross_peer_messages);
-  EXPECT_EQ(snap.counters.at("async.local_updates"), result.local_updates);
-  EXPECT_EQ(snap.counters.at("async.recomputes"), result.recomputes);
-  EXPECT_EQ(snap.counters.at("async.runs"), 1u);
-  EXPECT_GT(snap.histograms.at("async.mail_batch_size").count, 0u);
 }
 
 // ---- TrafficMeter shim ----

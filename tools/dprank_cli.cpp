@@ -26,14 +26,19 @@
 //   search  [--docs N] [--peers P] [--queries Q] [--terms T] [--top PCT]
 //           corpus + distributed index + incremental search (Q >= 1,
 //           PCT in (0, 100])
+//   system  [--docs N] [--vocab V] [--peers P] [--ops K] [--epsilon E]
+//           [--seed S]
+//           full-system lifecycle and consistency doctor (V >= 200, a
+//           document's largest term set)
 //   stream  [--docs N] [--events E] [--batch B] [--reconverge-every R]
-//           [--rate EPS] [--epsilon E] [--seed S] [--top K]
+//           [--peers P] [--rate EPS] [--epsilon E] [--seed S] [--top K]
 //           continuous ingest through the live-rank service: a seeded
 //           event stream (inserts/deletes/edge mutations) is batched
 //           into coalesced rank cascades while top-k and point queries
 //           are served between batches; --reconverge-every R runs a
 //           full distributed reconvergence (churn + mass audit) every
-//           R offered events, warm-started from the previous mark.
+//           R offered events over P peers (default 16, at least 2),
+//           warm-started from the previous mark.
 //           Prints per-mark staleness vs the fully-reconverged oracle,
 //           each reconvergence's mass_ratio, passes and wall time, and
 //           the final top-k.
@@ -466,6 +471,12 @@ int cmd_system(const Args& args) {
   cp.mean_terms = 40;
   cp.min_terms = 5;
   cp.max_terms = 200;
+  if (cp.vocabulary < cp.max_terms) {
+    throw std::invalid_argument(
+        "--vocab: expected at least " + std::to_string(cp.max_terms) +
+        " (a document's largest term set), got '" + args.get("vocab", "") +
+        "'");
+  }
   cp.seed = args.get_uint("seed", 42);
   const auto ops = args.get_uint("ops", 20);
   const double epsilon = args.get_tolerance("epsilon", 1e-4);
@@ -545,6 +556,14 @@ int cmd_stream(const Args& args) {
   const auto seed = args.get_uint("seed", 42);
   const auto top_k = args.get_uint("top", 10);
   const double epsilon = args.get_tolerance("epsilon", 1e-6);
+  // Only reconvergence reads --peers: its campaign places one replica
+  // per document on a second peer.
+  const auto peers = args.get_uint<PeerId>("peers", 16);
+  if (reconverge_every != 0 && peers < 2) {
+    throw std::invalid_argument(
+        "--peers: reconvergence needs at least 2 peers, got '" +
+        args.get("peers", "") + "'");
+  }
 
   std::cout << "Seeding " << format_count(docs)
             << "-doc graph and converging the baseline ranks...\n";
@@ -555,7 +574,7 @@ int cmd_stream(const Args& args) {
   ic.seed = seed;
   ic.options.epsilon = epsilon;
   ic.options.threads = 1;
-  ic.reconverge.initial_peers = args.get_uint<PeerId>("peers", 16);
+  ic.reconverge.initial_peers = peers;
   ic.reconverge.events = 8;
   ic.reconverge.min_live = 8;
   ic.reconverge.replicas = 1;
