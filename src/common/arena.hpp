@@ -1,9 +1,10 @@
 #pragma once
 
 // AlignedAllocator<T> / AlignedVec<T>: 64-byte-aligned vector storage for
-// the engine's hot arrays (contribution cells, pass scratch), so the
-// vectorized gather kernel (common/simd.hpp) never straddles a cache line
-// at a block boundary and streaming sweeps start aligned.
+// the arrays the vectorized gather kernel (common/simd.hpp) sweeps, so it
+// never straddles a cache line at a block boundary and streaming sweeps
+// start aligned. The kernel's only callers are the gather probes of
+// bench_scale and perfbench; the engine folds in a scalar loop.
 
 #include <cstddef>
 #include <new>
@@ -43,9 +44,9 @@ struct AlignedAllocator {
   }
 };
 
-/// 64-byte-aligned vector: the engine's contribution cells and pass
-/// scratch live here (see common/simd.hpp and dprank_analyze's
-/// unaligned-hot-buffer rule).
+/// 64-byte-aligned vector: the gather probes' cells and accumulators live
+/// here (see common/simd.hpp and dprank_analyze's unaligned-hot-buffer
+/// rule).
 template <typename T>
 using AlignedVec = std::vector<T, AlignedAllocator<T>>;
 

@@ -1,6 +1,9 @@
 #pragma once
 
-// Portable SIMD wrapper for the engine's hot kernels (ROADMAP item 4).
+// Portable SIMD wrapper for the in-CSR gather fold (ROADMAP item 4).
+// The distributed engine no longer calls it: it folds each slot's cells
+// in one scalar loop, which measured faster. The kernel stays as the
+// gather probe that bench_scale and perfbench's traced run time.
 //
 // The only loop worth vectorizing in this codebase is also the one whose
 // floating-point result is pinned bit-for-bit by the fifo golden digests:
@@ -20,9 +23,9 @@
 // retired and the lane reloads with the next document, so all four lanes
 // stay busy regardless of degree skew, and the common case (every lane
 // mid-document) is a single unmasked gather + add per four cells. The
-// equivalence tests in tests/test_layout_equivalence.cpp assert digest
-// identity between the paths, and DPRANK_SIMD=scalar forces the fallback
-// at runtime.
+// kernel test in tests/test_layout_equivalence.cpp asserts bitwise
+// identity with the scalar fold, and DPRANK_SIMD=scalar forces the
+// fallback at runtime.
 //
 // Level selection: compile-time availability (x86-64 + GCC/Clang target
 // attributes) gated by a runtime CPUID check, overridable with the

@@ -17,8 +17,9 @@
 //
 // Compact layout (ROADMAP item 4): the inverse cross index `out_to_in_`
 // is stored as 32-bit words whenever m < 2^32 — every graph this
-// reproduction can actually build — halving the hottest per-edge load of
-// the exchange phase; the 64-bit fallback is selected at build time when
+// reproduction can actually build — halving the cross index's bytes (the
+// distributed engine reads it once per run, to lay out its own out-links
+// and on cold paths); the 64-bit fallback is selected at build time when
 // the edge count demands it (and can be forced for the layout-equivalence
 // tests). Float inverse out-degrees ride along for consumers that only
 // need approximate per-link weights (scale diagnostics, future inexact
@@ -140,7 +141,7 @@ class Digraph {
   }
 
   /// Raw in-CSR offset array (num_nodes + 1 entries): offsets[v] ..
-  /// offsets[v+1] bound v's cell range. The engine's fold kernel
+  /// offsets[v+1] bound v's cell range. The fold kernel's gather probe
   /// (common/simd.hpp) indexes this directly per lane.
   [[nodiscard]] const EdgeId* in_offsets_data() const {
     return in_offsets_.data();

@@ -2,7 +2,6 @@
 
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -58,9 +57,10 @@ Digraph load_graph(const std::filesystem::path& path) {
   const auto n = read_pod<std::uint64_t>(is);
   const auto m = read_pod<std::uint64_t>(is);
   // The header is untrusted: bound both counts before allocating.
-  if (n > std::numeric_limits<NodeId>::max()) {
+  if (n > kMaxLoadNodes) {
     throw std::runtime_error("load_graph: node count " + std::to_string(n) +
-                             " exceeds the 32-bit NodeId range");
+                             " exceeds the cap of " +
+                             std::to_string(kMaxLoadNodes) + " documents");
   }
   const std::uint64_t body = std::filesystem::file_size(path) - kHeaderBytes;
   if (m > body / kEdgeBytes) {
@@ -68,13 +68,13 @@ Digraph load_graph(const std::filesystem::path& path) {
                              " exceeds what the file's " +
                              std::to_string(body) + "-byte body holds");
   }
-  std::vector<Edge> edges;
-  edges.reserve(m);
-  for (std::uint64_t i = 0; i < m; ++i) {
-    const auto src = read_pod<NodeId>(is);
-    const auto dst = read_pod<NodeId>(is);
-    edges.push_back({src, dst});
-  }
+  // The body is (src, dst) pairs of NodeId, exactly Edge's layout: one
+  // read fills the edge list.
+  static_assert(sizeof(Edge) == kEdgeBytes);
+  std::vector<Edge> edges(m);
+  is.read(reinterpret_cast<char*>(edges.data()),
+          static_cast<std::streamsize>(m * kEdgeBytes));
+  if (!is) throw std::runtime_error("graph_io: truncated file");
   return Digraph::from_edges(static_cast<NodeId>(n), std::move(edges));
 }
 

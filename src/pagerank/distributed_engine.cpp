@@ -1,6 +1,7 @@
 #include "pagerank/distributed_engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -25,6 +26,61 @@ constexpr double kResidualDeferRatio = 0.5;
 // at PagerankUpdate::kWireBytes behind one header.
 constexpr std::uint32_t kBatchHeaderBytes = 16;
 
+/// values[perm[i]] = old values[i] for every i, in place, with two bits
+/// of scratch per entry. A walker starts at a leader, reads its value,
+/// then follows the permutation, leaving the value it carries at each
+/// step and picking up the one it displaces; it stops on reaching a
+/// leader, whose value that leader's own walker read first. Sixteen
+/// walkers step in turn, so their cache misses overlap: one walker at a
+/// time chains every load on the last and took six times as long at a
+/// million documents.
+void scatter_in_place(std::vector<double>& values,
+                      const std::vector<NodeId>& perm) {
+  const std::size_t n = values.size();
+  std::vector<std::uint64_t> written((n + 63) / 64, 0);
+  std::vector<std::uint64_t> leader((n + 63) / 64, 0);
+  const auto test = [](const std::vector<std::uint64_t>& bits,
+                       std::size_t i) {
+    return (bits[i / 64] >> (i % 64) & 1U) != 0;
+  };
+  const auto set = [](std::vector<std::uint64_t>& bits, std::size_t i) {
+    bits[i / 64] |= std::uint64_t{1} << (i % 64);
+  };
+  constexpr std::size_t kWalkers = 16;
+  std::array<std::size_t, kWalkers> at{};
+  std::array<double, kWalkers> carry{};
+  std::size_t next = 0;  // leaders are drawn in index order
+  const auto start = [&](std::size_t w) {
+    while (next < n && test(written, next)) ++next;
+    if (next == n) return false;
+    set(leader, next);
+    at[w] = next;
+    carry[w] = values[next++];
+    return true;
+  };
+  std::size_t live = 0;
+  while (live < kWalkers && start(live)) ++live;
+  while (live != 0) {
+    for (std::size_t w = 0; w < live;) {
+      const std::size_t j = perm[at[w]];
+      set(written, j);
+      if (!test(leader, j)) {
+        std::swap(carry[w], values[j]);
+        at[w] = j;
+      } else {
+        values[j] = carry[w];
+        if (!start(w)) {  // nothing left to lead: retire this walker
+          --live;
+          at[w] = at[live];
+          carry[w] = carry[live];
+          continue;
+        }
+      }
+      ++w;
+    }
+  }
+}
+
 }  // namespace
 
 DistributedPagerank::DistributedPagerank(const Digraph& g,
@@ -41,7 +97,8 @@ DistributedPagerank::DistributedPagerank(const Digraph& g,
     : graph_(g),
       placement_(placement),
       options_(options),
-      ranks_(std::move(start_ranks)) {
+      ranks_(std::move(start_ranks)),
+      residual_mode_(options.schedule == Schedule::kResidual) {
   if (placement.num_docs() != g.num_nodes()) {
     throw std::invalid_argument(
         "DistributedPagerank: placement does not cover the graph");
@@ -50,39 +107,11 @@ DistributedPagerank::DistributedPagerank(const Digraph& g,
     throw std::invalid_argument(
         "DistributedPagerank: start vector does not cover the graph");
   }
-  const NodeId n = g.num_nodes();
-  // "Available pagerank for in-links from the previous iteration" at
-  // pass 0 is the start value: contribution of edge u->v starts at
-  // ranks_[u] / outdeg(u). Cells live at in-CSR positions (see the
-  // header): iterate per destination, reading each source's out-degree.
-  contrib_.resize(g.num_edges());
-  // One division per *source document* (identical to dividing per edge —
-  // same operands, same rounding), then a scatter: n divisions instead of
-  // m for the million-doc constructor.
-  std::vector<double> init_contrib(n);
-  for (NodeId u = 0; u < n; ++u) {
-    const std::uint32_t deg = g.out_degree(u);
-    init_contrib[u] = deg == 0 ? 0.0 : ranks_[u] / static_cast<double>(deg);
-  }
-  for (NodeId v = 0; v < n; ++v) {
-    const auto sources = g.in_neighbors(v);
-    const EdgeId base = g.in_edge_begin(v);
-    for (std::size_t i = 0; i < sources.size(); ++i) {
-      contrib_[base + i] = init_contrib[sources[i]];
-    }
-  }
-  pending_value_.assign(g.num_edges(), 0.0);
-  pending_.assign(g.num_edges(), false);
-  deferred_by_peer_.resize(placement.num_peers());
-  in_dirty_.assign(n, true);
-  dirty_.resize(n);
-  for (NodeId v = 0; v < n; ++v) dirty_[v] = v;  // first pass: everyone
-  next_dirty_.reserve(n);
-  residual_mode_ = options_.schedule == Schedule::kResidual;
-  if (residual_mode_) {
-    residual_.assign(n, std::numeric_limits<double>::infinity());
-    last_sent_ = ranks_;
-    defer_age_.assign(n, 0);
+  if (g.num_edges() > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument(
+        "DistributedPagerank: " + std::to_string(g.num_edges()) +
+        " edges exceed the 32-bit cell index (at most " +
+        std::to_string(std::numeric_limits<std::uint32_t>::max()) + ")");
   }
 }
 
@@ -198,17 +227,17 @@ std::uint64_t DistributedPagerank::send_hops(PeerId src, PeerId holder,
                                       *ring_));
 }
 
-void DistributedPagerank::mark_dirty(NodeId v) {
-  if (!in_dirty_[v]) {
-    in_dirty_[v] = true;
-    next_dirty_.push_back(v);
+void DistributedPagerank::mark_dirty(NodeId s) {
+  if (!in_dirty_[s]) {
+    in_dirty_[s] = true;
+    next_dirty_.push_back(s);
   }
 }
 
-void DistributedPagerank::mark_dirty_now(NodeId v) {
-  if (!in_dirty_[v]) {
-    in_dirty_[v] = true;
-    dirty_.push_back(v);
+void DistributedPagerank::mark_dirty_now(NodeId s) {
+  if (!in_dirty_[s]) {
+    in_dirty_[s] = true;
+    dirty_.push_back(s);
   }
 }
 
@@ -277,26 +306,47 @@ void DistributedPagerank::park(EdgeId e, PeerId src, PeerId dest,
   ++stats.messages_deferred;
 }
 
-bool DistributedPagerank::apply_update(EdgeId e, double value,
+bool DistributedPagerank::apply_update(EdgeId e, EdgeTarget t, double value,
                                        std::uint32_t seq, bool now) {
   if (channel_ != nullptr && !channel_->accept(e, seq)) {
     return false;  // stale reordered value or duplicate: rejected
   }
-  const EdgeId cell = graph_.out_to_in_edge(e);
-  const NodeId v = graph_.out_target(e);
-  if (residual_mode_) residual_[v] += std::abs(value - contrib_[cell]);
-  contrib_[cell] = value;
+  if (residual_mode_) residual_[t.slot] += std::abs(value - contrib_[t.cell]);
+  contrib_[t.cell] = value;
   if (now) {
-    mark_dirty_now(v);
+    mark_dirty_now(t.slot);
   } else {
-    mark_dirty(v);
+    mark_dirty(t.slot);
   }
   if (channel_ != nullptr) channel_->ack(e, seq);
   return true;
 }
 
+DistributedPagerank::EdgeTarget DistributedPagerank::edge_target(
+    EdgeId e) const {
+  const NodeId v = graph_.out_target(e);
+  const NodeId sv = doc_slot_[v];
+  return {sv, cell_begin_[sv] + static_cast<std::uint32_t>(
+                                    graph_.out_to_in_edge(e) -
+                                    graph_.in_edge_begin(v))};
+}
+
+NodeId DistributedPagerank::edge_source(EdgeId e) const {
+  // The last document whose out-edges begin at or before e.
+  NodeId lo = 0;
+  NodeId hi = graph_.num_nodes();
+  while (hi - lo > 1) {
+    const NodeId mid = lo + (hi - lo) / 2;
+    if (graph_.out_edge_begin(mid) <= e) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
 void DistributedPagerank::prepare_fault_state() {
-  const NodeId n = graph_.num_nodes();
   if (plan_ != nullptr) {
     const PeerId num_peers = placement_.num_peers();
     crashed_until_.assign(num_peers, 0);
@@ -310,13 +360,6 @@ void DistributedPagerank::prepare_fault_state() {
       pending_seq_.assign(graph_.num_edges(), 0);
     }
   }
-  if ((plan_ != nullptr || membership_ != nullptr) && replicas_ != nullptr &&
-      !replicas_->empty()) {
-    // Replicas double as the rank store crash recovery (fault plan) and
-    // crash-range reconstruction (membership) restore from. No pass has
-    // run, so ranks_ still holds the start vector.
-    replica_value_ = ranks_;
-  }
   // Periodic validation re-uses the mass ledger for the fault-free
   // conservation identity — only worth feeding when contracts are
   // compiled in (validate_state() is a no-op otherwise).
@@ -324,18 +367,8 @@ void DistributedPagerank::prepare_fault_state() {
       options_.validate_every_n_passes != 0 && contracts::enabled();
   if (plan_ != nullptr || membership_ != nullptr || audit_enabled_ ||
       audit_for_validation) {
+    // ranks_ still holds the start vector in document order.
     auditor_ = std::make_unique<MassAuditor>(graph_, ranks_);
-  }
-  // The audit's repair pass and the membership handoffs both need to map
-  // an out-edge back to its source document.
-  if (audit_enabled_ || membership_ != nullptr) {
-    edge_src_.resize(graph_.num_edges());
-    for (NodeId u = 0; u < n; ++u) {
-      for (EdgeId e = graph_.out_edge_begin(u); e < graph_.out_edge_end(u);
-           ++e) {
-        edge_src_[e] = u;
-      }
-    }
   }
 }
 
@@ -398,10 +431,10 @@ void DistributedPagerank::wipe_peer(PeerId p) {
   // Receiver-side state lost: the cells feeding p's documents. Values
   // still parked at live senders survive.
   for (const NodeId v : docs_of(p)) {
-    const auto slots = graph_.in_to_out_edge(v);
-    const EdgeId base = graph_.in_edge_begin(v);
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-      if (!pending_[slots[i]] && auditor_ != nullptr) {
+    const auto edges = graph_.in_to_out_edge(v);
+    const std::uint32_t base = cell_begin_[doc_slot_[v]];
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+      if (!pending_[edges[i]] && auditor_ != nullptr) {
         auditor_->on_known_loss(contrib_[base + i]);
       }
       contrib_[base + i] = 0.0;
@@ -424,12 +457,13 @@ void DistributedPagerank::rebuild_docs(const std::vector<NodeId>& docs,
   // exists (one fetch message per document), from the initial value
   // otherwise.
   for (const NodeId v : docs) {
+    const NodeId s = doc_slot_[v];
     const PeerId owner = placement_.peer_of(v);
     bool restored = false;
     if (!replica_value_.empty()) {
       for (const PeerId rp : replicas_->replicas_of(v)) {
         if (presence[rp] && reachable(rp, owner)) {
-          ranks_[v] = replica_value_[v];
+          ranks_[s] = replica_value_[s];
           meter_.record_message(PagerankUpdate::kWireBytes);
           ++replica_restores_;
           ++recovery_messages_;
@@ -438,7 +472,7 @@ void DistributedPagerank::rebuild_docs(const std::vector<NodeId>& docs,
         }
       }
     }
-    if (!restored) ranks_[v] = options_.initial_rank;
+    if (!restored) ranks_[s] = options_.initial_rank;
     ++recovered_docs_;
     ++stats.recovered_docs;
   }
@@ -446,12 +480,13 @@ void DistributedPagerank::rebuild_docs(const std::vector<NodeId>& docs,
   // source's current contribution. Ranks were all restored above, so
   // same-peer sources are consistent regardless of document order.
   for (const NodeId v : docs) {
+    const NodeId s = doc_slot_[v];
     const PeerId owner = placement_.peer_of(v);
     const auto sources = graph_.in_neighbors(v);
-    const auto slots = graph_.in_to_out_edge(v);
+    const auto edges = graph_.in_to_out_edge(v);
     for (std::size_t i = 0; i < sources.size(); ++i) {
       const NodeId u = sources[i];
-      const EdgeId e = slots[i];
+      const EdgeId e = edges[i];
       const PeerId pu = placement_.peer_of(u);
       if (pu != owner && pending_[e]) {
         // The sender holds a parked (fresher) value for this edge; the
@@ -464,8 +499,8 @@ void DistributedPagerank::rebuild_docs(const std::vector<NodeId>& docs,
         continue;
       }
       const double c =
-          ranks_[u] / static_cast<double>(graph_.out_degree(u));
-      contrib_[graph_.in_edge_begin(v) + i] = c;
+          ranks_[doc_slot_[u]] / static_cast<double>(graph_.out_degree(u));
+      contrib_[cell_begin_[s] + i] = c;
       if (auditor_ != nullptr) auditor_->on_emit(e, c);
       if (channel_ != nullptr) {
         const std::uint32_t seq = channel_->next_seq(e);
@@ -486,9 +521,9 @@ void DistributedPagerank::rebuild_docs(const std::vector<NodeId>& docs,
     // A rebuilt document must recompute promptly whatever its residual
     // history says: its cells were just rewritten wholesale.
     if (residual_mode_) {
-      residual_[v] = std::numeric_limits<double>::infinity();
+      residual_[s] = std::numeric_limits<double>::infinity();
     }
-    mark_dirty_now(v);
+    mark_dirty_now(s);
   }
 }
 
@@ -507,6 +542,13 @@ void DistributedPagerank::apply_membership(
     const MembershipCoordinator::PassPlan& mplan, std::uint64_t pass,
     PassStats& stats) {
   const std::vector<bool>& presence = membership_->presence();
+
+  // The coordinator already moved ownership in the shared placement:
+  // mirror it. A moved document keeps its slot, so its cells and
+  // out-links stay where they are.
+  for (const auto& h : mplan.handoffs) {
+    slot_owner_[doc_slot_[h.doc]] = placement_.peer_of(h.doc);
+  }
 
   // 1. Fail-stop crashes: the peer's sender-side outbox state,
   //    retransmission records and stored contribution cells vanish.
@@ -530,7 +572,7 @@ void DistributedPagerank::apply_membership(
   for (const auto& [leaver, heir] : mplan.leaves) {
     for (auto& entries : deferred_by_peer_) {
       for (auto& [e, src] : entries) {
-        if (src == leaver) src = placement_.peer_of(edge_src_[e]);
+        if (src == leaver) src = placement_.peer_of(edge_source(e));
       }
     }
     if (channel_ != nullptr) channel_->reassign_sender(leaver, heir);
@@ -618,7 +660,8 @@ void DistributedPagerank::deliver_delayed(std::uint64_t pass,
       const PeerId pv = placement_.peer_of(v);
       if (presence[pv] && reachable(m.src, pv)) {
         // Traffic was billed at send time.
-        const bool applied = apply_update(m.edge, m.value, m.seq, /*now=*/true);
+        const bool applied = apply_update(m.edge, edge_target(m.edge), m.value,
+                                          m.seq, /*now=*/true);
         trace_terminal(m.trace, applied, pv);
       } else {
         park(m.edge, m.src, pv, m.value, m.seq, m.trace, stats);
@@ -664,7 +707,8 @@ void DistributedPagerank::process_retries(std::uint64_t pass,
         meter_.record_resend(PagerankUpdate::kWireBytes);
         ++duplicated_;
       }
-      const bool applied = apply_update(e, pend.value, pend.seq, /*now=*/true);
+      const bool applied =
+          apply_update(e, edge_target(e), pend.value, pend.seq, /*now=*/true);
       trace_terminal(pend.trace, applied, pv);
     }
   }
@@ -674,26 +718,20 @@ void DistributedPagerank::process_retries(std::uint64_t pass,
   drain_gave_up();
 }
 
-void DistributedPagerank::build_effective(std::vector<double>& out) const {
-  // Effective value per edge: the applied cell (permuted back from its
-  // in-CSR position to the out-edge id the ledger is keyed by), or the
-  // parked outbox value for edges still waiting on an offline
-  // destination.
-  const EdgeId m = graph_.num_edges();
-  out.resize(m);
-  for (EdgeId e = 0; e < m; ++e) out[e] = contrib_[graph_.out_to_in_edge(e)];
-  for (const auto& entries : deferred_by_peer_) {
-    for (const auto& [e, src] : entries) {
-      out[e] = pending_value_[e];
-    }
-  }
+double DistributedPagerank::effective_value(EdgeId e) const {
+  return !pending_.empty() && pending_[e] != 0
+             ? pending_value_[e]
+             : contrib_[edge_target(e).cell];
+}
+
+MassAuditReport DistributedPagerank::audit_ledger() const {
+  return auditor_->audit([this](EdgeId e) { return effective_value(e); },
+                         kAuditSlack);
 }
 
 bool DistributedPagerank::audit_and_repair(const std::vector<bool>& presence,
                                            PassStats& stats) {
-  build_effective(effective_scratch_);
-  const MassAuditReport report =
-      auditor_->audit(effective_scratch_, kAuditSlack);
+  const MassAuditReport report = audit_ledger();
   if (report.conserved(audit_tolerance_)) {
     last_audit_ = report;
     return true;
@@ -701,16 +739,17 @@ bool DistributedPagerank::audit_and_repair(const std::vector<bool>& presence,
   // Proportional re-injection: re-send exactly the contributions the
   // ledger says went missing, then keep iterating.
   ++repair_rounds_;
-  for (const EdgeId e :
-       auditor_->leaking_edges(effective_scratch_, kAuditSlack)) {
+  for (const EdgeId e : auditor_->leaking_edges(
+           [this](EdgeId edge) { return effective_value(edge); },
+           kAuditSlack)) {
     const NodeId v = graph_.out_target(e);
     const PeerId pv = placement_.peer_of(v);
-    const PeerId pu = placement_.peer_of(edge_src_[e]);
+    const PeerId pu = placement_.peer_of(edge_source(e));
     const double value = auditor_->expected(e);
     const std::uint32_t seq =
         channel_ != nullptr ? channel_->next_seq(e) : 0;
     if (presence[pv] && reachable(pu, pv)) {
-      (void)apply_update(e, value, seq, /*now=*/false);
+      (void)apply_update(e, edge_target(e), value, seq, /*now=*/false);
       meter_.record_resend(PagerankUpdate::kWireBytes);
       ++repair_messages_;
       ++stats.repair_messages;
@@ -737,19 +776,120 @@ void DistributedPagerank::prepare_pipeline(bool churn) {
   } else {
     delivery_ = churn ? Delivery::kParkable : Delivery::kDirect;
   }
+  // Updates park only for an absent or unreachable peer (churn, crashes,
+  // membership, partitions) or for an audit repair that cannot land; a
+  // run without any of these never touches the outbox.
+  const bool can_park =
+      churn || plan_ != nullptr || membership_ != nullptr || audit_enabled_;
+  // Built before the per-run scratch below, so the build's transient
+  // arrays are freed before the run's peak.
+  build_slots(can_park || auditor_ != nullptr);
+
+  const NodeId n = graph_.num_nodes();
+  const EdgeId m = graph_.num_edges();
+  const PeerId num_peers = placement_.num_peers();
+  if (can_park) {
+    pending_value_.assign(m, 0.0);
+    pending_.assign(m, 0);
+  }
+  deferred_by_peer_.resize(num_peers);
+  // Per-slot state starts from the start vector, now in slot order.
+  in_dirty_.assign(n, 1);
+  dirty_.resize(n);
+  for (NodeId s = 0; s < n; ++s) dirty_[s] = s;  // first pass: everyone
+  next_dirty_.reserve(n);
+  if (residual_mode_) {
+    residual_.assign(n, std::numeric_limits<double>::infinity());
+    last_sent_ = ranks_;
+    defer_age_.assign(n, 0);
+  }
+  if ((plan_ != nullptr || membership_ != nullptr) && replicas_ != nullptr &&
+      !replicas_->empty()) {
+    // Replicas double as the rank store crash recovery (fault plan) and
+    // crash-range reconstruction (membership) restore from.
+    replica_value_ = ranks_;
+  }
+
   const std::uint32_t threads = std::max<std::uint32_t>(1, options_.threads);
   if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads - 1);
   // Flat scratch sized once here, so no pass ever grows an allocation.
-  const NodeId n = graph_.num_nodes();
-  const PeerId num_peers = placement_.num_peers();
-  docs_.resize(n);
-  acc_.resize(n);
+  grouped_.resize(n);
   senders_.resize(n);
   peer_cursor_.assign(num_peers, 0);
   segments_.reserve(num_peers);
   dst_count32_.assign(num_peers, 0);
   touched_dsts_.reserve(num_peers);
-  simd_level_ = simd::active_level();
+}
+
+void DistributedPagerank::build_slots(bool keep_doc_slot) {
+  const NodeId n = graph_.num_nodes();
+  const EdgeId m = graph_.num_edges();
+  const PeerId num_peers = placement_.num_peers();
+  // Stable counting sort of the documents by owning peer: a peer's slots
+  // are contiguous and ascend by document id, so pass 0 groups the dirty
+  // set into exactly the segments document order gives.
+  std::vector<std::uint32_t> next_slot(std::size_t{num_peers} + 1, 0);
+  for (NodeId v = 0; v < n; ++v) ++next_slot[placement_.peer_of(v) + 1];
+  for (PeerId p = 0; p < num_peers; ++p) next_slot[p + 1] += next_slot[p];
+  slot_doc_.resize(n);
+  slot_owner_.resize(n);
+  std::vector<NodeId> doc_slot(n);
+  for (NodeId v = 0; v < n; ++v) {
+    const PeerId p = placement_.peer_of(v);
+    const NodeId s = next_slot[p]++;
+    slot_doc_[s] = v;
+    slot_owner_[s] = p;
+    doc_slot[v] = s;
+  }
+  // The start vector into slot order, in place.
+  scatter_in_place(ranks_, doc_slot);
+
+  cell_begin_.resize(std::size_t{n} + 1);
+  out_begin_.resize(std::size_t{n} + 1);
+  cell_begin_[0] = 0;
+  out_begin_[0] = 0;
+  for (NodeId s = 0; s < n; ++s) {
+    const NodeId v = slot_doc_[s];
+    cell_begin_[s + 1] = cell_begin_[s] + graph_.in_degree(v);
+    out_begin_[s + 1] = out_begin_[s] + graph_.out_degree(v);
+  }
+
+  // Out-links, walked in document order so the graph's arrays stream.
+  // A cell keeps its place in the target's in-list order.
+  out_slot_.resize(m);
+  out_cell_.resize(m);
+  for (NodeId u = 0; u < n; ++u) {
+    std::uint32_t pos = out_begin_[doc_slot[u]];
+    for (EdgeId e = graph_.out_edge_begin(u); e < graph_.out_edge_end(u);
+         ++e, ++pos) {
+      const NodeId v = graph_.out_target(e);
+      const NodeId sv = doc_slot[v];
+      out_slot_[pos] = sv;
+      out_cell_[pos] = cell_begin_[sv] + static_cast<std::uint32_t>(
+                                             graph_.out_to_in_edge(e) -
+                                             graph_.in_edge_begin(v));
+    }
+  }
+  if (keep_doc_slot) {
+    doc_slot_ = std::move(doc_slot);
+  } else {
+    doc_slot = std::vector<NodeId>();  // released before the cells exist
+  }
+
+  // "Available pagerank for in-links from the previous iteration" at
+  // pass 0 is the start value: the contribution of edge u->v starts at
+  // R(u) / outdeg(u), one division per source scattered over its
+  // out-links.
+  contrib_.resize(m);
+  for (NodeId s = 0; s < n; ++s) {
+    const std::uint32_t begin = out_begin_[s];
+    const std::uint32_t end = out_begin_[s + 1];
+    if (begin == end) continue;
+    const double c = ranks_[s] / static_cast<double>(end - begin);
+    for (std::uint32_t pos = begin; pos < end; ++pos) {
+      contrib_[out_cell_[pos]] = c;
+    }
+  }
 }
 
 void DistributedPagerank::run_pass(const std::vector<bool>& presence,
@@ -769,8 +909,8 @@ void DistributedPagerank::run_pass(const std::vector<bool>& presence,
   // next pass.
   for (const Segment& s : segments_) {
     if (!presence[s.peer]) {
-      next_dirty_.insert(next_dirty_.end(), docs_.data() + s.begin,
-                         docs_.data() + s.end);
+      next_dirty_.insert(next_dirty_.end(), grouped_.data() + s.begin,
+                         grouped_.data() + s.end);
       continue;
     }
     stats.docs_recomputed += s.recomputed;
@@ -797,8 +937,8 @@ void DistributedPagerank::group_dirty() {
   // Count per peer, carve segments in ascending peer order, then a
   // stable scatter; peer_cursor_ is zero again on return.
   segments_.clear();
-  for (const NodeId v : dirty_) {
-    const PeerId p = placement_.peer_of(v);
+  for (const NodeId s : dirty_) {
+    const PeerId p = slot_owner_[s];
     if (peer_cursor_[p]++ == 0) segments_.push_back({.peer = p});
   }
   std::sort(segments_.begin(), segments_.end(),
@@ -810,34 +950,34 @@ void DistributedPagerank::group_dirty() {
     s.end = off;
     peer_cursor_[s.peer] = s.begin;
   }
-  for (const NodeId v : dirty_) {
-    docs_[peer_cursor_[placement_.peer_of(v)]++] = v;
+  for (const NodeId s : dirty_) {
+    grouped_[peer_cursor_[slot_owner_[s]]++] = s;
   }
   for (const Segment& s : segments_) peer_cursor_[s.peer] = 0;
 }
 
 void DistributedPagerank::recompute_segment(Segment& s,
                                             const std::vector<bool>& presence) {
-  if (!presence[s.peer]) return;  // docs stay dirty; requeued by the merge
-  NodeId* const docs = docs_.data() + s.begin;
+  if (!presence[s.peer]) return;  // slots stay dirty; requeued by the merge
+  NodeId* const slots = grouped_.data() + s.begin;
   std::uint64_t n = s.end - s.begin;
   const double d = options_.damping;
   if (residual_mode_) {
-    // Step 2: highest accumulated |Δcontribution| first (ties by id), so
-    // one recompute coalesces every update behind the largest pending
-    // mass. While the iteration is still far from converging, the
-    // low-residual tail is deferred; once the last pass was within
+    // Step 2: highest accumulated |Δcontribution| first (ties by document
+    // id), so one recompute coalesces every update behind the largest
+    // pending mass. While the iteration is still far from converging,
+    // the low-residual tail is deferred; once the last pass was within
     // epsilon the endgame runs exhaustively, exactly like fifo.
-    std::sort(docs, docs + n, [this](NodeId a, NodeId b) {
+    std::sort(slots, slots + n, [this](NodeId a, NodeId b) {
       const double ra = residual_[a];
       const double rb = residual_[b];
-      return ra != rb ? ra > rb : a < b;
+      return ra != rb ? ra > rb : slot_doc_[a] < slot_doc_[b];
     });
     if (prev_max_rel_ > options_.epsilon) {
       const double cutoff = kResidualDeferRatio * prev_max_rel_;
       std::uint64_t selected = 1;  // every peer processes its top document
       for (std::uint64_t i = 1; i < n; ++i) {
-        const NodeId v = docs[i];
+        const NodeId v = slots[i];
         // The damped residual bounds this document's possible rank
         // change; relative to its current rank it is the analogue of the
         // epsilon test. The age cap forces periodic progress, so
@@ -849,7 +989,7 @@ void DistributedPagerank::recompute_segment(Segment& s,
           ++defer_age_[v];
           senders_[s.end - ++s.kept] = v;  // in_dirty_ stays set
         } else {
-          docs[selected++] = v;
+          slots[selected++] = v;
         }
       }
       s.deferred = s.kept;
@@ -857,40 +997,40 @@ void DistributedPagerank::recompute_segment(Segment& s,
     }
   }
 
-  // Step 3: the fold kernel (common/simd.hpp) writes each document's cell
-  // sum — one document per lane, each in exact left-to-right scalar
-  // order, so the sums are bit-identical at every SIMD level. The
-  // epilogue then walks the segment in order: rank writes, the max fold
-  // and sender selection.
-  double* const acc = acc_.data() + s.begin;
-  simd::fold_cells(simd_level_, contrib_.data(), graph_.in_offsets_data(),
-                   docs, n, acc);
+  // Step 3: one walk over the segment folds each slot's cells strictly
+  // left to right (the graph's in-list order, so every fold adds the same
+  // values in the same order), then writes the rank, folds the max and
+  // picks the senders.
+  const double* const cells = contrib_.data();
+  const std::uint32_t* const cell_begin = cell_begin_.data();
+  const std::uint32_t* const out_begin = out_begin_.data();
   const double base = 1.0 - d;
   const double eps = options_.epsilon;
-  const float* const inv_deg = graph_.inv_out_degrees().data();
   const bool track_replica_values = !replica_value_.empty();
   double max_rel = 0.0;
   std::uint64_t senders = 0;
   for (std::uint64_t i = 0; i < n; ++i) {
-    const NodeId v = docs[i];
+    const NodeId v = slots[i];
     in_dirty_[v] = 0;
-    const double newrank = base + d * acc[i];
+    double acc = 0.0;
+    for (std::uint32_t c = cell_begin[v]; c < cell_begin[v + 1]; ++c) {
+      acc += cells[c];
+    }
+    const double newrank = base + d * acc;
     const double rel = relative_change(ranks_[v], newrank);
     ranks_[v] = newrank;
     if (rel > max_rel) max_rel = rel;
     if (track_replica_values) {
       // A live replica mirrors the recomputation (§2.3: replicas
       // receive the same updates) — the copy crash recovery restores.
-      for (const PeerId rp : replicas_->replicas_of(v)) {
+      for (const PeerId rp : replicas_->replicas_of(slot_doc_[v])) {
         if (presence[rp]) {
           replica_value_[v] = newrank;
           break;
         }
       }
     }
-    // inv_out_degree(v) != 0 is exactly out_degree(v) != 0 (the stored
-    // inverse is 0 only for degree 0), one 4-byte load.
-    const bool has_out_links = inv_deg[v] != 0.0f;
+    const bool has_out_links = out_begin[v + 1] != out_begin[v];
     if (!residual_mode_) {
       if (rel > eps && has_out_links) senders_[s.begin + senders++] = v;
       continue;
@@ -937,10 +1077,10 @@ void DistributedPagerank::emit(const std::vector<bool>& presence,
   // calls: the values are small integers (sums stay exact) and
   // bucket/min/max updates commute.
   std::uint64_t ones = 0;
-  // Narrow (32-bit) cross index when the graph carries one — half the
-  // index bytes through the hottest random-access loop.
-  const std::uint32_t* const cross32 = graph_.out_to_in32_data();
   MassAuditor* const auditor = auditor_.get();
+  // Only parking, the full delivery and the ledger name an update by its
+  // out-edge id; plain runs never read the graph here.
+  const bool need_edge = kMode != Delivery::kDirect || auditor != nullptr;
   const bool fan_out = replicas_ != nullptr && !replicas_->empty();
   for (const Segment& s : segments_) {
     const PeerId p = s.peer;
@@ -952,18 +1092,21 @@ void DistributedPagerank::emit(const std::vector<bool>& presence,
       }
     };
     for (std::uint64_t i = s.begin; i < s.begin + s.senders; ++i) {
-      const NodeId u = senders_[i];
-      const double c = ranks_[u] / static_cast<double>(graph_.out_degree(u));
-      const EdgeId out_end = graph_.out_edge_end(u);
-      for (EdgeId e = graph_.out_edge_begin(u); e < out_end; ++e) {
-        const NodeId v = graph_.out_target(e);
-        const PeerId pv = placement_.peer_of(v);
+      const NodeId su = senders_[i];
+      const std::uint32_t out_first = out_begin_[su];
+      const std::uint32_t out_end = out_begin_[su + 1];
+      const double c = ranks_[su] / static_cast<double>(out_end - out_first);
+      // Position out_first + j is the sender's out-edge e0 + j.
+      const EdgeId e0 = need_edge ? graph_.out_edge_begin(slot_doc_[su]) : 0;
+      for (std::uint32_t pos = out_first; pos < out_end; ++pos) {
+        const EdgeTarget t{out_slot_[pos], out_cell_[pos]};
+        const PeerId pv = slot_owner_[t.slot];
+        const EdgeId e = e0 + (pos - out_first);
         if (auditor != nullptr) auditor->on_emit(e, c);
         if constexpr (kMode != Delivery::kFull) {
           if (kMode == Delivery::kDirect || presence[pv]) {
-            contrib_[cross32 != nullptr ? static_cast<EdgeId>(cross32[e])
-                                        : graph_.out_to_in_edge(e)] = c;
-            mark_dirty(v);
+            contrib_[t.cell] = c;
+            mark_dirty(t.slot);
             if (pv == p) {
               ++local_total;
             } else {
@@ -976,12 +1119,14 @@ void DistributedPagerank::emit(const std::vector<bool>& presence,
           bool replica_eligible = true;
           if (pv == p) {
             // Fig. 1b: a same-peer update needs no network message.
-            const EdgeId cell = graph_.out_to_in_edge(e);
-            if (residual_mode_) residual_[v] += std::abs(c - contrib_[cell]);
-            contrib_[cell] = c;
-            mark_dirty(v);
+            if (residual_mode_) {
+              residual_[t.slot] += std::abs(c - contrib_[t.cell]);
+            }
+            contrib_[t.cell] = c;
+            mark_dirty(t.slot);
             ++local_total;
           } else if (presence[pv] && reachable(p, pv)) {
+            const NodeId v = slot_doc_[t.slot];
             const std::uint32_t seq =
                 channel_ != nullptr ? channel_->next_seq(e) : 0;
             SendFate fate;
@@ -1019,7 +1164,7 @@ void DistributedPagerank::emit(const std::vector<bool>& presence,
                       {{"passes", static_cast<double>(fate.delay_passes)}});
                 }
               } else {
-                const bool applied = apply_update(e, c, seq, /*now=*/false);
+                const bool applied = apply_update(e, t, c, seq, /*now=*/false);
                 trace_terminal(tid, applied, pv);
               }
               if (fate.duplicated) {
@@ -1047,12 +1192,13 @@ void DistributedPagerank::emit(const std::vector<bool>& presence,
             const std::uint32_t seq =
                 channel_ != nullptr ? channel_->next_seq(e) : 0;
             const obs::TraceId tid =
-                tracer_ != nullptr ? trace_send(e, p, pv, v, c, pass, 1)
-                                   : obs::kNoTrace;
+                tracer_ != nullptr
+                    ? trace_send(e, p, pv, slot_doc_[t.slot], c, pass, 1)
+                    : obs::kNoTrace;
             park(e, p, pv, c, seq, tid, stats);
           }
           if (replica_eligible && fan_out && presence[pv]) {
-            send_to_replicas(p, v, presence, stats);
+            send_to_replicas(p, slot_doc_[t.slot], presence, stats);
           }
         }
       }
@@ -1103,7 +1249,8 @@ void DistributedPagerank::deliver_deferred(const std::vector<bool>& presence,
       }
       pending_[e] = false;
       --total_pending_;
-      const bool applied = apply_update(e, pending_value_[e], seq, /*now=*/true);
+      const bool applied = apply_update(e, edge_target(e), pending_value_[e],
+                                        seq, /*now=*/true);
       const NodeId v = graph_.out_target(e);
       ++bill_.messages;
       bill_.hops += send_hops(src_peer, p, v);
@@ -1125,14 +1272,15 @@ std::uint64_t DistributedPagerank::memory_bytes() const {
     return static_cast<std::uint64_t>(v.capacity()) *
            sizeof(typename std::decay_t<decltype(v)>::value_type);
   };
-  return bytes(ranks_) + bytes(contrib_) + bytes(pending_value_) +
-         bytes(pending_) + bytes(pending_seq_) + bytes(in_dirty_) +
-         bytes(dirty_) + bytes(next_dirty_) + bytes(docs_) + bytes(acc_) +
-         bytes(senders_) + bytes(peer_cursor_) + bytes(segments_) +
-         bytes(dst_count32_) + bytes(touched_dsts_) + bytes(residual_) +
-         bytes(last_sent_) + bytes(defer_age_) + bytes(edge_src_) +
-         bytes(replica_value_) + bytes(effective_scratch_) +
-         bytes(pending_trace_) +
+  return bytes(slot_doc_) + bytes(doc_slot_) + bytes(slot_owner_) +
+         bytes(cell_begin_) + bytes(out_begin_) + bytes(out_slot_) +
+         bytes(out_cell_) + bytes(ranks_) + bytes(contrib_) +
+         bytes(pending_value_) + bytes(pending_) + bytes(pending_seq_) +
+         bytes(in_dirty_) + bytes(dirty_) + bytes(next_dirty_) +
+         bytes(grouped_) + bytes(senders_) + bytes(peer_cursor_) +
+         bytes(segments_) + bytes(dst_count32_) + bytes(touched_dsts_) +
+         bytes(residual_) + bytes(last_sent_) + bytes(defer_age_) +
+         bytes(replica_value_) + bytes(pending_trace_) +
          (auditor_ != nullptr ? auditor_->memory_bytes() : 0) +
          (channel_ != nullptr ? channel_->memory_bytes() : 0);
 }
@@ -1144,35 +1292,95 @@ void DistributedPagerank::validate_state() const {
   const EdgeId m = graph_.num_edges();
   DPRANK_INVARIANT(ranks_.size() == n, kSub,
                    "rank array does not cover the documents");
+  if (cell_begin_.empty()) return;  // run() has not built its state yet
   DPRANK_INVARIANT(contrib_.size() == m, kSub,
                    "contribution store does not cover the edges");
-  DPRANK_INVARIANT(pending_.size() == m && pending_value_.size() == m, kSub,
-                   "outbox arrays do not cover the edges");
+  DPRANK_INVARIANT(
+      pending_.empty() || (pending_.size() == m && pending_value_.size() == m),
+      kSub, "outbox arrays do not cover the edges");
   DPRANK_INVARIANT(pending_seq_.empty() || pending_seq_.size() == m, kSub,
                    "parked-sequence array does not cover the edges");
+
+  // Slot layout: slot -> document is a permutation whose inverse the
+  // kept document -> slot map equals; the owner mirror follows the
+  // placement; every offset matches the graph's degrees; and every
+  // out-link lands on its target's slot, in the cell the graph's cross
+  // index names.
+  DPRANK_INVARIANT(slot_doc_.size() == n && slot_owner_.size() == n &&
+                       cell_begin_.size() == std::size_t{n} + 1 &&
+                       out_begin_.size() == std::size_t{n} + 1 &&
+                       out_slot_.size() == m && out_cell_.size() == m,
+                   kSub, "slot layout does not cover the graph");
+  DPRANK_INVARIANT(doc_slot_.empty() || doc_slot_.size() == n, kSub,
+                   "document -> slot map does not cover the documents");
+  std::vector<NodeId> slot_of(n, n);  // n: no slot yet
+  for (NodeId s = 0; s < n; ++s) {
+    const NodeId v = slot_doc_[s];
+    DPRANK_INVARIANT(v < n, kSub, "a slot maps to an unknown document");
+    DPRANK_INVARIANT(slot_of[v] == n, kSub,
+                     "document " + std::to_string(v) + " holds two slots");
+    slot_of[v] = s;
+  }
+  for (NodeId v = 0; v < n && !doc_slot_.empty(); ++v) {
+    DPRANK_INVARIANT(doc_slot_[v] == slot_of[v], kSub,
+                     "document " + std::to_string(v) +
+                         ": slot maps are not inverses");
+  }
+  DPRANK_INVARIANT(cell_begin_[0] == 0 && out_begin_[0] == 0, kSub,
+                   "slot offsets do not start at zero");
+  for (NodeId s = 0; s < n; ++s) {
+    const NodeId v = slot_doc_[s];
+    // Messages are built only when a check fails.
+    const auto doc = [v] { return "document " + std::to_string(v); };
+    DPRANK_INVARIANT(slot_owner_[s] == placement_.peer_of(v), kSub,
+                     doc() + ": owner mirror says peer " +
+                         std::to_string(slot_owner_[s]) +
+                         ", the placement peer " +
+                         std::to_string(placement_.peer_of(v)));
+    DPRANK_INVARIANT(cell_begin_[s + 1] - cell_begin_[s] == graph_.in_degree(v),
+                     kSub, doc() + ": cell range does not match its in-degree");
+    DPRANK_INVARIANT(out_begin_[s + 1] - out_begin_[s] == graph_.out_degree(v),
+                     kSub, doc() + ": out-link range does not match its "
+                                   "out-degree");
+    const EdgeId e0 = graph_.out_edge_begin(v);
+    for (std::uint32_t j = 0; j < graph_.out_degree(v); ++j) {
+      const std::uint32_t pos = out_begin_[s] + j;
+      const NodeId w = graph_.out_target(e0 + j);
+      const std::uint32_t cell =
+          cell_begin_[slot_of[w]] +
+          static_cast<std::uint32_t>(graph_.out_to_in_edge(e0 + j) -
+                                     graph_.in_edge_begin(w));
+      DPRANK_INVARIANT(out_slot_[pos] == slot_of[w], kSub,
+                       doc() + ": out-link to document " + std::to_string(w) +
+                           " points at another document's slot");
+      DPRANK_INVARIANT(out_cell_[pos] == cell, kSub,
+                       doc() + ": out-link to document " + std::to_string(w) +
+                           " points at another edge's cell");
+    }
+  }
 
   // Dirty-set integrity: the recompute queues and the membership flags
   // must agree exactly — a document queued twice would be recomputed
   // twice in one pass, and a flagged-but-unqueued document would never
   // be recomputed again. This is the precondition group_dirty() relies
-  // on for its deterministic peer segments.
+  // on for its deterministic peer segments. Queues hold slots.
   std::vector<std::uint8_t> queued(n, 0);
   const auto check_queue = [&](const std::vector<NodeId>& q) {
-    for (const NodeId v : q) {
-      DPRANK_INVARIANT(v < n, kSub, "dirty queue holds an unknown document");
-      DPRANK_INVARIANT(queued[v] == 0, kSub,
-                       "document " + std::to_string(v) +
+    for (const NodeId s : q) {
+      DPRANK_INVARIANT(s < n, kSub, "dirty queue holds an unknown slot");
+      DPRANK_INVARIANT(queued[s] == 0, kSub,
+                       "document " + std::to_string(slot_doc_[s]) +
                            " queued for recompute twice");
-      queued[v] = 1;
-      DPRANK_INVARIANT(in_dirty_[v] != 0, kSub,
-                       "document " + std::to_string(v) +
+      queued[s] = 1;
+      DPRANK_INVARIANT(in_dirty_[s] != 0, kSub,
+                       "document " + std::to_string(slot_doc_[s]) +
                            " queued for recompute but not flagged dirty");
     }
   };
   check_queue(dirty_);
   check_queue(next_dirty_);
   std::size_t flagged = 0;
-  for (NodeId v = 0; v < n; ++v) flagged += in_dirty_[v] != 0 ? 1 : 0;
+  for (NodeId s = 0; s < n; ++s) flagged += in_dirty_[s] != 0 ? 1U : 0U;
   DPRANK_INVARIANT(
       flagged == dirty_.size() + next_dirty_.size(), kSub,
       "dirty flags (" + std::to_string(flagged) +
@@ -1191,7 +1399,7 @@ void DistributedPagerank::validate_state() const {
                        "edge " + std::to_string(e) +
                            " parked in two deferred lists");
       parked[e] = 1;
-      DPRANK_INVARIANT(pending_[e] != 0, kSub,
+      DPRANK_INVARIANT(!pending_.empty() && pending_[e] != 0, kSub,
                        "edge " + std::to_string(e) +
                            " parked but not flagged pending");
       DPRANK_INVARIANT(
@@ -1204,7 +1412,7 @@ void DistributedPagerank::validate_state() const {
     }
   }
   std::uint64_t flagged_edges = 0;
-  for (EdgeId e = 0; e < m; ++e) flagged_edges += pending_[e] != 0 ? 1 : 0;
+  for (const std::uint8_t flag : pending_) flagged_edges += flag != 0 ? 1U : 0U;
   DPRANK_INVARIANT(flagged_edges == parked_entries, kSub,
                    "outbox credit leak: " + std::to_string(flagged_edges) +
                        " edges flagged pending vs " +
@@ -1217,23 +1425,23 @@ void DistributedPagerank::validate_state() const {
   DPRANK_INVARIANT(outbox_peak_ >= total_pending_, kSub,
                    "outbox peak understates the live pending count");
 
-  // Residual-scheduler state: arrays cover the documents, residual mass
-  // is non-negative, the defer age never escapes its cap, and any
-  // document holding undigested residual is queued for a recompute (a
-  // positive residual with no dirty flag would be an update the
-  // scheduler lost).
+  // Residual-scheduler state: arrays cover the slots, residual mass is
+  // non-negative, the defer age never escapes its cap, and any document
+  // holding undigested residual is queued for a recompute (a positive
+  // residual with no dirty flag would be an update the scheduler lost).
   if (residual_mode_) {
     DPRANK_INVARIANT(residual_.size() == n && last_sent_.size() == n &&
                          defer_age_.size() == n,
                      kSub,
                      "residual-scheduler arrays do not cover the documents");
-    for (NodeId v = 0; v < n; ++v) {
-      DPRANK_INVARIANT(residual_[v] >= 0.0, kSub,
+    for (NodeId s = 0; s < n; ++s) {
+      const NodeId v = slot_doc_[s];
+      DPRANK_INVARIANT(residual_[s] >= 0.0, kSub,
                        "negative residual at document " + std::to_string(v));
-      DPRANK_INVARIANT(defer_age_[v] <= options_.residual_max_defer, kSub,
+      DPRANK_INVARIANT(defer_age_[s] <= options_.residual_max_defer, kSub,
                        "defer age exceeds residual_max_defer at document " +
                            std::to_string(v));
-      DPRANK_INVARIANT(!(residual_[v] > 0.0) || in_dirty_[v] != 0, kSub,
+      DPRANK_INVARIANT(!(residual_[s] > 0.0) || in_dirty_[s] != 0, kSub,
                        "document " + std::to_string(v) +
                            " holds residual mass but is not marked dirty");
     }
@@ -1259,11 +1467,7 @@ void DistributedPagerank::validate_state() const {
   // only holds at quiescence and is checked there by the audit machinery
   // instead.
   if (auditor_ != nullptr && plan_ == nullptr && membership_ == nullptr) {
-    // Audit-only local (cold validation path).
-    // dprank-analyze: allow(unaligned-hot-buffer) -- never gathered
-    std::vector<double> effective;
-    build_effective(effective);
-    const MassAuditReport report = auditor_->audit(effective, kAuditSlack);
+    const MassAuditReport report = audit_ledger();
     DPRANK_INVARIANT(report.conserved(audit_tolerance_), kSub,
                      "rank mass leaked on a fault-free run: ratio " +
                          std::to_string(report.mass_ratio) + " across " +
@@ -1293,7 +1497,25 @@ DistributedRunResult DistributedPagerank::run(ChurnSchedule* churn,
   }
   prepare_fault_state();
   prepare_pipeline(churn != nullptr);
+  // ranks() is back in document order however the run ends. In place:
+  // every run array is still alive here, so a second rank vector would
+  // raise the run's peak by its full size.
+  DistributedRunResult result;
+  try {
+    run_passes(churn, observer, result);
+  } catch (...) {
+    scatter_in_place(ranks_, slot_doc_);
+    throw;
+  }
+  scatter_in_place(ranks_, slot_doc_);
+  result.repair_rounds = repair_rounds_;
+  if (metrics_ != nullptr) flush_metrics(result);
+  return result;
+}
 
+void DistributedPagerank::run_passes(ChurnSchedule* churn,
+                                     const PassObserver& observer,
+                                     DistributedRunResult& result) {
   const PeerId num_peers = placement_.num_peers();
   const std::vector<bool> all_present(num_peers, true);
   obs::Histogram* pass_wall =
@@ -1303,8 +1525,8 @@ DistributedRunResult DistributedPagerank::run(ChurnSchedule* churn,
       metrics_ != nullptr && !has_attachments()
           ? &metrics_->histogram("pagerank.batch_size")
           : nullptr;
+  std::vector<double> observed;  // an observer's ranks, in document order
 
-  DistributedRunResult result;
   for (std::uint64_t pass = 0; pass < options_.max_passes; ++pass) {
     // Telemetry measures the simulator itself (real wall time per pass),
     // never feeds the simulation.
@@ -1415,7 +1637,26 @@ DistributedRunResult DistributedPagerank::run(ChurnSchedule* churn,
 
     history_.push_back(stats);
     result.passes = pass + 1;
-    if (observer) observer(pass, ranks_);
+    if (observer) {
+      // After the first pass only recomputed slots change rank (a
+      // rebuilt document is queued for the same pass and recomputed
+      // there), so only they are copied: a full translation each pass
+      // cost about as much as the pass itself at a million documents.
+      if (observed.empty()) {
+        observed.resize(ranks_.size());
+        for (NodeId s = 0; s < ranks_.size(); ++s) {
+          observed[slot_doc_[s]] = ranks_[s];
+        }
+      } else {
+        for (const Segment& seg : segments_) {
+          for (std::uint64_t i = seg.begin; i < seg.begin + seg.recomputed;
+               ++i) {
+            observed[slot_doc_[grouped_[i]]] = ranks_[grouped_[i]];
+          }
+        }
+      }
+      observer(pass, observed);
+    }
 
     dirty_.swap(next_dirty_);
     next_dirty_.clear();
@@ -1432,16 +1673,10 @@ DistributedRunResult DistributedPagerank::run(ChurnSchedule* churn,
   // always checked (convergence or pass-budget exhaustion alike).
   if (options_.validate_every_n_passes != 0) validate_state();
   if (audit_enabled_) {
-    if (!result.converged) {
-      // Ran out of passes: report the leak as it stands.
-      build_effective(effective_scratch_);
-      last_audit_ = auditor_->audit(effective_scratch_, kAuditSlack);
-    }
+    // Ran out of passes: report the leak as it stands.
+    if (!result.converged) last_audit_ = audit_ledger();
     result.mass_ratio = last_audit_.mass_ratio;
   }
-  result.repair_rounds = repair_rounds_;
-  if (metrics_ != nullptr) flush_metrics(result);
-  return result;
 }
 
 void DistributedPagerank::flush_metrics(const DistributedRunResult& result) {

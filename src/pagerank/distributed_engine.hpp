@@ -22,12 +22,22 @@
 //    pass t are visible in pass t+1 ("pagerank messages are sent and
 //    received instantaneously and all peers start their next iteration
 //    concurrently").
+//  * Slots: run() first numbers the documents peer-major — a stable
+//    counting sort by owning peer, so each peer's documents sit together
+//    and, within a peer, ascend by document id. Ranks, contribution
+//    cells, dirty flags and each document's out-links (target slot and
+//    target cell per out-edge, in the sender's edge order) are stored in
+//    slot order; everything keyed by message identity (outbox, sequence
+//    numbers, audit ledger, trace ids) stays on the graph's out-edge ids.
+//    Every interface that names a document (ranks(), start vectors,
+//    observers, replicas, overlay GUIDs, handoffs, validation messages)
+//    translates at the boundary. DESIGN.md §17 has the maps and costs.
 //  * Execution model: every pass runs one pipeline, whatever the thread
 //    count, schedule or attachments. (1) The dirty set is grouped
 //    peer-major by a counting sort. (2) Under Schedule::kResidual each
 //    peer segment is ordered by residual and its low-residual tail is
-//    deferred. (3) Each segment is folded by the SIMD kernel
-//    (common/simd.hpp) and its epilogue picks the senders; with
+//    deferred. (3) One scalar loop folds each slot's cells left to right
+//    and runs the epilogue that picks the senders; with
 //    PagerankOptions::threads > 1 steps 2 and 3 run one shard per peer
 //    segment on a reusable worker pool (common/thread_pool.hpp). (4) One
 //    sequential sender-major loop emits: peers ascending, each peer's
@@ -35,7 +45,7 @@
 //    cache warms and trace events consume. The loop is templated on
 //    what the run needs (direct delivery, outbox parking under churn, or
 //    the full fault/overlay/trace/replica/membership/audit/residual
-//    machinery). Shards touch only their own segment and documents, so
+//    machinery). Shards touch only their own segment and slots, so
 //    ranks, pass history, residual series and traffic tables are
 //    bit-identical for every thread count.
 //  * Same-peer updates are applied locally without network messages
@@ -77,9 +87,7 @@
 #include <memory>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "common/rng.hpp"
-#include "common/simd.hpp"
 #include "common/thread_pool.hpp"
 #include "fault/fault_plan.hpp"
 #include "obs/metrics.hpp"
@@ -100,9 +108,12 @@ namespace dprank {
 
 class DistributedPagerank : public PagerankEngineInterface {
  public:
-  /// The placement must cover exactly g.num_nodes() documents. The engine
-  /// keeps references: graph and placement must outlive it (temporaries
-  /// are rejected at compile time).
+  /// The placement must cover exactly g.num_nodes() documents, and the
+  /// graph's edge count must fit the engine's 32-bit cell and out-link
+  /// indices (std::invalid_argument otherwise). The engine keeps
+  /// references: graph and placement must outlive it (temporaries are
+  /// rejected at compile time). Construction only checks and keeps the
+  /// start vector; run() builds the per-run state.
   DistributedPagerank(const Digraph& g, const Placement& placement,
                       const PagerankOptions& options);
   /// Warm start: every document starts at start_ranks[v] instead of
@@ -189,7 +200,9 @@ class DistributedPagerank : public PagerankEngineInterface {
   void attach_tracer(obs::Tracer& tracer, PassClock clock = nullptr) override;
 
   /// Run to convergence. `churn == nullptr` means all peers always
-  /// present. Can be called once per engine instance.
+  /// present. Can be called once per engine instance. Builds the slot
+  /// layout first (its cost is part of the run); an observer receives
+  /// the ranks in document order, translated each pass.
   DistributedRunResult run(ChurnSchedule* churn = nullptr,
                            const PassObserver& observer = nullptr) override;
 
@@ -206,6 +219,7 @@ class DistributedPagerank : public PagerankEngineInterface {
     return t;
   }
 
+  /// In document order before and after run() (the start vector before).
   [[nodiscard]] const std::vector<double>& ranks() const override {
     return ranks_;
   }
@@ -217,10 +231,10 @@ class DistributedPagerank : public PagerankEngineInterface {
   }
   [[nodiscard]] std::uint64_t outbox_peak() const { return outbox_peak_; }
   /// Bytes held by the engine's per-document / per-edge arrays (capacity,
-  /// not size — what the allocator actually carries), including those
-  /// only attachments allocate: the mass-audit ledger and workspace, the
-  /// channel's per-slot records, the edge-source map, the replica rank
-  /// store and the parked trace ids. Graph storage is reported
+  /// not size — what the allocator actually carries): the slot layout,
+  /// and those only some runs allocate — the outbox (runs that can park),
+  /// the mass-audit ledger, the channel's per-slot records, the replica
+  /// rank store and the parked trace ids. Graph storage is reported
   /// separately by Digraph::memory_bytes(); both feed the mem.* gauges
   /// and the scale bench's bytes-per-edge figure.
   [[nodiscard]] std::uint64_t memory_bytes() const;
@@ -289,9 +303,14 @@ class DistributedPagerank : public PagerankEngineInterface {
 
   /// Full engine invariant walk (contracts.hpp; subsystem "pagerank"),
   /// plus a cascade into the attached subsystems (graph, overlay ring,
-  /// reliable channel). Checks, at a pass boundary:
+  /// reliable channel). Checks, at a pass boundary (before run(), only
+  /// the start vector's size):
   ///  * per-edge array sizing matches the graph;
-  ///  * dirty-set integrity — in_dirty_[v] set exactly for the documents
+  ///  * the slot layout — slot -> document and document -> slot are
+  ///    inverse maps, the owner mirror equals the placement, cell and
+  ///    out-link offsets match the degrees, and every out-link's target
+  ///    slot and cell match the graph's target and cross index;
+  ///  * dirty-set integrity — in_dirty_[s] set exactly for the slots
   ///    queued in dirty_, no duplicates (the parallel merge precondition);
   ///  * outbox bookkeeping — pending flags, the per-destination deferred
   ///    lists and pending_count agree edge for edge, every parked edge is
@@ -302,10 +321,10 @@ class DistributedPagerank : public PagerankEngineInterface {
   ///    balances exactly against the applied + parked values (§2.3's
   ///    fixed point; skipped under a fault plan, where transient leaks
   ///    are expected until audit_and_repair re-injects them).
-  /// Driven every PagerankOptions::validate_every_n_passes passes by
-  /// run(); callable directly after run() returns. Throws
-  /// contracts::ContractViolation on the first violation; no-op when
-  /// contracts are compiled out.
+  /// Findings name documents, not slots. Driven every
+  /// PagerankOptions::validate_every_n_passes passes by run(); callable
+  /// directly after run() returns. Throws contracts::ContractViolation
+  /// on the first violation; no-op when contracts are compiled out.
   void validate_state() const;
 
  private:
@@ -318,10 +337,18 @@ class DistributedPagerank : public PagerankEngineInterface {
     obs::TraceId trace = obs::kNoTrace;
   };
 
+  /// Where an out-edge's update lands: the target's slot and the cell
+  /// that holds the edge's contribution.
+  struct EdgeTarget {
+    NodeId slot = 0;
+    std::uint32_t cell = 0;
+  };
+
   void deliver_deferred(const std::vector<bool>& presence,
                         PassStats& stats);
-  void mark_dirty(NodeId v);
-  void mark_dirty_now(NodeId v);
+  /// Queue slot s for the next pass (mark_dirty) or this one.
+  void mark_dirty(NodeId s);
+  void mark_dirty_now(NodeId s);
   /// Overlay hop bill for one update from peer `src` to the document
   /// `target_doc` held by `holder`; 1 when no overlay is attached.
   [[nodiscard]] std::uint64_t send_hops(PeerId src, PeerId holder,
@@ -343,10 +370,11 @@ class DistributedPagerank : public PagerankEngineInterface {
   /// continues the message's journey from the outbox when it drains.
   void park(EdgeId e, PeerId src, PeerId dest, double value,
             std::uint32_t seq, obs::TraceId trace, PassStats& stats);
-  /// Apply a delivered value to the contribution cell (sequence-checked
-  /// under acked delivery). `now` marks the target dirty for the current
-  /// pass instead of the next.
-  bool apply_update(EdgeId e, double value, std::uint32_t seq, bool now);
+  /// Apply a delivered value for edge `e` to its cell at `t`
+  /// (sequence-checked under acked delivery). `now` marks the target
+  /// dirty for the current pass instead of the next.
+  bool apply_update(EdgeId e, EdgeTarget t, double value, std::uint32_t seq,
+                    bool now);
   void crash_peer(PeerId p, std::uint64_t pass);
   void recover_peer(PeerId p, const std::vector<bool>& presence,
                     PassStats& stats);
@@ -380,10 +408,10 @@ class DistributedPagerank : public PagerankEngineInterface {
   /// false after re-injecting leaked contributions (keep iterating).
   bool audit_and_repair(const std::vector<bool>& presence,
                         PassStats& stats);
-  /// The MassAuditor's view of the ledger: the contribution store
-  /// permuted back to out-edge indexing (it is stored per in-CSR
-  /// position), with parked outbox values overlaid.
-  void build_effective(std::vector<double>& out) const;
+  /// The MassAuditor's view of edge e: its parked outbox value while it
+  /// waits on an offline destination, else its applied cell.
+  [[nodiscard]] double effective_value(EdgeId e) const;
+  [[nodiscard]] MassAuditReport audit_ledger() const;
 
   // ---- telemetry ----
   /// End the journey `t` (no-op for kNoTrace) with the applied/stale
@@ -433,18 +461,13 @@ class DistributedPagerank : public PagerankEngineInterface {
   // Crash bookkeeping (sized on first use).
   std::vector<std::uint64_t> crashed_until_;  // peer offline through pass-1
   std::vector<std::uint8_t> needs_recovery_;
-  std::vector<NodeId> edge_src_;        // edge id -> source document
-  // Replica rank store (crash-recovery path).
-  // dprank-analyze: allow(unaligned-hot-buffer) -- never folded by the kernel
+  // Replica rank store (crash-recovery path), per slot.
   std::vector<double> replica_value_;   // last rank a live replica holds
   // Churn presence minus crashed peers. vector<bool> is safe here:
   // written only by the coordinator between parallel regions, and read
   // through const access inside them.
   // dprank-analyze: allow(vector-bool) -- written only between regions
   std::vector<bool> presence_eff_;
-  // Mass-audit workspace (cold validation path).
-  // dprank-analyze: allow(unaligned-hot-buffer) -- never gathered
-  std::vector<double> effective_scratch_;  // audit workspace
 
   // Delivery-delay buffer: pass -> messages arriving at its start. A
   // node-based ordered map is right here: the fault path is cold, only
@@ -454,32 +477,50 @@ class DistributedPagerank : public PagerankEngineInterface {
   std::map<std::uint64_t, std::vector<DelayedMsg>> delayed_;
   std::uint64_t delayed_total_ = 0;
 
-  // The interface returns const std::vector<double>&.
-  // dprank-analyze: allow(unaligned-hot-buffer) -- type fixed by interface
+  // ---- slots: the run's peer-major numbering (see the header comment)
+  // Built by prepare_pipeline(). Slot and cell indices are 32-bit; the
+  // constructor rejects graphs whose edge count does not fit.
+  std::vector<NodeId> slot_doc_;     // slot -> document
+  // Document -> slot, kept only by runs that start from edge ids (outbox
+  // drains, delayed and retried sends, audit, handoffs, recovery).
+  std::vector<NodeId> doc_slot_;
+  // Slot -> owning peer, mirroring the placement (handoffs update it; a
+  // moved document keeps its slot).
+  std::vector<PeerId> slot_owner_;
+  // Slot s's contribution cells are contrib_[cell_begin_[s],
+  // cell_begin_[s + 1]), in the graph's in-list order.
+  std::vector<std::uint32_t> cell_begin_;
+  // Slot s's out-links are positions [out_begin_[s], out_begin_[s + 1]),
+  // in the sender's out-edge order: position out_begin_[s] + j is edge
+  // out_edge_begin(slot_doc_[s]) + j, landing in slot out_slot_[pos] at
+  // cell out_cell_[pos].
+  std::vector<std::uint32_t> out_begin_;
+  std::vector<NodeId> out_slot_;
+  std::vector<std::uint32_t> out_cell_;
+
+  // Ranks: document order before and after run(), slot order during it
+  // (permuted at both ends; never held twice while the passes run).
   std::vector<double> ranks_;
-  // Delivered contribution cells, indexed by in-CSR *position* (see
-  // Digraph::in_edge_begin): a document's cells are contiguous, so the
-  // recompute — the engine's hottest loop — streams them sequentially.
-  // Everything keyed by message identity (outbox, sequence numbers,
-  // audit ledger) stays on out-edge ids; writes translate through
-  // Digraph::out_to_in_edge. 64-byte aligned: the vector gather kernel
-  // (common/simd.hpp) sweeps this array.
-  AlignedVec<double> contrib_;
-  // Parked update values: scalar random writes only.
-  // dprank-analyze: allow(unaligned-hot-buffer) -- the kernel never streams it
-  std::vector<double> pending_value_;  // per out-edge, undelivered value
-  std::vector<std::uint8_t> pending_;  // per out-edge outbox flag
+  // Delivered contribution cells, per slot in slot order: a slot's cells
+  // are contiguous, so the recompute — the engine's hottest loop —
+  // streams them, and a peer's cells sit together. Everything keyed by
+  // message identity (outbox, sequence numbers, audit ledger) stays on
+  // out-edge ids.
+  std::vector<double> contrib_;
+  // The outbox, per out-edge; allocated only by runs that can park.
+  std::vector<double> pending_value_;  // undelivered value
+  std::vector<std::uint8_t> pending_;  // outbox flag
   std::vector<std::uint32_t> pending_seq_;  // parked seq (acked mode only)
   // (edge, sender peer) pairs parked for an absent destination peer
   std::vector<std::vector<std::pair<EdgeId, PeerId>>> deferred_by_peer_;
   std::uint64_t total_pending_ = 0;
   std::uint64_t outbox_peak_ = 0;
 
-  // uint8_t, not vector<bool>: recompute shards clear the flags of
-  // distinct documents concurrently, which must not share words.
+  // Per slot. uint8_t, not vector<bool>: recompute shards clear the flags
+  // of distinct slots concurrently, which must not share words.
   std::vector<std::uint8_t> in_dirty_;
-  std::vector<NodeId> dirty_;       // docs to recompute this pass
-  std::vector<NodeId> next_dirty_;  // docs to recompute next pass
+  std::vector<NodeId> dirty_;       // slots to recompute this pass
+  std::vector<NodeId> next_dirty_;  // slots to recompute next pass
 
   // ---- the pass pipeline (see the header comment) ----
   /// How the emission loop delivers an update; fixed for the run by
@@ -490,11 +531,11 @@ class DistributedPagerank : public PagerankEngineInterface {
     kFull,      // a fault plan, tracer, overlay, replicas, membership,
                 // the mass audit or the residual schedule is in play
   };
-  /// One active peer's slice of the pass. Its dirty documents sit at
-  /// docs_[begin, end); the recompute step writes the senders to the
-  /// front of senders_[begin, end) and the documents that stay dirty
+  /// One active peer's slice of the pass. Its dirty slots sit at
+  /// grouped_[begin, end); the recompute step writes the senders to the
+  /// front of senders_[begin, end) and the slots that stay dirty
   /// (residual deferrals and held emissions) to its back — the two never
-  /// meet, since a document is at most one of them.
+  /// meet, since a slot is at most one of them.
   struct Segment {
     PeerId peer = 0;
     std::uint64_t begin = 0;
@@ -509,7 +550,18 @@ class DistributedPagerank : public PagerankEngineInterface {
   /// True when a fault plan, tracer, overlay, replicas, membership or
   /// the mass audit is attached.
   [[nodiscard]] bool has_attachments() const;
+  /// Fixes the delivery mode, builds the slot layout (which permutes
+  /// ranks_ into slot order) and sizes the per-run state.
   void prepare_pipeline(bool churn);
+  void build_slots(bool keep_doc_slot);
+  /// The passes themselves, with ranks_ in slot order.
+  void run_passes(ChurnSchedule* churn, const PassObserver& observer,
+                  DistributedRunResult& result);
+  /// Target slot and cell of out-edge e (needs doc_slot_).
+  [[nodiscard]] EdgeTarget edge_target(EdgeId e) const;
+  /// The document whose out-edge e is: a binary search over the
+  /// graph's out-offsets, for the cold audit-repair and leaver paths.
+  [[nodiscard]] NodeId edge_source(EdgeId e) const;
   /// One pass through the pipeline: group, recompute (sharded on the
   /// pool when there is one), merge the segments in peer order, emit.
   void run_pass(const std::vector<bool>& presence, std::uint64_t pass,
@@ -518,8 +570,8 @@ class DistributedPagerank : public PagerankEngineInterface {
   /// ascending, dirty_ order within a peer).
   void group_dirty();
   /// Steps 2 and 3 for one segment: residual selection, fold, epilogue.
-  /// Touches only the segment's slices and its own documents, so
-  /// segments recompute concurrently.
+  /// Touches only the segment's slices and its own slots, so segments
+  /// recompute concurrently.
   void recompute_segment(Segment& s, const std::vector<bool>& presence);
   /// Step 4: the sender-major emission loop.
   template <Delivery kMode>
@@ -528,12 +580,10 @@ class DistributedPagerank : public PagerankEngineInterface {
 
   std::unique_ptr<ThreadPool> pool_;   // only when options_.threads > 1
   Delivery delivery_ = Delivery::kDirect;
-  simd::Level simd_level_ = simd::Level::kScalar;  // hoisted per run
   std::vector<Segment> segments_;   // this pass, peers ascending
   std::vector<std::uint64_t> peer_cursor_;  // per peer: sort count/cursor
-  AlignedVec<NodeId> docs_;     // dirty docs, grouped peer-major
-  AlignedVec<double> acc_;      // per-doc cell sums from the fold kernel
-  AlignedVec<NodeId> senders_;  // per segment: senders, then kept docs
+  std::vector<NodeId> grouped_;  // dirty slots, grouped peer-major
+  std::vector<NodeId> senders_;  // per segment: senders, then kept slots
   // Emission scratch for the batch-size histogram: the current source
   // peer's wire messages per destination, reset through touched_dsts_.
   std::vector<std::uint32_t> dst_count32_;
@@ -543,16 +593,14 @@ class DistributedPagerank : public PagerankEngineInterface {
   bool residual_mode_ = false;
   double eff_epsilon_ = 0.0;   // this pass's emission threshold
   double prev_max_rel_ = 0.0;  // last pass's max relative change
-  // Accumulated |Δcontribution| since the document's last recompute;
-  // +inf until first recomputed, so pass 0 processes everything.
-  // Per-document scalar state.
-  // dprank-analyze: allow(unaligned-hot-buffer) -- the kernel never streams it
+  // Per slot. Accumulated |Δcontribution| since the document's last
+  // recompute; +inf until first recomputed, so pass 0 processes
+  // everything.
   std::vector<double> residual_;
-  // Rank value behind the document's last emission: the emission gate
-  // compares against what the out-links actually hold, not last pass's
-  // rank, so coalesced (deferred) updates are never silently dropped.
-  // Per-document scalar state, like residual_.
-  // dprank-analyze: allow(unaligned-hot-buffer) -- the kernel never streams it
+  // Per slot. Rank value behind the document's last emission: the
+  // emission gate compares against what the out-links actually hold, not
+  // last pass's rank, so coalesced (deferred) updates are never silently
+  // dropped.
   std::vector<double> last_sent_;
   std::vector<std::uint8_t> defer_age_;  // consecutive deferrals
 

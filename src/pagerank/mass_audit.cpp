@@ -1,6 +1,5 @@
 #include "pagerank/mass_audit.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 namespace dprank {
@@ -26,19 +25,7 @@ MassAuditReport MassAuditor::audit(const std::vector<double>& effective,
   if (effective.size() != expected_.size()) {
     throw std::invalid_argument("MassAuditor::audit: size mismatch");
   }
-  MassAuditReport report;
-  for (EdgeId e = 0; e < expected_.size(); ++e) {
-    report.emitted_total += std::abs(expected_[e]);
-    const double diff = std::abs(expected_[e] - effective[e]);
-    if (diff > slack) {
-      report.leaked += diff;
-      ++report.leaking_edges;
-    }
-  }
-  report.mass_ratio = report.emitted_total > 0.0
-                          ? 1.0 - report.leaked / report.emitted_total
-                          : 1.0;
-  return report;
+  return audit([&effective](EdgeId e) { return effective[e]; }, slack);
 }
 
 std::vector<EdgeId> MassAuditor::leaking_edges(
@@ -46,11 +33,8 @@ std::vector<EdgeId> MassAuditor::leaking_edges(
   if (effective.size() != expected_.size()) {
     throw std::invalid_argument("MassAuditor::leaking_edges: size mismatch");
   }
-  std::vector<EdgeId> leaks;
-  for (EdgeId e = 0; e < expected_.size(); ++e) {
-    if (std::abs(expected_[e] - effective[e]) > slack) leaks.push_back(e);
-  }
-  return leaks;
+  return leaking_edges([&effective](EdgeId e) { return effective[e]; },
+                       slack);
 }
 
 }  // namespace dprank

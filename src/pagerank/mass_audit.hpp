@@ -27,6 +27,8 @@
 // the global ratio is a gossip aggregate; the simulator computes it
 // directly.
 
+#include <cmath>
+#include <concepts>
 #include <cstdint>
 #include <vector>
 
@@ -74,16 +76,46 @@ class MassAuditor {
     return known_loss_events_;
   }
 
-  /// Full O(E) audit: `effective` holds the value the system currently
-  /// retains for each edge (applied cell, or the parked pending value for
-  /// edges waiting in an outbox). `slack` absorbs floating-point copy
-  /// noise; values are copied verbatim through the engine, so the default
-  /// is effectively exact.
+  /// Full O(E) audit, in edge order: `effective(e)` is the value the
+  /// system currently retains for edge e (applied cell, or the parked
+  /// pending value for edges waiting in an outbox), read as the sweep
+  /// goes. `slack` absorbs floating-point copy noise; values are copied
+  /// verbatim through the engine, so the default is effectively exact.
+  template <typename Effective>
+    requires std::invocable<const Effective&, EdgeId>
+  [[nodiscard]] MassAuditReport audit(const Effective& effective,
+                                      double slack = 1e-12) const {
+    MassAuditReport report;
+    for (EdgeId e = 0; e < expected_.size(); ++e) {
+      report.emitted_total += std::abs(expected_[e]);
+      const double diff = std::abs(expected_[e] - effective(e));
+      if (diff > slack) {
+        report.leaked += diff;
+        ++report.leaking_edges;
+      }
+    }
+    report.mass_ratio = report.emitted_total > 0.0
+                            ? 1.0 - report.leaked / report.emitted_total
+                            : 1.0;
+    return report;
+  }
+  /// The same audit over one effective value per edge; throws
+  /// std::invalid_argument unless the vector covers the edges.
   [[nodiscard]] MassAuditReport audit(const std::vector<double>& effective,
                                       double slack = 1e-12) const;
 
   /// Edge ids whose effective value deviates from the ledger by more than
   /// `slack` — the re-injection work list, in edge order.
+  template <typename Effective>
+    requires std::invocable<const Effective&, EdgeId>
+  [[nodiscard]] std::vector<EdgeId> leaking_edges(const Effective& effective,
+                                                  double slack = 1e-12) const {
+    std::vector<EdgeId> leaks;
+    for (EdgeId e = 0; e < expected_.size(); ++e) {
+      if (std::abs(expected_[e] - effective(e)) > slack) leaks.push_back(e);
+    }
+    return leaks;
+  }
   [[nodiscard]] std::vector<EdgeId> leaking_edges(
       const std::vector<double>& effective, double slack = 1e-12) const;
 

@@ -7,6 +7,7 @@
 
 #include "fault/fault_plan.hpp"
 #include "graph/generator.hpp"
+#include "p2p/churn.hpp"
 #include "pagerank/centralized.hpp"
 #include "pagerank/quality.hpp"
 
@@ -61,9 +62,10 @@ TEST(DistributedEngine, WarmStartReachesTheSameFixedPoint) {
 
 TEST(DistributedEngine, MemoryBytesCountsAttachmentArrays) {
   // An audited, acked-delivery run holds per-edge arrays a plain run
-  // never allocates: the audit ledger and its workspace (doubles), the
-  // edge-source map and the channel's per-slot records (an issued and an
-  // applied sequence number each).
+  // never allocates: the audit ledger and the outbox's parked values
+  // (doubles), the parked sequence numbers, the channel's per-slot
+  // records (an issued and an applied sequence number each) and the
+  // outbox flags.
   const Digraph g = paper_graph(500, 5);
   const auto p = Placement::random(500, 10, 5);
   DistributedPagerank plain(g, p, opts(1e-3));
@@ -77,8 +79,17 @@ TEST(DistributedEngine, MemoryBytesCountsAttachmentArrays) {
   ASSERT_TRUE(audited.run().converged);
   const std::uint64_t m = g.num_edges();
   const std::uint64_t attached =
-      m * (2 * sizeof(double) + sizeof(NodeId) + 2 * sizeof(std::uint32_t));
+      m * (2 * sizeof(double) + 3 * sizeof(std::uint32_t) +
+           sizeof(std::uint8_t));
   EXPECT_GE(audited.memory_bytes(), plain.memory_bytes() + attached);
+
+  // Only a run that can park holds the outbox: under churn the same
+  // run adds a parked value and a flag per edge.
+  ChurnSchedule churn(10, 0.5, 5);
+  DistributedPagerank churned(g, p, opts(1e-3));
+  ASSERT_TRUE(churned.run(&churn).converged);
+  EXPECT_GE(churned.memory_bytes(),
+            plain.memory_bytes() + m * (sizeof(double) + sizeof(std::uint8_t)));
 }
 
 TEST(DistributedEngine, RunsOnlyOnce) {
@@ -181,17 +192,63 @@ TEST(DistributedEngine, PassHistoryIsConsistent) {
 TEST(DistributedEngine, ObserverSeesEveryPass) {
   const Digraph g = paper_graph(500, 15);
   const auto p = Placement::random(500, 10, 15);
+  // Pass 0 recomputes every document once from the cold-start cells, so
+  // its ranks follow from the graph alone, in document order.
+  const double d = opts(1e-3).damping;
+  std::vector<double> pass0(g.num_nodes());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    double sum = 0.0;
+    for (const NodeId u : g.in_neighbors(v)) {
+      sum += 1.0 / static_cast<double>(g.out_degree(u));
+    }
+    pass0[v] = (1.0 - d) + d * sum;
+  }
   DistributedPagerank engine(g, p, opts(1e-3));
+  EXPECT_EQ(engine.ranks(), std::vector<double>(500, 1.0));
   std::uint64_t calls = 0;
   std::uint64_t last_pass = 0;
+  std::vector<double> last;
   const auto run = engine.run(nullptr, [&](std::uint64_t pass,
                                            const std::vector<double>& ranks) {
     EXPECT_EQ(ranks.size(), 500u);
+    if (pass == 0) {
+      EXPECT_EQ(ranks, pass0);
+    }
+    last = ranks;
     last_pass = pass;
     ++calls;
   });
   EXPECT_EQ(calls, run.passes);
   EXPECT_EQ(last_pass + 1, run.passes);
+  EXPECT_EQ(last, engine.ranks());
+
+  // The same under churn and crash recovery, where passes skip absent
+  // peers and rebuild crashed peers' documents.
+  FaultPlanConfig fpc;
+  fpc.crashes.push_back({.pass = 2, .peer = 3});
+  fpc.crashes.push_back({.pass = 5, .peer = 7});
+  FaultPlan plan(fpc);
+  ChurnSchedule churn(10, 0.7, 15);
+  DistributedPagerank faulty(g, p, opts(1e-3));
+  faulty.attach_fault_plan(plan);
+  faulty.enable_mass_audit();
+  std::vector<double> faulty_last;
+  ASSERT_TRUE(faulty
+                  .run(&churn,
+                       [&](std::uint64_t, const std::vector<double>& ranks) {
+                         faulty_last = ranks;
+                       })
+                  .converged);
+  EXPECT_GT(faulty.recovered_docs(), 0u);
+  EXPECT_EQ(faulty_last, faulty.ranks());
+
+  // Before run(), ranks() is the start vector as given.
+  std::vector<double> start(g.num_nodes());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    start[v] = 0.5 + static_cast<double>(v % 7);
+  }
+  const DistributedPagerank warm(g, p, opts(1e-3), start);
+  EXPECT_EQ(warm.ranks(), start);
 }
 
 TEST(DistributedEngine, ChurnStillConverges) {

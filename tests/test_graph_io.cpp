@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "graph/generator.hpp"
@@ -102,6 +103,25 @@ TEST_F(GraphIoTest, NodeCountBeyondNodeIdRangeThrows) {
   // Narrowed to a 32-bit NodeId, 2^32 would load as a 0-node graph.
   EXPECT_THROW(load_graph(craft("n.dpg", std::uint64_t{1} << 32, 0, 0)),
                std::runtime_error);
+}
+
+TEST_F(GraphIoTest, NodeCountBeyondTheCapThrowsBeforeAllocating) {
+  // A 28-byte header-only file: without the cap, 2^32 - 1 documents
+  // would allocate two offset arrays of 32 GiB each.
+  for (const std::uint64_t n :
+       {kMaxLoadNodes + 1, std::uint64_t{0xFFFF'FFFF}}) {
+    try {
+      (void)load_graph(craft("cap.dpg", n, 0, 0));
+      FAIL() << "node count " << n << " loaded";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::to_string(n)), std::string::npos) << what;
+      EXPECT_NE(what.find(std::to_string(kMaxLoadNodes)), std::string::npos)
+          << what;
+    }
+  }
+  // Within the cap, a header-only file is an edgeless graph.
+  EXPECT_EQ(load_graph(craft("small.dpg", 1000, 0, 0)).num_nodes(), 1000u);
 }
 
 TEST_F(GraphIoTest, EdgeCountBeyondFileSizeThrowsBeforeAllocating) {

@@ -19,9 +19,11 @@
 #include <cmath>
 #include <cstdint>
 #include <ios>
+#include <optional>
 #include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "graph/generator.hpp"
 #include "obs/trace.hpp"
 #include "p2p/churn.hpp"
@@ -146,6 +148,120 @@ TEST(ScheduleFifo, TraceStreamGoldens) {
           << std::hex << "trace digest 0x" << trace << std::dec
           << " seed=" << entry.seed << " threads=" << threads
           << " availability=" << entry.availability;
+    }
+  }
+}
+
+// ---- fifo edge cases the paper-graph goldens miss ----------------------
+//
+// paper_graph makes no dangling documents and every golden above places
+// documents uniformly at random from a cold start. These pin the rest:
+// documents without out-links or without any links, peers that own
+// nothing beside one that owns most, and a non-uniform warm start.
+
+/// The paper graph with 300 extra documents: 200 dangling ones that only
+/// receive links, 100 isolated ones with no links at all. Every 17th
+/// original document also loses its out-links.
+Digraph dangling_graph(std::uint64_t seed) {
+  const Digraph base = paper_graph(kDocs, seed);
+  std::vector<Edge> edges;
+  for (const Edge& e : base.edge_list()) {
+    if (e.src % 17 != 0) edges.push_back(e);
+  }
+  Rng rng(seed ^ 0xDA9ULL);
+  for (NodeId v = kDocs; v < kDocs + 200; ++v) {
+    for (int k = 0; k < 3; ++k) {
+      edges.push_back({static_cast<NodeId>(rng.bounded(kDocs)), v});
+    }
+  }
+  return Digraph::from_edges(kDocs + 300, std::move(edges));
+}
+
+/// Peer 7 owns four documents in five, peers 30 and up own none, and
+/// peers 0-29 share the rest.
+Placement skewed_placement(NodeId docs) {
+  std::vector<PeerId> owner(docs);
+  for (NodeId v = 0; v < docs; ++v) {
+    owner[v] = v % 5 != 0 ? PeerId{7} : static_cast<PeerId>((v * 7919) % 30);
+  }
+  return Placement::from_owners(std::move(owner), kPeers);
+}
+
+/// A deterministic non-uniform start vector in [0.15, 4.15).
+std::vector<double> uneven_start(NodeId docs, std::uint64_t seed) {
+  Rng rng(seed ^ 0x57A7ULL);
+  std::vector<double> start(docs);
+  for (double& r : start) r = 0.15 + 4.0 * rng.uniform();
+  return start;
+}
+
+enum class EdgeCase : std::uint8_t { kDangling, kSkewed, kWarmStart };
+
+std::uint64_t edge_case_digest(EdgeCase which, std::uint64_t seed,
+                               std::uint32_t threads, double availability) {
+  const Digraph g = which == EdgeCase::kDangling ? dangling_graph(seed)
+                                                 : paper_graph(kDocs, seed);
+  const Placement placement =
+      which == EdgeCase::kSkewed
+          ? skewed_placement(g.num_nodes())
+          : Placement::random(g.num_nodes(), kPeers, seed);
+  PagerankOptions o;
+  o.epsilon = 1e-3;
+  o.threads = threads;
+  std::optional<DistributedPagerank> engine;
+  if (which == EdgeCase::kWarmStart) {
+    engine.emplace(g, placement, o, uneven_start(g.num_nodes(), seed));
+  } else {
+    engine.emplace(g, placement, o);
+  }
+  DistributedRunResult run;
+  if (availability < 1.0) {
+    ChurnSchedule churn(kPeers, availability, seed);
+    run = engine->run(&churn);
+  } else {
+    run = engine->run();
+  }
+  EXPECT_TRUE(run.converged);
+  return digest_core(*engine, run);
+}
+
+struct EdgeCaseGolden {
+  EdgeCase which;
+  double availability;
+  std::uint64_t digest;
+};
+
+// Recorded at commit 7da9169 (documents in generator order inside the
+// engine), seed 11, 2000 docs + 300 for the dangling graph, 40 peers,
+// epsilon 1e-3, churn availability 0.5; identical at 1 and 4 threads.
+constexpr EdgeCaseGolden kEdgeCaseGolden[] = {
+    {EdgeCase::kDangling, 1.0, 0xb9fc431f19ad40ccULL},
+    {EdgeCase::kDangling, 0.5, 0xd37488ae44b68115ULL},
+    {EdgeCase::kSkewed, 1.0, 0x0d44d07a945179a8ULL},
+    {EdgeCase::kSkewed, 0.5, 0x43806315a2a9c098ULL},
+    {EdgeCase::kWarmStart, 1.0, 0x2fccf5d6719e8579ULL},
+    {EdgeCase::kWarmStart, 0.5, 0xc04a292fb1399a2bULL},
+};
+
+TEST(ScheduleFifo, EdgeCaseGoldensAtOneAndFourThreads) {
+  // The dangling graph really holds both kinds of link-poor document.
+  const Digraph g = dangling_graph(11);
+  NodeId dangling = 0;
+  NodeId isolated = 0;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (g.out_degree(v) != 0) continue;
+    ++(g.in_degree(v) == 0 ? isolated : dangling);
+  }
+  ASSERT_GE(dangling, 200u);
+  ASSERT_GE(isolated, 100u);
+  for (const EdgeCaseGolden& entry : kEdgeCaseGolden) {
+    for (const std::uint32_t threads : {1u, 4u}) {
+      const std::uint64_t d =
+          edge_case_digest(entry.which, 11, threads, entry.availability);
+      EXPECT_EQ(d, entry.digest)
+          << std::hex << "digest 0x" << d << std::dec
+          << " case=" << static_cast<int>(entry.which)
+          << " threads=" << threads << " availability=" << entry.availability;
     }
   }
 }

@@ -84,14 +84,31 @@ struct TestCorruptor {
     }
   }
   static void corrupt_dirty_set(DistributedPagerank& engine) {
-    // Queue a document without flagging it: the dedup flag array and
-    // the queue no longer agree (the parallel-merge precondition).
+    // Queue slot 0 without flagging it: the dedup flag array and the
+    // queue no longer agree (the parallel-merge precondition).
     engine.dirty_.push_back(0);
   }
   static void leak_rank_mass(DistributedPagerank& engine) {
-    // Inflate one stored contribution: the MassAuditor ledger no longer
-    // balances against the applied + parked values.
+    // Inflate one stored contribution cell: the MassAuditor ledger no
+    // longer balances against the applied + parked values.
     engine.contrib_[0] += 0.25;
+  }
+  static NodeId stale_owner_mirror(DistributedPagerank& engine) {
+    // Slot 0's owner mirror names another peer than the placement does;
+    // returns the document slot 0 holds.
+    PeerId& owner = engine.slot_owner_[0];
+    owner = (owner + 1) % engine.placement_.num_peers();
+    return engine.slot_doc_[0];
+  }
+  static void misroute_out_link(DistributedPagerank& engine) {
+    // The first out-link lands in the second one's cell: every slot and
+    // offset still holds, one update would overwrite another edge.
+    engine.out_cell_[0] = engine.out_cell_[1];
+  }
+  static void break_slot_map(DistributedPagerank& engine) {
+    // Two documents trade slots in the document -> slot map only: the
+    // two maps stop being inverses.
+    std::swap(engine.doc_slot_[0], engine.doc_slot_[1]);
   }
   static void swap_postings(DistributedIndex& index, TermId term) {
     // Swap a list's first two entries: every document keeps its rank,
@@ -219,6 +236,56 @@ TEST(ValidatorNegative, EngineCatchesCorruptDirtySet) {
   ASSERT_TRUE(engine.run().converged);
   engine.validate_state();  // healthy after the run
   TestCorruptor::corrupt_dirty_set(engine);
+  expect_violation("pagerank", [&] { engine.validate_state(); });
+}
+
+/// Validation every pass. It also feeds the mass ledger, so the run
+/// keeps its document -> slot map.
+PagerankOptions validated_opts() {
+  PagerankOptions opts;
+  opts.validate_every_n_passes = 1;
+  return opts;
+}
+
+TEST(ValidatorNegative, EngineCatchesStaleOwnerMirror) {
+  SKIP_WITHOUT_CONTRACTS();
+  const Digraph g = paper_graph(300, 11);
+  const auto p = Placement::random(300, 10, 11);
+  DistributedPagerank engine(g, p, validated_opts());
+  ASSERT_TRUE(engine.run().converged);
+  engine.validate_state();
+  const NodeId doc = TestCorruptor::stale_owner_mirror(engine);
+  try {
+    engine.validate_state();
+    FAIL() << "expected a stale owner mirror to be caught";
+  } catch (const ContractViolation& v) {
+    EXPECT_EQ(v.subsystem(), "pagerank");
+    // Findings name the document, not its slot.
+    EXPECT_NE(std::string(v.what()).find("document " + std::to_string(doc)),
+              std::string::npos)
+        << v.what();
+  }
+}
+
+TEST(ValidatorNegative, EngineCatchesOutLinkIntoAnotherEdgesCell) {
+  SKIP_WITHOUT_CONTRACTS();
+  const Digraph g = paper_graph(300, 13);
+  const auto p = Placement::random(300, 10, 13);
+  DistributedPagerank engine(g, p, validated_opts());
+  ASSERT_TRUE(engine.run().converged);
+  engine.validate_state();
+  TestCorruptor::misroute_out_link(engine);
+  expect_violation("pagerank", [&] { engine.validate_state(); });
+}
+
+TEST(ValidatorNegative, EngineCatchesBrokenSlotMap) {
+  SKIP_WITHOUT_CONTRACTS();
+  const Digraph g = paper_graph(300, 17);
+  const auto p = Placement::random(300, 10, 17);
+  DistributedPagerank engine(g, p, validated_opts());
+  ASSERT_TRUE(engine.run().converged);
+  engine.validate_state();
+  TestCorruptor::break_slot_map(engine);
   expect_violation("pagerank", [&] { engine.validate_state(); });
 }
 

@@ -205,6 +205,12 @@ void write_telemetry_outputs(const Args& args,
 int cmd_gen(const Args& args) {
   WebGraphParams params;
   params.num_nodes = args.get_uint("nodes", 10'000);
+  if (params.num_nodes > kMaxLoadNodes) {
+    // The file would be one that stats, rank and insert refuse to load.
+    throw std::invalid_argument(
+        "--nodes: expected at most " + std::to_string(kMaxLoadNodes) +
+        " (the loader's cap), got '" + args.get("nodes", "") + "'");
+  }
   params.seed = args.get_uint("seed", 42);
   params.dangling_fraction = args.get_double("dangling", 0.0);
   const std::string out = args.require("out");
