@@ -1,9 +1,9 @@
 #pragma once
 
 // Portable SIMD wrapper for the in-CSR gather fold (ROADMAP item 4).
-// The distributed engine no longer calls it: it folds each slot's cells
-// in one scalar loop, which measured faster. The kernel stays as the
-// gather probe that bench_scale and perfbench's traced run time.
+// The distributed engine does not call it: a scalar loop over each slot's
+// cells measured faster there. The kernel stays as the gather probe that
+// bench_scale and perfbench's traced run time.
 //
 // The only loop worth vectorizing in this codebase is also the one whose
 // floating-point result is pinned bit-for-bit by the fifo golden digests:

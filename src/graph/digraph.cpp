@@ -111,12 +111,6 @@ void Digraph::build_from_out_csr(CrossIndexWidth width) {
       }
     }
   }
-
-  inv_out_degree_.resize(n);
-  for (NodeId u = 0; u < n; ++u) {
-    const std::uint32_t deg = out_degree(u);
-    inv_out_degree_[u] = deg == 0 ? 0.0f : 1.0f / static_cast<float>(deg);
-  }
 }
 
 std::uint64_t Digraph::memory_bytes() const {
@@ -126,7 +120,7 @@ std::uint64_t Digraph::memory_bytes() const {
   };
   return bytes(out_offsets_) + bytes(out_targets_) + bytes(in_offsets_) +
          bytes(in_sources_) + bytes(in_to_out_) + bytes(out_to_in_) +
-         bytes(out_to_in32_) + bytes(inv_out_degree_);
+         bytes(out_to_in32_);
 }
 
 bool Digraph::has_edge(NodeId u, NodeId v) const {
@@ -159,15 +153,6 @@ void Digraph::validate() const {
     DPRANK_INVARIANT(m == 0 && in_sources_.empty() && in_to_out_.empty(),
                      kSub, "empty graph holds edges");
     return;
-  }
-  DPRANK_INVARIANT(inv_out_degree_.size() == n, kSub,
-                   "inverse out-degree array does not cover the nodes");
-  for (NodeId u = 0; u < n; ++u) {
-    const std::uint32_t deg = out_degree(u);
-    const float expect = deg == 0 ? 0.0f : 1.0f / static_cast<float>(deg);
-    DPRANK_INVARIANT(inv_out_degree_[u] == expect, kSub,
-                     "inverse out-degree does not match the CSR degree at "
-                     "node " + std::to_string(u));
   }
   DPRANK_INVARIANT(out_offsets_.front() == 0 && in_offsets_.front() == 0,
                    kSub, "offset arrays do not start at 0");

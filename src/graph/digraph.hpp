@@ -21,10 +21,7 @@
 // distributed engine reads it once per run, to lay out its own out-links
 // and on cold paths); the 64-bit fallback is selected at build time when
 // the edge count demands it (and can be forced for the layout-equivalence
-// tests). Float inverse out-degrees ride along for consumers that only
-// need approximate per-link weights (scale diagnostics, future inexact
-// engines); the exact engine keeps its double divisions — they are part
-// of the bit-reproducibility anchor.
+// tests).
 
 #include <cstdint>
 #include <span>
@@ -75,7 +72,7 @@ class Digraph {
     /// self-loop free, exactly what from_edges' sort+dedup produces.
     void add_node(NodeId u, std::span<const NodeId> targets);
 
-    /// Derive the in-CSR, cross indexes and inverse out-degrees.
+    /// Derive the in-CSR and cross indexes.
     /// The builder is consumed.
     [[nodiscard]] Digraph finalize() &&;
 
@@ -169,16 +166,6 @@ class Digraph {
     return cross_index_narrow_ ? out_to_in32_.data() : nullptr;
   }
 
-  /// Precomputed 1/outdeg(u) as float (0.0f for dangling nodes) — the
-  /// compact layout's approximate per-link weight. Exact engines must
-  /// keep dividing doubles (rank emission values are digest-pinned).
-  [[nodiscard]] float inv_out_degree(NodeId u) const {
-    return inv_out_degree_[u];
-  }
-  [[nodiscard]] std::span<const float> inv_out_degrees() const {
-    return {inv_out_degree_.data(), inv_out_degree_.size()};
-  }
-
   /// Heap bytes held by the CSR arrays (capacity, not size — what the
   /// allocator actually handed over). Feeds mem.graph_bytes telemetry
   /// and the bytes-per-edge scale diagnostics.
@@ -205,7 +192,7 @@ class Digraph {
   friend struct TestCorruptor;  // negative invariant tests corrupt privates
 
   /// Build everything derived from the finished out-CSR: in-CSR, both
-  /// cross indexes (narrow or wide per `width`), inverse out-degrees.
+  /// cross indexes (narrow or wide per `width`).
   void build_from_out_csr(CrossIndexWidth width);
 
   // Out-CSR: out_offsets_[u]..out_offsets_[u+1] indexes out_targets_.
@@ -221,8 +208,6 @@ class Digraph {
   std::vector<EdgeId> out_to_in_;
   std::vector<std::uint32_t> out_to_in32_;
   bool cross_index_narrow_ = true;  // empty graph: narrow trivially holds
-  // 1/outdeg as float, 0.0f for dangling nodes.
-  std::vector<float> inv_out_degree_;
 };
 
 }  // namespace dprank

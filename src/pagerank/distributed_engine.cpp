@@ -1638,22 +1638,18 @@ void DistributedPagerank::run_passes(ChurnSchedule* churn,
     history_.push_back(stats);
     result.passes = pass + 1;
     if (observer) {
-      // After the first pass only recomputed slots change rank (a
-      // rebuilt document is queued for the same pass and recomputed
-      // there), so only they are copied: a full translation each pass
-      // cost about as much as the pass itself at a million documents.
+      // After the first pass a rank changes only when its slot is
+      // recomputed or rebuilt, and either happens only to a slot queued
+      // for this pass, so only those are copied: a full translation each
+      // pass cost about as much as the pass itself at a million
+      // documents.
       if (observed.empty()) {
         observed.resize(ranks_.size());
         for (NodeId s = 0; s < ranks_.size(); ++s) {
           observed[slot_doc_[s]] = ranks_[s];
         }
       } else {
-        for (const Segment& seg : segments_) {
-          for (std::uint64_t i = seg.begin; i < seg.begin + seg.recomputed;
-               ++i) {
-            observed[slot_doc_[grouped_[i]]] = ranks_[grouped_[i]];
-          }
-        }
+        for (const NodeId s : dirty_) observed[slot_doc_[s]] = ranks_[s];
       }
       observer(pass, observed);
     }

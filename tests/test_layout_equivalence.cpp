@@ -1,9 +1,9 @@
 // Layout and kernel equivalence (ROADMAP item 4).
 //
-// The compact graph layout (32-bit out_to_in_ cross index, float inverse
-// out-degrees) is a pure representation change: the engine's observable
-// behavior — ranks, the full pass history, the traffic ledger, the
-// outbox peak — must be BIT-IDENTICAL to the wide layout. These tests
+// The compact graph layout (a 32-bit out_to_in_ cross index) is a pure
+// representation change: the engine's observable behavior — ranks, the
+// full pass history, the traffic ledger, the outbox peak — must be
+// BIT-IDENTICAL to the wide layout. These tests
 // pin that, the vectorized fold kernel's equivalence to the scalar one
 // (the kernel now backs only the benches' gather probes; the engine
 // folds in one scalar loop), the 2^32 selection boundary of the narrow
