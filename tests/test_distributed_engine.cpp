@@ -3,13 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <ios>
+#include <utility>
 #include <vector>
 
 #include "fault/fault_plan.hpp"
 #include "graph/generator.hpp"
 #include "p2p/churn.hpp"
+#include "p2p/replication.hpp"
 #include "pagerank/centralized.hpp"
 #include "pagerank/quality.hpp"
+#include "run_digest.hpp"
 
 namespace dprank {
 namespace {
@@ -249,6 +254,75 @@ TEST(DistributedEngine, ObserverSeesEveryPass) {
   }
   const DistributedPagerank warm(g, p, opts(1e-3), start);
   EXPECT_EQ(warm.ranks(), start);
+}
+
+// ---- every observed vector, pinned ------------------------------------
+//
+// ObserverSeesEveryPass checks the first and last observed vectors; these
+// digests cover every pass in between, where the engine copies only the
+// slots a pass touched: under churn (segments on absent peers), crash
+// recovery with replica restores (rebuilt ranks) and the residual
+// schedule (deferred slots).
+
+enum class ObservedRun : std::uint8_t { kChurn, kCrashRecovery, kResidual };
+
+/// FNV-1a over every (pass, ranks) pair the observer receives.
+std::uint64_t observed_digest(ObservedRun which, std::uint32_t threads) {
+  const Digraph g = paper_graph(2000, 11);
+  const auto p = Placement::random(2000, 40, 11);
+  PagerankOptions o = opts(1e-3);
+  o.threads = threads;
+  if (which == ObservedRun::kResidual) {
+    o.schedule = Schedule::kResidual;
+    o.adaptive_epsilon = true;
+  }
+  DistributedPagerank engine(g, p, o);
+  FaultPlanConfig fpc;
+  fpc.crashes.push_back({.pass = 2, .peer = 3});
+  fpc.crashes.push_back({.pass = 5, .peer = 7});
+  fpc.drop_probability = 0.05;
+  fpc.acked_delivery = true;
+  fpc.seed = 11;
+  FaultPlan plan(fpc);
+  const ReplicaRegistry replicas = ReplicaRegistry::uniform(p, 1, 11);
+  if (which == ObservedRun::kCrashRecovery) {
+    engine.attach_fault_plan(plan);
+    engine.attach_replicas(replicas);
+    engine.enable_mass_audit();
+  }
+  ChurnSchedule churn(40, which == ObservedRun::kCrashRecovery ? 0.7 : 0.5,
+                      11);
+  Fnv f;
+  const auto run = engine.run(
+      &churn, [&f](std::uint64_t pass, const std::vector<double>& ranks) {
+        f.mix_value(pass);
+        f.mix(ranks.data(), ranks.size() * sizeof(double));
+      });
+  EXPECT_TRUE(run.converged);
+  if (which == ObservedRun::kCrashRecovery) {
+    EXPECT_GT(engine.replica_restores(), 0u);
+  }
+  return f.value();
+}
+
+// Recorded at commit b0d6439, where the engine kept its ranks in
+// document order and handed the observer that vector itself; identical
+// at 1 and 4 threads.
+constexpr std::pair<ObservedRun, std::uint64_t> kObservedGolden[] = {
+    {ObservedRun::kChurn, 0x3851d924b0f2ae77ULL},
+    {ObservedRun::kCrashRecovery, 0x9d2bc68fecd535eaULL},
+    {ObservedRun::kResidual, 0xfd98c7ceea746915ULL},
+};
+
+TEST(DistributedEngine, ObservedRanksMatchGoldenAtEveryPass) {
+  for (const auto& [which, golden] : kObservedGolden) {
+    for (const std::uint32_t threads : {1u, 4u}) {
+      const std::uint64_t d = observed_digest(which, threads);
+      EXPECT_EQ(d, golden) << std::hex << "digest 0x" << d << std::dec
+                           << " run=" << static_cast<int>(which)
+                           << " threads=" << threads;
+    }
+  }
 }
 
 TEST(DistributedEngine, ChurnStillConverges) {
