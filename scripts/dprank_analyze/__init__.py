@@ -31,7 +31,7 @@ Line rules, run over src/, tools/, tests/ and bench/:
                             registries (MetricsRegistry, ResultStore).
   hot-path-map              node-based std::map/unordered_map on the
                             messaging hot path (src/net, src/pagerank,
-                            src/stream, src/engines).
+                            src/stream).
   unaligned-hot-buffer      a raw std::vector<double/float> in a hot-path
                             file that includes the fold kernel
                             (common/simd.hpp); use AlignedVec.
@@ -97,15 +97,14 @@ SIM_DIRS = (
     "src/dht",
     "src/p2p",
     "src/stream",
-    "src/engines",
 )
 
 # Engine/quality code where FP fold order is pinned by design (the PR 3
 # shard merges and the PR 5 sorted source-peer delta folds).
-FLOAT_ORDER_DIRS = ("src/pagerank", "src/engines")
+FLOAT_ORDER_DIRS = ("src/pagerank",)
 
 # The per-message hot path: flat maps and vectors, not node-based maps.
-HOT_PATH_DIRS = ("src/net", "src/pagerank", "src/stream", "src/engines")
+HOT_PATH_DIRS = ("src/net", "src/pagerank", "src/stream")
 
 # Where seeded randomness is implemented (exempt from the RNG patterns).
 RNG_IMPL_FILES = ("src/common/rng.hpp", "src/common/rng.cpp")

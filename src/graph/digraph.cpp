@@ -8,8 +8,7 @@
 
 namespace dprank {
 
-Digraph Digraph::from_edges(NodeId num_nodes, std::vector<Edge> edges,
-                            CrossIndexWidth width) {
+Digraph Digraph::from_edges(NodeId num_nodes, std::vector<Edge> edges) {
   for (const auto& [src, dst] : edges) {
     if (src >= num_nodes || dst >= num_nodes) {
       throw std::out_of_range("Digraph::from_edges: endpoint out of range");
@@ -31,13 +30,12 @@ Digraph Digraph::from_edges(NodeId num_nodes, std::vector<Edge> edges,
     g.out_offsets_[u + 1] += g.out_offsets_[u];
   }
   for (EdgeId i = 0; i < m; ++i) g.out_targets_[i] = edges[i].dst;
-  g.build_from_out_csr(width);
+  g.build_from_out_csr();
   return g;
 }
 
-Digraph::Builder::Builder(NodeId num_nodes, EdgeId expected_edges,
-                          CrossIndexWidth width)
-    : num_nodes_(num_nodes), width_(width) {
+Digraph::Builder::Builder(NodeId num_nodes, EdgeId expected_edges)
+    : num_nodes_(num_nodes) {
   out_offsets_.assign(static_cast<std::size_t>(num_nodes) + 1, 0);
   if (expected_edges != 0) out_targets_.reserve(expected_edges);
 }
@@ -70,15 +68,18 @@ Digraph Digraph::Builder::finalize() && {
   Digraph g;
   g.out_offsets_ = std::move(out_offsets_);
   g.out_targets_ = std::move(out_targets_);
-  g.build_from_out_csr(width_);
+  g.build_from_out_csr();
   return g;
 }
 
-void Digraph::build_from_out_csr(CrossIndexWidth width) {
+void Digraph::build_from_out_csr() {
   const NodeId n = num_nodes();
   const EdgeId m = num_edges();
-  cross_index_narrow_ =
-      width == CrossIndexWidth::kAuto && narrow_cross_index_allowed(m);
+  if (!edge_count_allowed(m)) {
+    throw std::length_error("Digraph: edge count " + std::to_string(m) +
+                            " exceeds the cap of " +
+                            std::to_string(kMaxEdges));
+  }
 
   // In-CSR with the cross index, via counting sort over destinations (the
   // out-CSR is already in (src, dst) order, so edge ids ascend here).
@@ -87,15 +88,7 @@ void Digraph::build_from_out_csr(CrossIndexWidth width) {
   in_to_out_.resize(m);
   for (const NodeId v : out_targets_) ++in_offsets_[v + 1];
   for (NodeId v = 0; v < n; ++v) in_offsets_[v + 1] += in_offsets_[v];
-  if (cross_index_narrow_) {
-    out_to_in32_.resize(m);
-    out_to_in_.clear();
-    out_to_in_.shrink_to_fit();
-  } else {
-    out_to_in_.resize(m);
-    out_to_in32_.clear();
-    out_to_in32_.shrink_to_fit();
-  }
+  out_to_in32_.resize(m);
   std::vector<EdgeId> cursor(in_offsets_.begin(), in_offsets_.end() - 1);
   for (NodeId u = 0; u < n; ++u) {
     const EdgeId out_end = out_offsets_[u + 1];
@@ -104,11 +97,7 @@ void Digraph::build_from_out_csr(CrossIndexWidth width) {
       const EdgeId pos = cursor[v]++;
       in_sources_[pos] = u;
       in_to_out_[pos] = e;
-      if (cross_index_narrow_) {
-        out_to_in32_[e] = static_cast<std::uint32_t>(pos);
-      } else {
-        out_to_in_[e] = pos;
-      }
+      out_to_in32_[e] = static_cast<std::uint32_t>(pos);
     }
   }
 }
@@ -119,8 +108,7 @@ std::uint64_t Digraph::memory_bytes() const {
            sizeof(typename std::decay_t<decltype(v)>::value_type);
   };
   return bytes(out_offsets_) + bytes(out_targets_) + bytes(in_offsets_) +
-         bytes(in_sources_) + bytes(in_to_out_) + bytes(out_to_in_) +
-         bytes(out_to_in32_);
+         bytes(in_sources_) + bytes(in_to_out_) + bytes(out_to_in32_);
 }
 
 bool Digraph::has_edge(NodeId u, NodeId v) const {
@@ -138,17 +126,8 @@ void Digraph::validate() const {
   DPRANK_INVARIANT(
       (n == 0 && out_offsets_.empty()) || out_offsets_.size() == n + 1, kSub,
       "offset array size does not match node count");
-  // Compact cross-index contract: the narrow (32-bit) layout may only be
-  // stored while every in-CSR position fits a 32-bit word, and exactly
-  // the selected array carries the index.
-  DPRANK_INVARIANT(!cross_index_narrow_ || narrow_cross_index_allowed(m),
-                   kSub,
-                   "32-bit cross index stored for a graph with m >= 2^32");
-  DPRANK_INVARIANT(cross_index_narrow_
-                       ? (out_to_in32_.size() == m && out_to_in_.empty())
-                       : (out_to_in_.size() == m && out_to_in32_.empty()),
-                   kSub,
-                   "cross-index storage does not match the selected width");
+  DPRANK_INVARIANT(edge_count_allowed(m) && out_to_in32_.size() == m, kSub,
+                   "cross index does not cover the edge count");
   if (n == 0) {
     DPRANK_INVARIANT(m == 0 && in_sources_.empty() && in_to_out_.empty(),
                      kSub, "empty graph holds edges");
@@ -185,7 +164,7 @@ void Digraph::validate() const {
   // In-CSR mirror: in_to_out_ is a permutation of [0, m); each mirrored
   // edge id must target the list's owner and originate at the recorded
   // source (the per-edge contribution cells depend on this cross index),
-  // and out_to_in_edge must be its exact inverse in whichever width.
+  // and out_to_in_edge must be its exact inverse.
   std::vector<std::uint8_t> seen(m, 0);
   for (NodeId v = 0; v < n; ++v) {
     const auto srcs = in_neighbors(v);

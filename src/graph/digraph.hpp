@@ -15,13 +15,10 @@
 // provides the cross index. Node ids are 32-bit (the paper's largest graph
 // is 5 million nodes), edge ids 64-bit.
 //
-// Compact layout (ROADMAP item 4): the inverse cross index `out_to_in_`
-// is stored as 32-bit words whenever m < 2^32 — every graph this
-// reproduction can actually build — halving the cross index's bytes (the
-// distributed engine reads it once per run, to lay out its own out-links
-// and on cold paths); the 64-bit fallback is selected at build time when
-// the edge count demands it (and can be forced for the layout-equivalence
-// tests).
+// The edge count is capped at 2^32 - 1 (kMaxEdges): the inverse cross
+// index `out_to_in32_` is stored as 32-bit words, and the distributed
+// engine's cells and out-links are 32-bit indices too. Construction
+// refuses a larger graph.
 
 #include <cstdint>
 #include <span>
@@ -41,19 +38,23 @@ struct Edge {
 
 class Digraph {
  public:
-  /// Storage width of the out_to_in_ cross index. kAuto picks 32-bit
-  /// whenever the edge count allows (see narrow_cross_index_allowed);
-  /// kForceWide keeps the legacy 64-bit layout — the layout-equivalence
-  /// tests run both and assert bit-identical engine output.
-  enum class CrossIndexWidth : std::uint8_t { kAuto = 0, kForceWide = 1 };
+  /// The largest edge count a graph may hold: every in-CSR position must
+  /// fit the 32-bit cross index.
+  static constexpr EdgeId kMaxEdges = (EdgeId{1} << 32) - 1;
+
+  /// The refusal rule from_edges and Builder::finalize apply.
+  [[nodiscard]] static constexpr bool edge_count_allowed(EdgeId m) {
+    return m <= kMaxEdges;
+  }
 
   Digraph() = default;
 
   /// Build from an edge list. Self-loops and duplicate edges are dropped
   /// (hyperlink multiplicity does not change the random-surfer model the
-  /// paper uses). Edge endpoints must be < num_nodes.
-  static Digraph from_edges(NodeId num_nodes, std::vector<Edge> edges,
-                            CrossIndexWidth width = CrossIndexWidth::kAuto);
+  /// paper uses). Edge endpoints must be < num_nodes (std::out_of_range),
+  /// and more than kMaxEdges edges left after the drop are refused
+  /// (std::length_error).
+  static Digraph from_edges(NodeId num_nodes, std::vector<Edge> edges);
 
   /// Streaming CSR construction: callers append each node's out-links in
   /// ascending node order and finalize() derives the in-CSR and cross
@@ -63,8 +64,7 @@ class Digraph {
   class Builder {
    public:
     /// `expected_edges` is a reservation hint only (0 = none).
-    explicit Builder(NodeId num_nodes, EdgeId expected_edges = 0,
-                     CrossIndexWidth width = CrossIndexWidth::kAuto);
+    explicit Builder(NodeId num_nodes, EdgeId expected_edges = 0);
 
     /// Append node `u`'s out-links. Nodes must arrive in strictly
     /// ascending order (gaps are fine — skipped nodes have no
@@ -72,8 +72,9 @@ class Digraph {
     /// self-loop free, exactly what from_edges' sort+dedup produces.
     void add_node(NodeId u, std::span<const NodeId> targets);
 
-    /// Derive the in-CSR and cross indexes.
-    /// The builder is consumed.
+    /// Derive the in-CSR and cross indexes. More than kMaxEdges
+    /// appended edges are refused (std::length_error). The builder is
+    /// consumed.
     [[nodiscard]] Digraph finalize() &&;
 
    private:
@@ -83,7 +84,6 @@ class Digraph {
     std::vector<NodeId> out_targets_;
     NodeId num_nodes_ = 0;
     NodeId next_node_ = 0;
-    CrossIndexWidth width_ = CrossIndexWidth::kAuto;
   };
 
   [[nodiscard]] NodeId num_nodes() const {
@@ -148,22 +148,7 @@ class Digraph {
   /// mirrors out-edge id e. in_to_out_edge(v)[i] == e implies
   /// out_to_in_edge(e) == in_edge_begin(v) + i.
   [[nodiscard]] EdgeId out_to_in_edge(EdgeId e) const {
-    return cross_index_narrow_ ? static_cast<EdgeId>(out_to_in32_[e])
-                               : out_to_in_[e];
-  }
-
-  /// Selection rule for the compact cross index: 32-bit positions can
-  /// address every in-CSR slot only while m fits in a 32-bit word. The
-  /// contract in validate() rejects a narrow index stored for a graph
-  /// this predicate refuses.
-  [[nodiscard]] static constexpr bool narrow_cross_index_allowed(EdgeId m) {
-    return m < (EdgeId{1} << 32);
-  }
-
-  /// The compact 32-bit cross index, or nullptr when this graph carries
-  /// the wide layout. Hot kernels branch once per run, not per edge.
-  [[nodiscard]] const std::uint32_t* out_to_in32_data() const {
-    return cross_index_narrow_ ? out_to_in32_.data() : nullptr;
+    return out_to_in32_[e];
   }
 
   /// Heap bytes held by the CSR arrays (capacity, not size — what the
@@ -191,9 +176,9 @@ class Digraph {
  private:
   friend struct TestCorruptor;  // negative invariant tests corrupt privates
 
-  /// Build everything derived from the finished out-CSR: in-CSR, both
-  /// cross indexes (narrow or wide per `width`).
-  void build_from_out_csr(CrossIndexWidth width);
+  /// Build everything derived from the finished out-CSR: in-CSR and
+  /// both cross indexes. Refuses more than kMaxEdges edges.
+  void build_from_out_csr();
 
   // Out-CSR: out_offsets_[u]..out_offsets_[u+1] indexes out_targets_.
   std::vector<EdgeId> out_offsets_;
@@ -203,11 +188,8 @@ class Digraph {
   std::vector<EdgeId> in_offsets_;
   std::vector<NodeId> in_sources_;
   std::vector<EdgeId> in_to_out_;
-  // Inverse permutation of in_to_out_, indexed by out-edge id. Exactly
-  // one of the two is populated (see cross_index_narrow_).
-  std::vector<EdgeId> out_to_in_;
+  // Inverse permutation of in_to_out_, indexed by out-edge id.
   std::vector<std::uint32_t> out_to_in32_;
-  bool cross_index_narrow_ = true;  // empty graph: narrow trivially holds
 };
 
 }  // namespace dprank

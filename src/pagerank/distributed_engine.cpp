@@ -107,12 +107,6 @@ DistributedPagerank::DistributedPagerank(const Digraph& g,
     throw std::invalid_argument(
         "DistributedPagerank: start vector does not cover the graph");
   }
-  if (g.num_edges() > std::numeric_limits<std::uint32_t>::max()) {
-    throw std::invalid_argument(
-        "DistributedPagerank: " + std::to_string(g.num_edges()) +
-        " edges exceed the 32-bit cell index (at most " +
-        std::to_string(std::numeric_limits<std::uint32_t>::max()) + ")");
-  }
 }
 
 void DistributedPagerank::attach_overlay(const ChordRing& ring,

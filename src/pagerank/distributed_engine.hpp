@@ -100,20 +100,72 @@
 #include "p2p/membership.hpp"
 #include "p2p/placement.hpp"
 #include "p2p/replication.hpp"
-#include "pagerank/engine.hpp"
 #include "pagerank/mass_audit.hpp"
 #include "pagerank/options.hpp"
 
 namespace dprank {
 
-class DistributedPagerank : public PagerankEngineInterface {
+/// One pass's tallies (pass_history() holds one per pass).
+struct PassStats {
+  std::uint64_t pass = 0;
+  std::uint64_t docs_recomputed = 0;
+  std::uint64_t messages_sent = 0;      // cross-peer, delivered immediately
+  std::uint64_t messages_deferred = 0;  // parked in an outbox this pass
+  std::uint64_t messages_delivered_late = 0;  // outbox drains this pass
+  std::uint64_t local_updates = 0;
+  std::uint64_t max_peer_messages = 0;  // busiest sender, for Eq. 4
+  double max_rel_change = 0.0;
+  // Fault-plan extensions (all zero without an attached plan).
+  std::uint64_t crashes = 0;            // peers crashing at pass start
+  std::uint64_t recovered_docs = 0;     // documents rebuilt this pass
+  std::uint64_t retransmissions = 0;    // acked-delivery retries this pass
+  std::uint64_t repair_messages = 0;    // mass-audit re-injections
+  /// Dirty documents whose recompute the residual scheduler pushed to a
+  /// later pass (always zero under Schedule::kFifo).
+  std::uint64_t docs_deferred = 0;
+  // Dynamic-membership extensions (all zero without attach_membership).
+  /// Documents whose ownership moved this pass (join pulls, leave pushes
+  /// and crash-range reconstructions).
+  std::uint64_t handoff_docs = 0;
+  /// Cross-peer sends addressed to a crashed-but-undeclared owner — the
+  /// detection-latency window where senders still query the stale owner.
+  std::uint64_t stale_owner_queries = 0;
+};
+
+struct DistributedRunResult {
+  std::uint64_t passes = 0;
+  bool converged = false;
+  /// Rank-mass conservation at termination (1.0 = every emitted
+  /// contribution accounted for). Only meaningful with the mass audit
+  /// enabled; 1.0 otherwise.
+  double mass_ratio = 1.0;
+  /// Audit rounds that found leaks and re-injected mass.
+  std::uint64_t repair_rounds = 0;
+};
+
+class DistributedPagerank {
  public:
-  /// The placement must cover exactly g.num_nodes() documents, and the
-  /// graph's edge count must fit the engine's 32-bit cell and out-link
-  /// indices (std::invalid_argument otherwise). The engine keeps
-  /// references: graph and placement must outlive it (temporaries are
-  /// rejected at compile time). Construction only checks and keeps the
-  /// start vector; run() builds the per-run state.
+  /// Observer invoked after every pass with (pass index, current ranks in
+  /// document order); used to measure convergence trajectories (§4.3).
+  using PassObserver =
+      std::function<void(std::uint64_t, const std::vector<double>&)>;
+  /// Per-pass simulated duration in microseconds, driven by the pass
+  /// just completed (sim/time_model.hpp's make_pass_clock builds one
+  /// from the Eq. 4 network model).
+  using PassClock = std::function<double(const PassStats&)>;
+
+  /// Declared mean relative error against centralized_pagerank of a
+  /// fifo run at the default ε = 1e-3 on a 2k-doc paper graph over 40
+  /// peers, with slack: seeds 7, 21 and 42 measure 8e-5 to 4e-4. Tests
+  /// hold runs to it wherever an exact oracle is at hand.
+  static constexpr double kQualityBound = 0.01;
+
+  /// The placement must cover exactly g.num_nodes() documents
+  /// (std::invalid_argument otherwise); Digraph already caps the edge
+  /// count at the engine's 32-bit cell and out-link indices. The engine
+  /// keeps references: graph and placement must outlive it (temporaries
+  /// are rejected at compile time). Construction only checks and keeps
+  /// the start vector; run() builds the per-run state.
   DistributedPagerank(const Digraph& g, const Placement& placement,
                       const PagerankOptions& options);
   /// Warm start: every document starts at start_ranks[v] instead of
@@ -132,6 +184,10 @@ class DistributedPagerank : public PagerankEngineInterface {
                       std::vector<double>) = delete;
   DistributedPagerank(Digraph&&, Placement&&, PagerankOptions,
                       std::vector<double>) = delete;
+  DistributedPagerank(const DistributedPagerank&) = delete;
+  DistributedPagerank& operator=(const DistributedPagerank&) = delete;
+  DistributedPagerank(DistributedPagerank&&) = delete;
+  DistributedPagerank& operator=(DistributedPagerank&&) = delete;
 
   /// Meter overlay hop costs (§3.2): every cross-peer update consults
   /// `cache` over `ring` — an enabled cache models IP caching (first
@@ -176,7 +232,7 @@ class DistributedPagerank : public PagerankEngineInterface {
   /// accounted mass ratio deviates from 1.0 beyond `tolerance`,
   /// re-injects exactly the leaked contributions and keeps iterating.
   /// Call before run().
-  void enable_mass_audit(double tolerance = 1e-9) override;
+  void enable_mass_audit(double tolerance = 1e-9);
 
   /// Publish run telemetry into `registry` (obs/metrics.hpp) when run()
   /// finishes: the traffic ledger under net.*, run totals under
@@ -187,7 +243,7 @@ class DistributedPagerank : public PagerankEngineInterface {
   /// loop untouched; live per-send metrics come from the attached
   /// IpCache (IpCache::bind_metrics). The registry must outlive the
   /// engine. Call before run().
-  void attach_metrics(obs::MetricsRegistry& registry) override;
+  void attach_metrics(obs::MetricsRegistry& registry);
 
   /// Attach a causal message tracer (obs/trace.hpp). Every cross-peer
   /// update mints a TraceId at send time; DHT routing hops, outbox
@@ -197,36 +253,19 @@ class DistributedPagerank : public PagerankEngineInterface {
   /// `clock` advances simulated time once per pass (1 us per pass when
   /// omitted — ordering only). Tracer must outlive the engine; call
   /// before run().
-  void attach_tracer(obs::Tracer& tracer, PassClock clock = nullptr) override;
+  void attach_tracer(obs::Tracer& tracer, PassClock clock = nullptr);
 
   /// Run to convergence. `churn == nullptr` means all peers always
   /// present. Can be called once per engine instance. Builds the slot
   /// layout first (its cost is part of the run); an observer receives
   /// the ranks in document order, translated each pass.
   DistributedRunResult run(ChurnSchedule* churn = nullptr,
-                           const PassObserver& observer = nullptr) override;
-
-  /// The reference implementation: exact, churn-capable, traceable. The
-  /// quality bound is the fifo mean relative error vs the centralized
-  /// oracle at the default ε = 1e-3 on the conformance graph, with slack.
-  [[nodiscard]] EngineTraits traits() const override {
-    EngineTraits t;
-    t.name = "distributed";
-    t.supports_churn = true;
-    t.exact = true;
-    t.supports_tracer = true;
-    t.quality_bound = 0.01;
-    return t;
-  }
+                           const PassObserver& observer = nullptr);
 
   /// In document order before and after run() (the start vector before).
-  [[nodiscard]] const std::vector<double>& ranks() const override {
-    return ranks_;
-  }
-  [[nodiscard]] const TrafficMeter& traffic() const override {
-    return meter_;
-  }
-  [[nodiscard]] const std::vector<PassStats>& pass_history() const override {
+  [[nodiscard]] const std::vector<double>& ranks() const { return ranks_; }
+  [[nodiscard]] const TrafficMeter& traffic() const { return meter_; }
+  [[nodiscard]] const std::vector<PassStats>& pass_history() const {
     return history_;
   }
   [[nodiscard]] std::uint64_t outbox_peak() const { return outbox_peak_; }
@@ -478,8 +517,8 @@ class DistributedPagerank : public PagerankEngineInterface {
   std::uint64_t delayed_total_ = 0;
 
   // ---- slots: the run's peer-major numbering (see the header comment)
-  // Built by prepare_pipeline(). Slot and cell indices are 32-bit; the
-  // constructor rejects graphs whose edge count does not fit.
+  // Built by prepare_pipeline(). Slot and cell indices are 32-bit, which
+  // Digraph's edge-count cap guarantees.
   std::vector<NodeId> slot_doc_;     // slot -> document
   // Document -> slot, kept only by runs that start from edge ids (outbox
   // drains, delayed and retried sends, audit, handoffs, recovery).

@@ -1,5 +1,5 @@
 // dprank_analyze fixture: R1 unordered-iteration and R3 float-order.
-// Placed under src/engines/ (relative to the fixture root) so both the
+// Placed under src/pagerank/ (relative to the fixture root) so both the
 // simulation-dir scope and the float-order scope apply. Each struct is
 // one golden case; names are unique so the sorted-materialization
 // escape cannot leak across cases.

@@ -118,6 +118,21 @@ TEST(DistributedEngine, ConvergesToCentralizedOnSmallGraph) {
   EXPECT_LT(q.max, 1e-5);
 }
 
+TEST(DistributedEngine, ConvergesWithinDeclaredQualityBound) {
+  // At the default ε the run lands within the declared mean relative
+  // error of the centralized solution and keeps the head of the ranking.
+  const Digraph g = paper_graph(2000, 42);
+  const auto p = Placement::random(2000, 40, 42);
+  DistributedPagerank engine(g, p, opts(1e-3));
+  EXPECT_TRUE(engine.run().converged);
+
+  const CentralizedResult oracle = centralized_pagerank(g);
+  ASSERT_TRUE(oracle.converged);
+  EXPECT_LE(summarize_quality(engine.ranks(), oracle.ranks).avg,
+            DistributedPagerank::kQualityBound);
+  EXPECT_GT(top_k_overlap(engine.ranks(), oracle.ranks, 100), 0.8);
+}
+
 TEST(DistributedEngine, QualityTracksThreshold) {
   // Table 2's central claim: looser epsilon -> larger relative error,
   // but even epsilon = 0.2 keeps most documents accurate.

@@ -1,14 +1,10 @@
-// Layout and kernel equivalence (ROADMAP item 4).
+// Graph layout and fold-kernel checks.
 //
-// The compact graph layout (a 32-bit out_to_in_ cross index) is a pure
-// representation change: the engine's observable behavior — ranks, the
-// full pass history, the traffic ledger, the outbox peak — must be
-// BIT-IDENTICAL to the wide layout. These tests
-// pin that, the vectorized fold kernel's equivalence to the scalar one
-// (the kernel now backs only the benches' gather probes; the engine
-// folds in one scalar loop), the 2^32 selection boundary of the narrow
+// These tests pin the vectorized fold kernel's equivalence to the scalar
+// one (the kernel now backs only the benches' gather probes; the engine
+// folds in one scalar loop), the 2^32 - 1 edge cap behind the 32-bit
 // cross index, and (negatively) that the graph validator actually
-// catches a corrupted compact index.
+// catches a corrupted cross index.
 
 #include <gtest/gtest.h>
 
@@ -20,114 +16,18 @@
 #include "common/simd.hpp"
 #include "graph/digraph.hpp"
 #include "graph/generator.hpp"
-#include "p2p/churn.hpp"
-#include "p2p/placement.hpp"
-#include "pagerank/distributed_engine.hpp"
 
 namespace dprank {
 
 // Friend of Digraph; plants exactly one inconsistency per negative test.
 struct TestCorruptor {
   static void corrupt_narrow_cross_entry(Digraph& g) {
-    // One narrow cross-index slot stops being the inverse of in_to_out_.
+    // One cross-index slot stops being the inverse of in_to_out_.
     g.out_to_in32_[0] ^= 1u;
-  }
-  static void mismatch_cross_width(Digraph& g) {
-    // Claim the wide layout while only the narrow array is populated.
-    g.cross_index_narrow_ = false;
   }
 };
 
 namespace {
-
-constexpr NodeId kDocs = 2'000;
-constexpr PeerId kPeers = 40;
-
-class Fnv {
- public:
-  void mix(const void* data, std::size_t n) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-      h_ ^= p[i];
-      h_ *= 1099511628211ULL;
-    }
-  }
-  template <typename T>
-  void mix_value(const T& v) {
-    mix(&v, sizeof(v));
-  }
-  [[nodiscard]] std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 14695981039346656037ULL;
-};
-
-/// Same observables as test_scheduler's golden digest: any
-/// layout-induced difference in ranks, pass history or traffic flips it.
-std::uint64_t digest_run(const Digraph& g, std::uint64_t seed,
-                         std::uint32_t threads, double availability) {
-  const auto placement = Placement::random(kDocs, kPeers, seed);
-  PagerankOptions o;
-  o.epsilon = 1e-3;
-  o.threads = threads;
-  DistributedPagerank engine(g, placement, o);
-  DistributedRunResult run;
-  if (availability < 1.0) {
-    ChurnSchedule churn(kPeers, availability, seed);
-    run = engine.run(&churn);
-  } else {
-    run = engine.run();
-  }
-  Fnv f;
-  f.mix_value(run.passes);
-  f.mix_value(run.converged);
-  f.mix(engine.ranks().data(), engine.ranks().size() * sizeof(double));
-  for (const PassStats& s : engine.pass_history()) {
-    f.mix_value(s.pass);
-    f.mix_value(s.docs_recomputed);
-    f.mix_value(s.messages_sent);
-    f.mix_value(s.messages_deferred);
-    f.mix_value(s.messages_delivered_late);
-    f.mix_value(s.local_updates);
-    f.mix_value(s.max_peer_messages);
-    f.mix_value(s.max_rel_change);
-  }
-  const TrafficMeter& t = engine.traffic();
-  f.mix_value(t.messages());
-  f.mix_value(t.local_updates());
-  f.mix_value(t.bytes());
-  f.mix_value(t.resends());
-  f.mix_value(t.hop_transmissions());
-  f.mix_value(engine.outbox_peak());
-  return f.value();
-}
-
-/// The same graph in the legacy wide layout.
-Digraph wide_copy(const Digraph& g) {
-  return Digraph::from_edges(g.num_nodes(), g.edge_list(),
-                             Digraph::CrossIndexWidth::kForceWide);
-}
-
-// ---- layout equivalence ----------------------------------------------
-
-TEST(LayoutEquivalence, NarrowAndWideBitIdentical) {
-  for (const std::uint64_t seed : {7ULL, 42ULL}) {
-    const Digraph narrow = paper_graph(kDocs, seed);
-    ASSERT_NE(narrow.out_to_in32_data(), nullptr)
-        << "paper graph should auto-select the narrow cross index";
-    const Digraph wide = wide_copy(narrow);
-    ASSERT_EQ(wide.out_to_in32_data(), nullptr);
-    ASSERT_EQ(wide.num_edges(), narrow.num_edges());
-    for (const std::uint32_t threads : {1U, 4U}) {
-      for (const double availability : {1.0, 0.85}) {
-        EXPECT_EQ(digest_run(narrow, seed, threads, availability),
-                  digest_run(wide, seed, threads, availability))
-            << "seed=" << seed << " threads=" << threads
-            << " availability=" << availability;
-      }
-    }
-  }
-}
 
 // ---- fold kernel ------------------------------------------------------
 
@@ -167,19 +67,21 @@ TEST(FoldKernel, VectorMatchesScalarBitwise) {
   }
 }
 
-// ---- narrow cross-index selection boundary ----------------------------
+// ---- the edge cap behind the 32-bit cross index -----------------------
 
+// from_edges and Builder::finalize refuse a graph this predicate refuses;
+// a graph at the cap would need 2^32 edges in memory, so the predicate is
+// what the test can reach.
 TEST(NarrowCrossIndex, SelectionBoundaryAtTwoToThe32) {
-  static_assert(Digraph::narrow_cross_index_allowed(0));
-  static_assert(
-      Digraph::narrow_cross_index_allowed((EdgeId{1} << 32) - 1));
-  static_assert(!Digraph::narrow_cross_index_allowed(EdgeId{1} << 32));
-  static_assert(
-      !Digraph::narrow_cross_index_allowed((EdgeId{1} << 32) + 1));
+  static_assert(Digraph::kMaxEdges == (EdgeId{1} << 32) - 1);
+  static_assert(Digraph::edge_count_allowed(0));
+  static_assert(Digraph::edge_count_allowed((EdgeId{1} << 32) - 1));
+  static_assert(!Digraph::edge_count_allowed(EdgeId{1} << 32));
+  static_assert(!Digraph::edge_count_allowed((EdgeId{1} << 32) + 1));
   // Runtime spot checks of the same predicate (static_assert already
   // proved them; these keep the test visible in the runner output).
-  EXPECT_TRUE(Digraph::narrow_cross_index_allowed((EdgeId{1} << 32) - 1));
-  EXPECT_FALSE(Digraph::narrow_cross_index_allowed(EdgeId{1} << 32));
+  EXPECT_TRUE(Digraph::edge_count_allowed((EdgeId{1} << 32) - 1));
+  EXPECT_FALSE(Digraph::edge_count_allowed(EdgeId{1} << 32));
 }
 
 // ---- negative contract tests ------------------------------------------
@@ -205,17 +107,8 @@ void expect_violation(const char* subsystem, Fn&& fn) {
 TEST(LayoutNegative, ValidatorCatchesCorruptNarrowCrossEntry) {
   SKIP_WITHOUT_CONTRACTS();
   Digraph g = paper_graph(200, 3);
-  ASSERT_NE(g.out_to_in32_data(), nullptr);
   g.validate();  // healthy before the corruption
   TestCorruptor::corrupt_narrow_cross_entry(g);
-  expect_violation("graph", [&] { g.validate(); });
-}
-
-TEST(LayoutNegative, ValidatorCatchesCrossWidthMismatch) {
-  SKIP_WITHOUT_CONTRACTS();
-  Digraph g = paper_graph(200, 3);
-  g.validate();
-  TestCorruptor::mismatch_cross_width(g);
   expect_violation("graph", [&] { g.validate(); });
 }
 

@@ -6,14 +6,11 @@
 //   stats   --graph FILE
 //           degree statistics + Broder bow-tie decomposition
 //   rank    --graph FILE [--peers P] [--epsilon E] [--placement MODE]
-//           [--availability F] [--threads T] [--ranks-out FILE]
-//           [--engine distributed|walk|gossip]
+//           [--availability F] [--threads T] [--seed S] [--ranks-out FILE]
 //           [--schedule fifo|residual] [--adaptive-epsilon]
 //           [--check-invariants [N]]
-//           run the distributed pagerank computation; --engine selects
-//           the algorithm (default distributed = the paper's chaotic
-//           fifo iteration; walk = random-walk estimation; gossip =
-//           randomized gossip iteration); --schedule residual
+//           run the distributed pagerank computation (the paper's
+//           chaotic iteration, fifo by default); --schedule residual
 //           enables residual-prioritized scheduling (fewer update
 //           messages, ranks within epsilon of fifo) and
 //           --adaptive-epsilon additionally loosens the emission
@@ -24,6 +21,7 @@
 //   insert  --graph FILE [--epsilon E] [--count K] [--seed S]
 //           measure insert-propagation cost (Table 4's experiment)
 //   search  [--docs N] [--peers P] [--queries Q] [--terms T] [--top PCT]
+//           [--seed S]
 //           corpus + distributed index + incremental search (Q >= 1,
 //           PCT in (0, 100])
 //   system  [--docs N] [--vocab V] [--peers P] [--ops K] [--epsilon E]
@@ -44,9 +42,13 @@
 //           the final top-k.
 //           (`dprank_cli --stream ...` is accepted as an alias.)
 //
-// rank/insert/search also take the telemetry flags:
+// rank/insert/search also take the telemetry flags (stream takes
+// --metrics-out):
 //   --metrics-out FILE   dump the run's metrics registry as JSON
 //   --trace-out FILE     dump a Chrome trace_event JSON (open in Perfetto)
+//
+// A flag the subcommand does not take is an error, raised before any
+// graph is loaded or generated.
 //
 // Examples:
 //   dprank_cli gen --nodes 100000 --out web.dpg
@@ -64,6 +66,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <system_error>
 #include <type_traits>
 #include <vector>
@@ -71,7 +74,6 @@
 #include "common/contracts.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
-#include "engines/registry.hpp"
 #include "graph/generator.hpp"
 #include "graph/graph_io.hpp"
 #include "graph/graph_stats.hpp"
@@ -100,13 +102,20 @@ namespace {
 
 class Args {
  public:
-  Args(int argc, char** argv, int first) {
+  /// Parses argv[first..] for the subcommand `cmd`, which takes exactly
+  /// the flags in `known`; any other flag is refused.
+  Args(int argc, char** argv, int first, std::string_view cmd,
+       const std::vector<std::string_view>& known) {
     for (int i = first; i < argc; ++i) {
       std::string key = argv[i];
       if (key.rfind("--", 0) != 0) {
         throw std::invalid_argument("expected --flag, got: " + key);
       }
       key = key.substr(2);
+      if (std::find(known.begin(), known.end(), key) == known.end()) {
+        throw std::invalid_argument(std::string(cmd) + ": unknown flag --" +
+                                    key);
+      }
       // Boolean flags: a flag followed by another --flag (or the end of
       // the line) stands alone and reads as "1" (--check-invariants).
       if (i + 1 >= argc || std::string(argv[i + 1]).rfind("--", 0) == 0) {
@@ -281,57 +290,31 @@ int cmd_rank(const Args& args) {
                  "-DDPRANK_CHECK_INVARIANTS=ON\n";
   }
 
-  const std::string engine_name = args.get("engine", "distributed");
-  if (!is_registered_engine(engine_name)) {
-    std::string known;
-    for (const auto& n : registered_engines()) {
-      if (!known.empty()) known += "|";
-      known += n;
-    }
-    throw std::invalid_argument("--engine must be one of " + known +
-                                ", got: " + engine_name);
-  }
-  // The scheduler knobs are features of the fifo/residual engine only.
-  if (engine_name != "distributed" &&
-      (schedule != "fifo" || options.adaptive_epsilon ||
-       options.validate_every_n_passes != 0)) {
-    throw std::invalid_argument(
-        "--schedule/--adaptive-epsilon/--check-invariants only apply to "
-        "--engine distributed");
-  }
-  EngineOptions engine_options;
-  engine_options.pagerank = options;
-  engine_options.seed = seed;
-  const auto engine = make_engine(engine_name, g, placement, engine_options);
+  DistributedPagerank engine(g, placement, options);
 
   obs::MetricsRegistry registry;
   obs::Tracer tracer;
-  engine->attach_metrics(registry);
+  engine.attach_metrics(registry);
   if (!args.get("trace-out", "").empty()) {
-    if (!engine->traits().supports_tracer) {
-      throw std::invalid_argument("--trace-out: engine '" + engine_name +
-                                  "' does not support tracing");
-    }
-    engine->attach_tracer(tracer, make_pass_clock(NetworkParams{}));
+    engine.attach_tracer(tracer, make_pass_clock(NetworkParams{}));
   }
   DistributedRunResult run;
   if (availability < 1.0) {
     ChurnSchedule churn(peers, availability, seed);
-    run = engine->run(&churn);
+    run = engine.run(&churn);
   } else {
-    run = engine->run();
+    run = engine.run();
   }
 
-  std::cout << "engine:    " << engine_name << "\n"
-            << "converged: " << (run.converged ? "yes" : "NO") << " in "
+  std::cout << "converged: " << (run.converged ? "yes" : "NO") << " in "
             << run.passes << " passes\n"
-            << "messages:  " << format_count(engine->traffic().messages())
-            << " (" << format_count(engine->traffic().bytes()) << " bytes)\n"
-            << "local upd: " << format_count(engine->traffic().local_updates())
+            << "messages:  " << format_count(engine.traffic().messages())
+            << " (" << format_count(engine.traffic().bytes()) << " bytes)\n"
+            << "local upd: " << format_count(engine.traffic().local_updates())
             << "\n";
   if (options.schedule == Schedule::kResidual) {
     std::uint64_t deferred = 0;
-    for (const auto& pass : engine->pass_history()) {
+    for (const auto& pass : engine.pass_history()) {
       deferred += pass.docs_deferred;
     }
     std::cout << "deferred:  " << format_count(deferred)
@@ -342,7 +325,7 @@ int cmd_rank(const Args& args) {
   if (!ranks_out.empty()) {
     std::ofstream os(ranks_out);
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      os << v << ' ' << engine->ranks()[v] << '\n';
+      os << v << ' ' << engine.ranks()[v] << '\n';
     }
     std::cout << "wrote ranks to " << ranks_out << "\n";
   }
@@ -657,19 +640,45 @@ int usage() {
   return 2;
 }
 
+/// A subcommand and every flag it reads.
+struct Command {
+  std::string_view name;
+  int (*run)(const Args&);
+  std::vector<std::string_view> flags;
+};
+
 int run(int argc, char** argv) {
   if (argc < 2) return usage();
-  const std::string cmd = argv[1];
-  const Args args(argc, argv, 2);
-  if (cmd == "gen") return cmd_gen(args);
-  if (cmd == "stats") return cmd_stats(args);
-  if (cmd == "rank") return cmd_rank(args);
-  if (cmd == "insert") return cmd_insert(args);
-  if (cmd == "search") return cmd_search(args);
-  if (cmd == "system") return cmd_system(args);
+  std::string_view cmd = argv[1];
   // `--stream` is accepted as an alias so the quickstart's flag-style
   // invocation works too.
-  if (cmd == "stream" || cmd == "--stream") return cmd_stream(args);
+  if (cmd == "--stream") cmd = "stream";
+  const Command commands[] = {
+      {"gen", cmd_gen, {"nodes", "seed", "dangling", "out"}},
+      {"stats", cmd_stats, {"graph"}},
+      {"rank",
+       cmd_rank,
+       {"graph", "peers", "epsilon", "availability", "seed", "placement",
+        "threads", "schedule", "adaptive-epsilon", "check-invariants",
+        "ranks-out", "metrics-out", "trace-out"}},
+      {"insert",
+       cmd_insert,
+       {"graph", "epsilon", "count", "seed", "metrics-out", "trace-out"}},
+      {"search",
+       cmd_search,
+       {"docs", "seed", "peers", "queries", "terms", "top", "metrics-out",
+        "trace-out"}},
+      {"system",
+       cmd_system,
+       {"docs", "vocab", "seed", "ops", "epsilon", "peers"}},
+      {"stream",
+       cmd_stream,
+       {"docs", "events", "batch", "reconverge-every", "rate", "seed", "top",
+        "epsilon", "peers", "metrics-out"}},
+  };
+  for (const Command& c : commands) {
+    if (c.name == cmd) return c.run(Args(argc, argv, 2, c.name, c.flags));
+  }
   return usage();
 }
 
