@@ -9,7 +9,8 @@
 # engine, the thread pool and the metrics registry's writers for races.
 #
 # Usage: scripts/run_sanitized.sh [--tsan] [ctest args...]; ctest -R is
-# case-sensitive and gtest names read Suite.Case, so match suite names:
+# case-sensitive and gtest names read Suite.Case, so match suite names
+# (the script refuses a -R alternative that selects no test):
 #   e.g. scripts/run_sanitized.sh -R 'Faults|Recovery'
 #        scripts/run_sanitized.sh --tsan -R 'Parallel|ThreadPool|Obs'
 set -euo pipefail
@@ -43,7 +44,48 @@ else
   export UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1}"
 fi
 
+# Refuse a -R filter with a dead alternative: every top-level `|` branch
+# (split outside parentheses, so a(b|c)d stays one branch) must select at
+# least one test, or a misspelled or deleted suite name silently narrows
+# the run.
+check_filter_alternatives() {
+  local filter="$1" alt="" c i depth=0
+  local -a alts=() dead=()
+  for ((i = 0; i < ${#filter}; i++)); do
+    c="${filter:i:1}"
+    case "${c}" in
+      '(') depth=$((depth + 1)) ;;
+      ')') depth=$((depth - 1)) ;;
+      '|')
+        if ((depth == 0)); then
+          alts+=("${alt}")
+          alt=""
+          continue
+        fi
+        ;;
+    esac
+    alt+="${c}"
+  done
+  alts+=("${alt}")
+  for alt in "${alts[@]}"; do
+    if [[ "$(ctest -N -R "${alt}" | sed -n 's/^Total Tests: //p')" == 0 ]]; then
+      dead+=("${alt}")
+    fi
+  done
+  if ((${#dead[@]} > 0)); then
+    echo "run_sanitized.sh: -R alternatives that select no test:" \
+      "${dead[*]}" >&2
+    return 1
+  fi
+}
+
 cd "${build_dir}"
+args=("$@")
+for ((i = 0; i < ${#args[@]}; i++)); do
+  if [[ "${args[i]}" == -R ]]; then
+    check_filter_alternatives "${args[i + 1]:-}"
+  fi
+done
 ctest --output-on-failure -j "${jobs}" "$@"
 
 # Sweep the dynamic-membership handoff path (join pulls, leave pushes,

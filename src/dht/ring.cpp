@@ -4,6 +4,7 @@
 #include <bit>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/contracts.hpp"
@@ -119,6 +120,16 @@ PeerId ChordRing::successor_peer(Guid id) const {
   const auto it = std::upper_bound(ids_.begin(), ids_.end(), id);
   return it == ids_.end() ? peers_.front()
                           : peers_[static_cast<std::size_t>(it - ids_.begin())];
+}
+
+PeerId ChordRing::predecessor_peer(Guid id) const {
+  if (ids_.empty()) {
+    throw std::logic_error("ChordRing::predecessor_peer: empty ring");
+  }
+  const auto it = std::lower_bound(ids_.begin(), ids_.end(), id);
+  return it == ids_.begin()
+             ? peers_.back()
+             : peers_[static_cast<std::size_t>(it - ids_.begin()) - 1];
 }
 
 PeerId ChordRing::finger(PeerId peer, int k) const {
@@ -279,46 +290,20 @@ void ChordRing::validate(std::size_t route_samples) const {
 // ---------------------------------------------------------------------------
 // SelfHealingRing
 
-SelfHealingRing::SelfHealingRing(PeerId num_peers, int fingers_per_round)
-    : fingers_per_round_(std::max(1, fingers_per_round)) {
-  for (PeerId p = 0; p < num_peers; ++p) {
-    const auto [it, inserted] = by_id_.emplace(peer_guid(p), p);
-    if (!inserted) {
-      throw std::invalid_argument("SelfHealingRing: GUID collision");
-    }
-    guid_of_peer_.emplace(p, peer_guid(p));
-  }
+SelfHealingRing::SelfHealingRing(PeerId num_peers)
+    : members_(num_peers), locals_(num_peers) {
   // Start converged: every local table equals the oracle's view.
-  for (const auto& [p, id] : guid_of_peer_) {
+  for (PeerId p = 0; p < num_peers; ++p) {
+    const Guid id = members_.id_of(p);
     Local& l = locals_[p];
     l.successors = oracle_successors(p);
     l.predecessor = oracle_predecessor(p);
     l.fingers.resize(128);
     for (int k = 0; k < 128; ++k) {
       l.fingers[static_cast<std::size_t>(k)] =
-          successor_of_key(id + U128::pow2(k));
+          members_.successor_of_key(id + U128::pow2(k));
     }
   }
-}
-
-bool SelfHealingRing::contains(PeerId peer) const {
-  return guid_of_peer_.contains(peer);
-}
-
-Guid SelfHealingRing::id_of(PeerId peer) const {
-  const auto it = guid_of_peer_.find(peer);
-  if (it == guid_of_peer_.end()) {
-    throw std::out_of_range("SelfHealingRing::id_of: unknown peer");
-  }
-  return it->second;
-}
-
-PeerId SelfHealingRing::successor_of_key(Guid key) const {
-  if (by_id_.empty()) {
-    throw std::logic_error("SelfHealingRing::successor_of_key: empty ring");
-  }
-  const auto it = by_id_.lower_bound(key);
-  return it == by_id_.end() ? by_id_.begin()->second : it->second;
 }
 
 PeerId SelfHealingRing::first_live_successor(const Local& local) const {
@@ -330,60 +315,51 @@ PeerId SelfHealingRing::first_live_successor(const Local& local) const {
 
 std::vector<PeerId> SelfHealingRing::oracle_successors(PeerId peer) const {
   std::vector<PeerId> out;
-  const std::size_t want = std::min(kSuccessors, by_id_.size());
-  auto it = by_id_.find(id_of(peer));
+  const std::size_t want = std::min(kSuccessors, members_.size());
+  Guid id = members_.id_of(peer);
   while (out.size() < want) {
-    ++it;
-    if (it == by_id_.end()) it = by_id_.begin();
-    out.push_back(it->second);  // wraps to `peer` itself on tiny rings
+    // Wraps to `peer` itself on tiny rings.
+    out.push_back(members_.successor_peer(id));
+    id = members_.id_of(out.back());
   }
   return out;
 }
 
 PeerId SelfHealingRing::oracle_predecessor(PeerId peer) const {
-  auto it = by_id_.find(id_of(peer));
-  if (it == by_id_.begin()) it = by_id_.end();
-  --it;
-  return it->second;
+  return members_.predecessor_peer(members_.id_of(peer));
 }
 
 std::size_t SelfHealingRing::hop_cap() const {
   std::size_t log2n = 0;
-  while ((std::size_t{1} << log2n) < by_id_.size()) ++log2n;
+  while ((std::size_t{1} << log2n) < members_.size()) ++log2n;
   // ChordRing's O(log N) budget plus slack: fingers healing round-robin
   // cost extra successor hops, never correctness.
   return std::max<std::size_t>(24, 3 * log2n + 12);
 }
 
 void SelfHealingRing::join(PeerId peer, Guid id) {
-  if (guid_of_peer_.contains(peer)) {
-    throw std::invalid_argument("SelfHealingRing::join: peer already present");
+  // Bootstrap: look up our own id from the lowest-id live peer over
+  // LOCAL tables (what a real join does), before entering the table; the
+  // oracle is only the safety net for a lookup that fails mid-disruption.
+  PeerId succ = kInvalidPeer;
+  if (members_.size() != 0) {
+    PeerId bootstrap = 0;
+    while (!alive(bootstrap)) ++bootstrap;
+    const Route found = route(bootstrap, id);
+    succ = found.ok ? found.destination : members_.successor_of_key(id);
   }
-  if (by_id_.contains(id)) {
-    throw std::invalid_argument("SelfHealingRing::join: GUID collision");
-  }
-  if (by_id_.empty()) {
-    by_id_.emplace(id, peer);
-    guid_of_peer_.emplace(peer, id);
-    Local& l = locals_[peer];
+  members_.join(peer, id);  // throws on a duplicate peer or GUID
+  if (peer >= locals_.size()) locals_.resize(std::size_t{peer} + 1);
+  Local& l = locals_[peer];
+  l.next_finger = 0;
+  if (succ == kInvalidPeer) {  // the first peer owns the whole ring
     l.successors = {peer};
     l.predecessor = peer;
     l.fingers.assign(128, peer);
     return;
   }
-  // Bootstrap: look up our own id from the lowest-id live peer over
-  // LOCAL tables (what a real join does); the oracle is only the safety
-  // net for a lookup that fails mid-disruption.
-  const PeerId bootstrap = locals_.begin()->first;
-  const Route found = route(bootstrap, id);
-  const PeerId succ = found.ok ? found.destination : successor_of_key(id);
-
-  by_id_.emplace(id, peer);
-  guid_of_peer_.emplace(peer, id);
-  Local& sl = locals_.at(succ);
-  Local& l = locals_[peer];  // node-based map: sl stays valid
-  l.successors.clear();
-  l.successors.push_back(succ);
+  Local& sl = locals_[succ];
+  l.successors.assign(1, succ);
   for (const PeerId q : sl.successors) {
     if (l.successors.size() >= kSuccessors) break;
     if (q == peer) continue;
@@ -397,34 +373,31 @@ void SelfHealingRing::join(PeerId peer, Guid id) {
   // table is the best available hint until fix_fingers heals it.
   l.predecessor = sl.predecessor;
   l.fingers = sl.fingers;
-  l.next_finger = 0;
   // notify(succ): we now sit in (old predecessor, succ).
   if (sl.predecessor == kInvalidPeer || !alive(sl.predecessor) ||
-      in_interval_oo(id, id_of(sl.predecessor), id_of(succ))) {
+      in_interval_oo(id, members_.id_of(sl.predecessor),
+                     members_.id_of(succ))) {
     sl.predecessor = peer;
   }
 }
 
 void SelfHealingRing::leave(PeerId peer) {
-  const auto it = guid_of_peer_.find(peer);
-  if (it == guid_of_peer_.end()) return;
-  const Local departing = std::move(locals_.at(peer));
-  by_id_.erase(it->second);
-  guid_of_peer_.erase(it);
-  locals_.erase(peer);
-  if (by_id_.empty()) return;
+  if (!alive(peer)) return;
+  const Local departing = std::exchange(locals_[peer], Local{});
+  members_.leave(peer);
+  if (members_.size() == 0) return;
   const PeerId succ = first_live_successor(departing);
   const PeerId pred =
       alive(departing.predecessor) ? departing.predecessor : kInvalidPeer;
   if (succ != kInvalidPeer) {
-    Local& sl = locals_.at(succ);
+    Local& sl = locals_[succ];
     if (pred != kInvalidPeer &&
         (sl.predecessor == peer || !alive(sl.predecessor))) {
       sl.predecessor = pred;
     }
   }
   if (pred != kInvalidPeer) {
-    Local& pl = locals_.at(pred);
+    Local& pl = locals_[pred];
     std::erase(pl.successors, peer);
     if (succ != kInvalidPeer && succ != pred &&
         std::find(pl.successors.begin(), pl.successors.end(), succ) ==
@@ -439,25 +412,23 @@ void SelfHealingRing::leave(PeerId peer) {
 }
 
 void SelfHealingRing::crash(PeerId peer) {
-  const auto it = guid_of_peer_.find(peer);
-  if (it == guid_of_peer_.end()) return;
+  if (!alive(peer)) return;
   // Fail-stop: the peer's own state vanishes; everyone else's pointers
   // to it stay, stale, until stabilization prunes them.
-  by_id_.erase(it->second);
-  guid_of_peer_.erase(it);
-  locals_.erase(peer);
+  members_.leave(peer);
+  locals_[peer] = Local{};
 }
 
 SelfHealingRing::Route SelfHealingRing::route(PeerId from, Guid key) const {
-  if (by_id_.empty()) {
+  if (members_.size() == 0) {
     throw std::logic_error("SelfHealingRing::route: empty ring");
   }
   Route r;
   const std::size_t cap = hop_cap();
   PeerId current = from;
-  Guid cur_id = id_of(from);  // throws on a dead origin
+  Guid cur_id = members_.id_of(from);  // throws on a dead origin
   while (true) {
-    const Local& l = locals_.at(current);
+    const Local& l = locals_[current];
     PeerId succ = kInvalidPeer;
     for (const PeerId s : l.successors) {
       if (alive(s)) {
@@ -473,7 +444,7 @@ SelfHealingRing::Route SelfHealingRing::route(PeerId from, Guid key) const {
       r.ok = false;
       return r;
     }
-    if (in_interval_oc(key, cur_id, id_of(succ))) {
+    if (in_interval_oc(key, cur_id, members_.id_of(succ))) {
       if (succ != current) r.hops.push_back(succ);
       r.destination = succ;
       r.ok = true;
@@ -490,14 +461,14 @@ SelfHealingRing::Route SelfHealingRing::route(PeerId from, Guid key) const {
         ++r.dead_probes;
         continue;
       }
-      if (in_interval_oo(id_of(f), cur_id, key)) {
+      if (in_interval_oo(members_.id_of(f), cur_id, key)) {
         next = f;
         break;
       }
     }
     r.hops.push_back(next);
     current = next;
-    cur_id = id_of(current);
+    cur_id = members_.id_of(current);
     if (r.hops.size() > cap) {
       r.destination = current;
       r.ok = false;
@@ -508,8 +479,10 @@ SelfHealingRing::Route SelfHealingRing::route(PeerId from, Guid key) const {
 
 std::size_t SelfHealingRing::stabilize_round() {
   std::size_t round_repairs = 0;
-  for (auto& [p, l] : locals_) {
-    const Guid pid = guid_of_peer_.at(p);
+  for (PeerId p = 0; p < locals_.size(); ++p) {
+    if (!alive(p)) continue;
+    Local& l = locals_[p];
+    const Guid pid = members_.id_of(p);
     // 1. Prune: drop dead successor entries and dead fingers (a dead
     //    finger can only cost probes, so clear it now and let
     //    fix_fingers refill).
@@ -530,15 +503,15 @@ std::size_t SelfHealingRing::stabilize_round() {
       U128 best_dist = U128::max();
       for (const PeerId f : l.fingers) {
         if (f == kInvalidPeer || f == p || !alive(f)) continue;
-        const U128 dist = ring_distance(pid, guid_of_peer_.at(f));
+        const U128 dist = ring_distance(pid, members_.id_of(f));
         if (best == kInvalidPeer || dist < best_dist) {
           best = f;
           best_dist = dist;
         }
       }
       if (best == kInvalidPeer) {
-        best = by_id_.size() == 1 ? p : successor_of_key(pid + U128{0, 1});
-        if (by_id_.size() > 1) ++emergency_rebootstraps_;
+        best = members_.successor_peer(pid);  // p itself when alone
+        if (members_.size() > 1) ++emergency_rebootstraps_;
       }
       l.successors.push_back(best);
       ++round_repairs;
@@ -548,9 +521,9 @@ std::size_t SelfHealingRing::stabilize_round() {
     //    visible to its predecessor).
     PeerId succ = l.successors.front();
     {
-      const PeerId x = locals_.at(succ).predecessor;
+      const PeerId x = locals_[succ].predecessor;
       if (x != kInvalidPeer && x != p && alive(x) &&
-          in_interval_oo(guid_of_peer_.at(x), pid, guid_of_peer_.at(succ))) {
+          in_interval_oo(members_.id_of(x), pid, members_.id_of(succ))) {
         l.successors.insert(l.successors.begin(), x);
         succ = x;
         ++round_repairs;
@@ -560,8 +533,8 @@ std::size_t SelfHealingRing::stabilize_round() {
     {
       std::vector<PeerId> rebuilt;
       rebuilt.push_back(succ);
-      for (const PeerId q : locals_.at(succ).successors) {
-        if (rebuilt.size() >= std::min(kSuccessors, by_id_.size())) break;
+      for (const PeerId q : locals_[succ].successors) {
+        if (rebuilt.size() >= std::min(kSuccessors, members_.size())) break;
         if (!alive(q)) continue;
         if (std::find(rebuilt.begin(), rebuilt.end(), q) != rebuilt.end()) {
           continue;
@@ -580,18 +553,18 @@ std::size_t SelfHealingRing::stabilize_round() {
         ++round_repairs;
       }
     } else {
-      Local& sl = locals_.at(succ);
+      Local& sl = locals_[succ];
       if (sl.predecessor != p &&
           (sl.predecessor == kInvalidPeer || !alive(sl.predecessor) ||
-           in_interval_oo(pid, guid_of_peer_.at(sl.predecessor),
-                          guid_of_peer_.at(succ)))) {
+           in_interval_oo(pid, members_.id_of(sl.predecessor),
+                          members_.id_of(succ)))) {
         sl.predecessor = p;
         ++round_repairs;
       }
     }
     // 5. fix_fingers: repair the next few fingers via local lookups.
     if (l.fingers.size() != 128) l.fingers.assign(128, kInvalidPeer);
-    for (int i = 0; i < fingers_per_round_; ++i) {
+    for (int i = 0; i < kFingersPerRound; ++i) {
       const int k = l.next_finger;
       l.next_finger = (l.next_finger + 1) % 128;
       const Route found = route(p, pid + U128::pow2(k));
@@ -619,93 +592,74 @@ std::size_t SelfHealingRing::stabilize(std::size_t max_rounds) {
 }
 
 bool SelfHealingRing::converged() const {
-  for (const auto& [p, l] : locals_) {
-    if (l.successors != oracle_successors(p)) return false;
-    if (l.predecessor != oracle_predecessor(p)) return false;
+  for (PeerId p = 0; p < locals_.size(); ++p) {
+    if (!alive(p)) continue;
+    if (locals_[p].successors != oracle_successors(p)) return false;
+    if (locals_[p].predecessor != oracle_predecessor(p)) return false;
   }
   return true;
 }
 
 std::vector<PeerId> SelfHealingRing::successors_of(PeerId peer) const {
-  const auto it = locals_.find(peer);
-  if (it == locals_.end()) {
+  if (!alive(peer)) {
     throw std::out_of_range("SelfHealingRing::successors_of: unknown peer");
   }
   std::vector<PeerId> out;
-  for (const PeerId s : it->second.successors) {
+  for (const PeerId s : locals_[peer].successors) {
     if (alive(s)) out.push_back(s);
   }
   return out;
 }
 
 PeerId SelfHealingRing::predecessor_of(PeerId peer) const {
-  const auto it = locals_.find(peer);
-  if (it == locals_.end()) {
+  if (!alive(peer)) {
     throw std::out_of_range("SelfHealingRing::predecessor_of: unknown peer");
   }
-  return alive(it->second.predecessor) ? it->second.predecessor
-                                       : kInvalidPeer;
-}
-
-std::vector<PeerId> SelfHealingRing::peers_in_ring_order() const {
-  std::vector<PeerId> out;
-  out.reserve(by_id_.size());
-  for (const auto& [id, peer] : by_id_) out.push_back(peer);
-  return out;
+  const PeerId pred = locals_[peer].predecessor;
+  return alive(pred) ? pred : kInvalidPeer;
 }
 
 void SelfHealingRing::validate(std::size_t route_samples) const {
   if (!contracts::enabled()) return;
   [[maybe_unused]] const char* kSub = "dht";
-  DPRANK_INVARIANT(by_id_.size() == guid_of_peer_.size(), kSub,
-                   "ring and reverse index disagree on membership size");
-  DPRANK_INVARIANT(locals_.size() == guid_of_peer_.size(), kSub,
+  members_.validate(/*route_samples=*/0);
+  const std::size_t n = members_.size();
+  const auto with_state = static_cast<std::size_t>(
+      std::count_if(locals_.begin(), locals_.end(),
+                    [](const Local& l) { return !l.fingers.empty(); }));
+  DPRANK_INVARIANT(with_state == n, kSub,
                    "local routing state exists for " +
-                       std::to_string(locals_.size()) + " peers but " +
-                       std::to_string(guid_of_peer_.size()) + " are live");
-  for (const auto& [id, peer] : by_id_) {
-    const auto it = guid_of_peer_.find(peer);
-    DPRANK_INVARIANT(it != guid_of_peer_.end() && it->second == id, kSub,
-                     "peer " + std::to_string(peer) +
-                         " has mismatched GUIDs in ring vs reverse index");
-    DPRANK_INVARIANT(locals_.contains(peer), kSub,
-                     "live peer " + std::to_string(peer) +
+                       std::to_string(with_state) + " peers but " +
+                       std::to_string(n) + " are live");
+  const std::vector<PeerId> peers = members_.peers_in_ring_order();
+  for (const PeerId p : peers) {
+    DPRANK_INVARIANT(p < locals_.size() && locals_[p].fingers.size() == 128,
+                     kSub,
+                     "live peer " + std::to_string(p) +
                          " is missing its local routing state");
-  }
-  if (by_id_.empty()) return;
-  for (const auto& [p, l] : locals_) {
-    DPRANK_INVARIANT(l.successors.size() <= kSuccessors, kSub,
+    DPRANK_INVARIANT(locals_[p].successors.size() <= kSuccessors, kSub,
                      "peer " + std::to_string(p) +
                          " holds an oversized successor list");
   }
+  if (n == 0) return;
   DPRANK_INVARIANT(converged(), kSub,
                    "validate() called on an unconverged ring — run "
                    "stabilize() first (successor lists or predecessors "
                    "disagree with the membership oracle)");
 
   // Routability over LOCAL tables: same probe scheme as ChordRing.
-  const std::size_t n = by_id_.size();
-  std::vector<std::pair<Guid, PeerId>> sorted;
-  sorted.reserve(n);
-  for (const auto& [id, peer] : by_id_) sorted.emplace_back(id, peer);
-  const auto independent_successor = [&](Guid key) -> PeerId {
-    const auto it = std::lower_bound(
-        sorted.begin(), sorted.end(), key,
-        [](const std::pair<Guid, PeerId>& e, Guid k) { return e.first < k; });
-    return it == sorted.end() ? sorted.front().second : it->second;
-  };
   const std::size_t cap = hop_cap();
   Rng probe_rng(0x5EEDF1A6ULL);
   for (std::size_t s = 0; s < route_samples; ++s) {
-    const PeerId from = sorted[probe_rng.bounded(n)].second;
-    const Guid key = (s % 2 == 0)
-                         ? Guid{probe_rng(), probe_rng()}
-                         : sorted[probe_rng.bounded(n)].first + Guid{s};
+    const PeerId from = peers[probe_rng.bounded(n)];
+    const Guid key =
+        (s % 2 == 0) ? Guid{probe_rng(), probe_rng()}
+                     : members_.id_of(peers[probe_rng.bounded(n)]) + Guid{s};
     const Route r = route(from, key);
     DPRANK_INVARIANT(r.ok, kSub,
                      "repaired-ring lookup from peer " +
                          std::to_string(from) + " failed to complete");
-    DPRANK_INVARIANT(r.destination == independent_successor(key), kSub,
+    DPRANK_INVARIANT(r.destination == members_.successor_of_key(key), kSub,
                      "repaired-ring lookup from peer " +
                          std::to_string(from) +
                          " terminated at the wrong owner");

@@ -26,8 +26,6 @@
 // all 128 fingers picks, so routes equal that scan's hop for hop.
 
 #include <cstdint>
-#include <map>
-#include <optional>
 #include <vector>
 
 #include "common/guid.hpp"
@@ -66,6 +64,8 @@ class ChordRing {
 
   /// The next live peer clockwise strictly after `id`.
   [[nodiscard]] PeerId successor_peer(Guid id) const;
+  /// The next live peer counter-clockwise strictly before `id`.
+  [[nodiscard]] PeerId predecessor_peer(Guid id) const;
 
   /// Finger k of `peer`: successor of (id_of(peer) + 2^k), k in [0,127].
   [[nodiscard]] PeerId finger(PeerId peer, int k) const;
@@ -134,22 +134,24 @@ class ChordRing {
   std::vector<Pos> fingers_;   // distinct non-self fingers, farthest first
 };
 
-// Self-healing Chord ring (extension; ROADMAP items 1 and 5).
+// Self-healing Chord ring (extension; DESIGN.md §10.3).
 //
 // ChordRing derives finger tables from global membership — perfect for
 // the paper's converged-network traffic accounting, useless for studying
 // node loss, because a membership change repairs everything instantly.
-// SelfHealingRing gives every peer its own *local* routing state, exactly
-// the state a real Chord node maintains (Stoica et al. §E):
+// SelfHealingRing keeps one ChordRing as its membership table, read
+// through members(): the ground truth an omniscient observer knows (the
+// oracle). Over it, every live peer keeps its own *local* routing state,
+// exactly the state a real Chord node maintains (Stoica et al. §E):
 //
 //   * a successor list of r = kSuccessors live peers (the ring survives
 //     up to r consecutive simultaneous failures);
 //   * a predecessor pointer;
-//   * a 128-entry finger table, repaired round-robin a few fingers per
-//     stabilization round (fix_fingers).
+//   * a 128-entry finger table, repaired round-robin kFingersPerRound
+//     fingers per stabilization round (fix_fingers).
 //
-// Membership events diverge local state from the ground truth the class
-// also tracks (the oracle — what an omniscient observer knows):
+// Membership events update the table at once and let local state
+// diverge from it:
 //   * join(p)   — p bootstraps its tables by routing to its own id from
 //     the lowest-id live peer and notifies its successor; predecessors
 //     and deeper successor lists catch up via stabilization;
@@ -164,7 +166,7 @@ class ChordRing {
 // oracle — counted in emergency_rebootstraps(), zero unless all r
 // successors die at once), adopt the successor's predecessor when it sits
 // between, reconcile the successor list from the successor's own list,
-// notify, and repair the next fingers_per_round fingers via local routes.
+// notify, and repair the next kFingersPerRound fingers via local routes.
 // converged() holds when every peer's successor list and predecessor
 // match the oracle; a single crash or join converges in one round,
 // deeper successor-list entries within r rounds.
@@ -181,18 +183,21 @@ class SelfHealingRing {
   /// Successor-list length r: tolerates r consecutive simultaneous
   /// crashes between stabilization rounds.
   static constexpr std::size_t kSuccessors = 3;
+  /// The fix_fingers budget: fingers each live peer repairs per
+  /// stabilization round.
+  static constexpr int kFingersPerRound = 32;
 
   SelfHealingRing() = default;
 
   /// Construct converged with peers 0..num_peers-1, ids from peer_guid().
-  /// `fingers_per_round` is the fix_fingers budget per peer per
-  /// stabilization round.
-  explicit SelfHealingRing(PeerId num_peers, int fingers_per_round = 32);
+  explicit SelfHealingRing(PeerId num_peers);
 
   /// A new peer joins: bootstraps its local tables by looking up its own
   /// id from the lowest-id live peer, adopts its successor's state and
   /// notifies it. Other peers learn through stabilization. Throws
-  /// std::invalid_argument on duplicate peer or GUID collision.
+  /// std::invalid_argument where ChordRing::join does. Local state is
+  /// indexed by peer like ChordRing's position index, so it grows to the
+  /// largest peer number joined.
   void join(PeerId peer, Guid id);
 
   /// Graceful departure: the peer repairs its immediate neighbors'
@@ -206,13 +211,9 @@ class SelfHealingRing {
   /// if absent.
   void crash(PeerId peer);
 
-  [[nodiscard]] bool contains(PeerId peer) const;
-  [[nodiscard]] std::size_t size() const { return by_id_.size(); }
-  [[nodiscard]] Guid id_of(PeerId peer) const;
-
-  /// Oracle owner of `key` (ground truth; what routing must find once
-  /// converged). Requires a non-empty ring.
-  [[nodiscard]] PeerId successor_of_key(Guid key) const;
+  /// The live membership: who is in the ring, each peer's GUID and the
+  /// true owner of every key (what routing must find once converged).
+  [[nodiscard]] const ChordRing& members() const { return members_; }
 
   struct Route {
     PeerId destination = kInvalidPeer;  // where the greedy walk delivered
@@ -248,8 +249,6 @@ class SelfHealingRing {
   [[nodiscard]] std::vector<PeerId> successors_of(PeerId peer) const;
   [[nodiscard]] PeerId predecessor_of(PeerId peer) const;
 
-  [[nodiscard]] std::vector<PeerId> peers_in_ring_order() const;
-
   [[nodiscard]] std::uint64_t repairs() const { return repairs_; }
   [[nodiscard]] std::uint64_t emergency_rebootstraps() const {
     return emergency_rebootstraps_;
@@ -258,29 +257,29 @@ class SelfHealingRing {
   /// Structural invariant walk (contracts.hpp; subsystem "dht"). Call
   /// after stabilization — the routability clause is a *converged-ring*
   /// contract, extending ChordRing's invariant to the repaired ring:
-  ///  * membership bijection (ring index vs reverse index), and exactly
+  ///  * the membership table passes ChordRing::validate(0), and exactly
   ///    the live peers hold local routing state;
   ///  * successor lists hold at most kSuccessors entries and the ring
   ///    has converged (lists + predecessors match the oracle);
   ///  * routability: greedy lookups over LOCAL tables from sampled
-  ///    origins land on the true owner within max(24, 3·ceil(log2 N)+12)
-  ///    hops — ChordRing's budget plus slack for fingers still healing
-  ///    round-robin (stale fingers cost hops, never correctness).
+  ///    origins land on members().successor_of_key within
+  ///    max(24, 3·ceil(log2 N)+12) hops — ChordRing's budget plus slack
+  ///    for fingers still healing round-robin (stale fingers cost hops,
+  ///    never correctness).
   /// Throws contracts::ContractViolation on the first violation; no-op
   /// when contracts are compiled out.
   void validate(std::size_t route_samples = 64) const;
 
  private:
-  friend struct TestCorruptor;  // negative invariant tests corrupt privates
   struct Local {
     std::vector<PeerId> successors;  // clockwise, possibly stale entries
     PeerId predecessor = kInvalidPeer;
-    std::vector<PeerId> fingers;  // 128 entries, possibly stale
+    std::vector<PeerId> fingers;  // 128 entries when live, possibly stale
     int next_finger = 0;          // fix_fingers round-robin cursor
   };
 
   [[nodiscard]] bool alive(PeerId peer) const {
-    return guid_of_peer_.contains(peer);
+    return members_.contains(peer);
   }
   /// First live entry of `peer`'s successor list (kInvalidPeer if none).
   [[nodiscard]] PeerId first_live_successor(const Local& local) const;
@@ -289,10 +288,8 @@ class SelfHealingRing {
   [[nodiscard]] PeerId oracle_predecessor(PeerId peer) const;
   [[nodiscard]] std::size_t hop_cap() const;
 
-  std::map<Guid, PeerId> by_id_;         // ground truth, sorted by GUID
-  std::map<PeerId, Guid> guid_of_peer_;  // reverse index
-  std::map<PeerId, Local> locals_;       // per-peer local routing state
-  int fingers_per_round_ = 32;
+  ChordRing members_;
+  std::vector<Local> locals_;  // by peer id; empty for absent peers
   std::uint64_t repairs_ = 0;
   std::uint64_t emergency_rebootstraps_ = 0;
 };

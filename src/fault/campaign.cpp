@@ -120,8 +120,7 @@ ChaosCampaignReport run_chaos_campaign(const Digraph& g,
   }
   placement.grow_peers(chaos_peer_capacity(config.initial_peers, schedule));
 
-  MembershipCoordinator membership(placement, config.initial_peers, schedule,
-                                   config.membership);
+  MembershipCoordinator membership(placement, config.initial_peers, schedule);
 
   std::optional<FaultPlan> plan;
   if (config.acked_delivery || config.drop_probability > 0.0) {

@@ -1,6 +1,6 @@
 #pragma once
 
-// Seeded chaos-soak campaign (extension; ROADMAP items 1 and 5).
+// Seeded chaos-soak campaign (extension; DESIGN.md §10).
 //
 // The unit layers each model one failure mode in isolation: the
 // SelfHealingRing heals pointer damage, the FailureDetector turns crash
@@ -87,7 +87,6 @@ struct ChaosCampaignConfig {
   double audit_tolerance = 1e-9;
 
   PagerankOptions options{};
-  MembershipConfig membership{};
 };
 
 /// One campaign's end state, flattened for JSON export and assertions.

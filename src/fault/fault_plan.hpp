@@ -135,7 +135,6 @@ class FaultPlan {
   [[nodiscard]] std::uint64_t retry_interval(std::uint32_t attempt) const;
 
   [[nodiscard]] const FaultPlanConfig& config() const { return config_; }
-  [[nodiscard]] bool has_message_faults() const { return message_faults_; }
   [[nodiscard]] std::uint64_t crashes_injected() const {
     return crashes_injected_;
   }

@@ -10,6 +10,19 @@ namespace dprank {
 
 namespace {
 
+// The detector's timeouts: a crash is declared 3 passes after its last
+// heartbeat (DESIGN.md §10.1).
+constexpr FailureDetector::Config kDetector{.suspect_after_passes = 2,
+                                            .confirm_after_suspicions = 2};
+// Stabilization rounds the ring may spend in one pass.
+constexpr std::size_t kStabilizeMaxRounds = 8;
+// Passes of background stabilization after an event, so the round-robin
+// finger repair keeps healing once the successor lists have converged.
+constexpr std::uint64_t kHealPassesAfterEvent = 4;
+// Routability probes of SelfHealingRing::validate() after each
+// stabilization burst.
+constexpr std::size_t kRingRouteSamples = 32;
+
 bool contains_peer(const std::vector<PeerId>& v, PeerId p) {
   return std::find(v.begin(), v.end(), p) != v.end();
 }
@@ -18,11 +31,10 @@ bool contains_peer(const std::vector<PeerId>& v, PeerId p) {
 
 MembershipCoordinator::MembershipCoordinator(
     Placement& placement, PeerId initial_peers,
-    std::vector<MembershipEvent> schedule, MembershipConfig config)
+    std::vector<MembershipEvent> schedule)
     : placement_(placement),
       ring_(initial_peers),
-      detector_(config.detector),
-      config_(config),
+      detector_(kDetector),
       schedule_(std::move(schedule)) {
   if (initial_peers == 0) {
     throw std::invalid_argument("MembershipCoordinator: zero initial peers");
@@ -80,7 +92,8 @@ MembershipCoordinator::MembershipCoordinator(
   docs_by_guid_.reserve(placement_.num_docs());
   for (NodeId d = 0; d < placement_.num_docs(); ++d) {
     docs_by_guid_.emplace_back(document_guid(d), d);
-    const PeerId owner = ring_.successor_of_key(docs_by_guid_.back().first);
+    const PeerId owner =
+        ring_.members().successor_of_key(docs_by_guid_.back().first);
     if (placement_.peer_of(d) != owner) placement_.reassign(d, owner);
   }
   std::sort(docs_by_guid_.begin(), docs_by_guid_.end());
@@ -110,11 +123,11 @@ const MembershipCoordinator::PassPlan& MembershipCoordinator::begin_pass(
         break;
       }
       case MembershipEvent::Kind::kLeave: {
-        const Guid id = ring_.id_of(ev.peer);
+        const Guid id = ring_.members().id_of(ev.peer);
         ring_.leave(ev.peer);
         // The heir is the successor that absorbs the leaver's arc: the
         // owner of the leaver's own id once it is gone.
-        const PeerId heir = ring_.successor_of_key(id);
+        const PeerId heir = ring_.members().successor_of_key(id);
         presence_[ev.peer] = false;
         --live_count_;
         detector_.mark_left(ev.peer);
@@ -151,20 +164,17 @@ const MembershipCoordinator::PassPlan& MembershipCoordinator::begin_pass(
   //    passes so round-robin finger repair keeps healing after the
   //    successor lists have converged.
   const bool event_pass = plan_.any_event();
-  if (event_pass) heal_passes_left_ = config_.heal_passes_after_event;
+  if (event_pass) heal_passes_left_ = kHealPassesAfterEvent;
   if (event_pass || heal_passes_left_ > 0) {
     if (!event_pass) --heal_passes_left_;
-    stabilize_rounds_total_ += ring_.stabilize(config_.stabilize_max_rounds);
-    if (config_.validate_ring && contracts::enabled()) {
-      ring_.validate(config_.ring_route_samples);
-    }
+    stabilize_rounds_total_ += ring_.stabilize(kStabilizeMaxRounds);
+    ring_.validate(kRingRouteSamples);
   }
 
   // 4. Ownership: re-derive owner arcs from the repaired ring.
   //    Documents of an undetected crash stay frozen on the dead owner —
   //    the declaration pass is when their range moves (kReconstruct).
   if (event_pass) recompute_ownership();
-  handoffs_total_ += plan_.handoffs.size();
   return plan_;
 }
 
@@ -182,8 +192,8 @@ void MembershipCoordinator::recompute_ownership() {
       if (departed[placement_.peer_of(d)] != 0) candidates.push_back(d);
     }
   }
+  const ChordRing& members = ring_.members();
   if (!plan_.joins.empty()) {
-    const std::vector<PeerId> ring_order = ring_.peers_in_ring_order();
     const auto docs_after = [this](Guid key) {
       return std::upper_bound(
           docs_by_guid_.begin(), docs_by_guid_.end(), key,
@@ -195,18 +205,16 @@ void MembershipCoordinator::recompute_ownership() {
       for (auto it = first; it != last; ++it) candidates.push_back(it->second);
     };
     for (const PeerId joiner : plan_.joins) {
-      if (!ring_.contains(joiner)) continue;  // departed again this pass
+      if (!members.contains(joiner)) continue;  // departed again this pass
       // The joiner owns the keys in (predecessor's id, its own id].
-      const auto pos = static_cast<std::size_t>(
-          std::find(ring_order.begin(), ring_order.end(), joiner) -
-          ring_order.begin());
-      const PeerId pred =
-          ring_order[(pos == 0 ? ring_order.size() : pos) - 1];
-      const auto lo = docs_after(ring_.id_of(pred));
-      const auto hi = docs_after(ring_.id_of(joiner));
+      const Guid id = members.id_of(joiner);
+      const PeerId pred = members.predecessor_peer(id);
+      const Guid pred_id = members.id_of(pred);
+      const auto lo = docs_after(pred_id);
+      const auto hi = docs_after(id);
       if (pred == joiner) {  // alone on the ring: every key
         take(docs_by_guid_.begin(), docs_by_guid_.end());
-      } else if (pos == 0) {  // the arc wraps past the largest id
+      } else if (id < pred_id) {  // the arc wraps past the largest id
         take(lo, docs_by_guid_.end());
         take(docs_by_guid_.begin(), hi);
       } else {
@@ -223,7 +231,7 @@ void MembershipCoordinator::recompute_ownership() {
   for (const NodeId d : candidates) {
     const PeerId old_owner = placement_.peer_of(d);
     if (undetected_crashes_.contains(old_owner)) continue;
-    const PeerId now = ring_.successor_of_key(document_guid(d));
+    const PeerId now = members.successor_of_key(document_guid(d));
     if (now == old_owner) continue;
     placement_.reassign(d, now);
     Handoff::Reason reason;
@@ -244,23 +252,24 @@ void MembershipCoordinator::recompute_ownership() {
 
 void MembershipCoordinator::validate() const {
   if (!contracts::enabled()) return;
+  const ChordRing& members = ring_.members();
   PeerId live = 0;
   for (PeerId p = 0; p < presence_.size(); ++p) {
     if (presence_[p]) {
       ++live;
-      DPRANK_INVARIANT(ring_.contains(p), "p2p",
+      DPRANK_INVARIANT(members.contains(p), "p2p",
                        "membership: present peer missing from ring");
       DPRANK_INVARIANT(detector_.considers_live(p) ||
                            undetected_crashes_.contains(p),
                        "p2p", "membership: present peer not considered live");
     } else {
-      DPRANK_INVARIANT(!ring_.contains(p), "p2p",
+      DPRANK_INVARIANT(!members.contains(p), "p2p",
                        "membership: absent peer still in ring");
     }
   }
   DPRANK_INVARIANT(live == live_count_, "p2p",
                    "membership: live count mismatch");
-  DPRANK_INVARIANT(live_count_ == ring_.size(), "p2p",
+  DPRANK_INVARIANT(live_count_ == members.size(), "p2p",
                    "membership: ring size mismatch");
   for (const auto& [peer, pass] : undetected_crashes_) {
     DPRANK_INVARIANT(!presence_[peer], "p2p",
@@ -274,11 +283,11 @@ void MembershipCoordinator::validate() const {
   // ascend by GUID, so one merge walk yields every expected owner.
   DPRANK_INVARIANT(docs_by_guid_.size() == placement_.num_docs(), "p2p",
                    "membership: documents placed after construction");
-  const std::vector<PeerId> ring_order = ring_.peers_in_ring_order();
+  const std::vector<PeerId> ring_order = members.peers_in_ring_order();
   DPRANK_INVARIANT(!ring_order.empty(), "p2p", "membership: empty ring");
   std::vector<Guid> ring_ids;
   ring_ids.reserve(ring_order.size());
-  for (const PeerId p : ring_order) ring_ids.push_back(ring_.id_of(p));
+  for (const PeerId p : ring_order) ring_ids.push_back(members.id_of(p));
   std::size_t next = 0;
   for (const auto& [key, d] : docs_by_guid_) {
     while (next < ring_ids.size() && ring_ids[next] < key) ++next;

@@ -1,6 +1,6 @@
 #pragma once
 
-// Dynamic membership coordination (extension; ROADMAP items 1 and 5).
+// Dynamic membership coordination (extension; DESIGN.md §10).
 //
 // The paper's availability story (§3.1) is graceful churn over a fixed
 // peer population: every departed peer returns, so ownership never moves
@@ -44,6 +44,10 @@
 // time, and the ring stabilizes in ascending peer order — a fixed
 // schedule replays an identical membership history, which the chaos
 // campaign's bit-reproducibility test relies on.
+//
+// The detector's timeouts and the ring's maintenance budget (stabilization
+// rounds per pass, background heal passes after an event, validation
+// probes) are constants in membership.cpp: nothing varies them.
 
 #include <cstdint>
 #include <map>
@@ -64,20 +68,6 @@ struct MembershipEvent {
   std::uint64_t pass = 0;
   Kind kind = Kind::kCrash;
   PeerId peer = 0;
-};
-
-struct MembershipConfig {
-  FailureDetector::Config detector{};
-  /// Per-pass budget for ring stabilization rounds.
-  std::size_t stabilize_max_rounds = 8;
-  /// Extra passes of background stabilization after an event, so the
-  /// round-robin finger repair keeps healing once the successor lists
-  /// have converged.
-  std::uint64_t heal_passes_after_event = 4;
-  /// Run SelfHealingRing::validate() after every stabilization burst
-  /// (no-op when contracts are compiled out).
-  bool validate_ring = true;
-  std::size_t ring_route_samples = 32;
 };
 
 class MembershipCoordinator {
@@ -120,8 +110,7 @@ class MembershipCoordinator {
   /// on a malformed schedule (events out of capacity, joining a live
   /// peer, removing a dead one).
   MembershipCoordinator(Placement& placement, PeerId initial_peers,
-                        std::vector<MembershipEvent> schedule,
-                        MembershipConfig config = {});
+                        std::vector<MembershipEvent> schedule);
 
   /// Advance membership to `pass`: apply scheduled events, heartbeat the
   /// live population, collect detector verdicts, stabilize the ring and
@@ -156,9 +145,6 @@ class MembershipCoordinator {
   [[nodiscard]] std::uint64_t events_applied() const {
     return events_applied_;
   }
-  [[nodiscard]] std::uint64_t handoffs_total() const {
-    return handoffs_total_;
-  }
   [[nodiscard]] std::uint64_t stabilize_rounds_total() const {
     return stabilize_rounds_total_;
   }
@@ -182,7 +168,7 @@ class MembershipCoordinator {
   ///  * detector agreement: declared-dead peers are absent from the
   ///    ring, live peers are considered live by the detector.
   /// Delegates to detector().validate(); the ring's own validate() runs
-  /// after stabilization bursts when config.validate_ring is set.
+  /// after every stabilization burst.
   void validate() const;
 
  private:
@@ -197,7 +183,6 @@ class MembershipCoordinator {
   Placement& placement_;
   SelfHealingRing ring_;
   FailureDetector detector_;
-  MembershipConfig config_;
   std::vector<MembershipEvent> schedule_;  // stable-sorted by pass
   // Every document with its GUID, ascending by GUID (validate()'s walk,
   // recompute_ownership()'s joiner arcs).
@@ -213,7 +198,6 @@ class MembershipCoordinator {
   std::uint64_t next_pass_ = 0;
   std::uint64_t heal_passes_left_ = 0;
   std::uint64_t events_applied_ = 0;
-  std::uint64_t handoffs_total_ = 0;
   std::uint64_t stabilize_rounds_total_ = 0;
 };
 

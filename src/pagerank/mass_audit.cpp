@@ -20,21 +20,4 @@ MassAuditor::MassAuditor(const Digraph& g,
   }
 }
 
-MassAuditReport MassAuditor::audit(const std::vector<double>& effective,
-                                   double slack) const {
-  if (effective.size() != expected_.size()) {
-    throw std::invalid_argument("MassAuditor::audit: size mismatch");
-  }
-  return audit([&effective](EdgeId e) { return effective[e]; }, slack);
-}
-
-std::vector<EdgeId> MassAuditor::leaking_edges(
-    const std::vector<double>& effective, double slack) const {
-  if (effective.size() != expected_.size()) {
-    throw std::invalid_argument("MassAuditor::leaking_edges: size mismatch");
-  }
-  return leaking_edges([&effective](EdgeId e) { return effective[e]; },
-                       slack);
-}
-
 }  // namespace dprank

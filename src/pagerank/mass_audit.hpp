@@ -99,10 +99,6 @@ class MassAuditor {
                             : 1.0;
     return report;
   }
-  /// The same audit over one effective value per edge; throws
-  /// std::invalid_argument unless the vector covers the edges.
-  [[nodiscard]] MassAuditReport audit(const std::vector<double>& effective,
-                                      double slack = 1e-12) const;
 
   /// Edge ids whose effective value deviates from the ledger by more than
   /// `slack` — the re-injection work list, in edge order.
@@ -116,8 +112,6 @@ class MassAuditor {
     }
     return leaks;
   }
-  [[nodiscard]] std::vector<EdgeId> leaking_edges(
-      const std::vector<double>& effective, double slack = 1e-12) const;
 
  private:
   std::vector<double> expected_;

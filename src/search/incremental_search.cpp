@@ -146,7 +146,6 @@ std::vector<NodeId> SearchSession::fetch_more() {
   if (exhausted_) return {};
   const auto outcome = engine_.run_query(terms_, policy_);
   total_ids_ += outcome.ids_transferred;
-  ++fetches_;
   if (policy_.forward_fraction >= 1.0) exhausted_ = true;
   policy_.forward_fraction = std::min(1.0, policy_.forward_fraction * 2.0);
 

@@ -120,7 +120,6 @@ class SearchSession {
   /// True once a fetch at forward_fraction == 1 has run: nothing more
   /// can ever arrive.
   [[nodiscard]] bool exhausted() const { return exhausted_; }
-  [[nodiscard]] std::uint32_t fetches_issued() const { return fetches_; }
 
  private:
   SearchEngine engine_;
@@ -128,7 +127,6 @@ class SearchSession {
   SearchPolicy policy_;
   std::vector<NodeId> delivered_;
   std::uint64_t total_ids_ = 0;
-  std::uint32_t fetches_ = 0;
   bool exhausted_ = false;
 };
 

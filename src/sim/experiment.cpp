@@ -70,17 +70,14 @@ void wire_telemetry(DistributedPagerank& engine,
   }
 }
 
-}  // namespace
-
-StandardExperiment::DistributedOutcome StandardExperiment::run_distributed(
-    const DistributedPagerank::PassObserver& observer,
-    const Telemetry& telemetry) const {
-  DistributedPagerank engine(*graph_, *placement_, pagerank_options());
-  wire_telemetry(engine, telemetry);
-  DistributedOutcome out;
-  if (config_.availability < 1.0) {
-    ChurnSchedule churn(config_.num_peers, config_.availability,
-                        config_.seed);
+/// Run `engine` under the configured availability (a churn schedule
+/// below 1.0) and copy out what it measured.
+StandardExperiment::DistributedOutcome run_and_collect(
+    DistributedPagerank& engine, const ExperimentConfig& config,
+    const DistributedPagerank::PassObserver& observer) {
+  StandardExperiment::DistributedOutcome out;
+  if (config.availability < 1.0) {
+    ChurnSchedule churn(config.num_peers, config.availability, config.seed);
     out.run = engine.run(&churn, observer);
   } else {
     out.run = engine.run(nullptr, observer);
@@ -89,7 +86,23 @@ StandardExperiment::DistributedOutcome StandardExperiment::run_distributed(
   out.messages = engine.traffic().messages();
   out.local_updates = engine.traffic().local_updates();
   out.history = engine.pass_history();
+  out.crashes = engine.crashes();
+  out.recovered_docs = engine.recovered_docs();
+  out.retransmissions = engine.retransmissions();
+  out.repair_messages = engine.repair_messages();
+  out.dropped = engine.dropped_messages();
+  out.duplicated = engine.duplicated_messages();
   return out;
+}
+
+}  // namespace
+
+StandardExperiment::DistributedOutcome StandardExperiment::run_distributed(
+    const DistributedPagerank::PassObserver& observer,
+    const Telemetry& telemetry) const {
+  DistributedPagerank engine(*graph_, *placement_, pagerank_options());
+  wire_telemetry(engine, telemetry);
+  return run_and_collect(engine, config_, observer);
 }
 
 StandardExperiment::DistributedOutcome
@@ -110,25 +123,7 @@ StandardExperiment::run_distributed_faulty(
         *placement_, fault_options.replicas_per_doc, config_.seed);
     engine.attach_replicas(replicas);
   }
-  DistributedOutcome out;
-  if (config_.availability < 1.0) {
-    ChurnSchedule churn(config_.num_peers, config_.availability,
-                        config_.seed);
-    out.run = engine.run(&churn, observer);
-  } else {
-    out.run = engine.run(nullptr, observer);
-  }
-  out.ranks = engine.ranks();
-  out.messages = engine.traffic().messages();
-  out.local_updates = engine.traffic().local_updates();
-  out.history = engine.pass_history();
-  out.crashes = engine.crashes();
-  out.recovered_docs = engine.recovered_docs();
-  out.retransmissions = engine.retransmissions();
-  out.repair_messages = engine.repair_messages();
-  out.dropped = engine.dropped_messages();
-  out.duplicated = engine.duplicated_messages();
-  return out;
+  return run_and_collect(engine, config_, observer);
 }
 
 const std::vector<double>& StandardExperiment::reference_ranks() const {

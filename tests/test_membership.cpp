@@ -57,7 +57,8 @@ TEST(MembershipCoordinator, NormalizesPlacementToRingOwnership) {
   Placement p = Placement::random(200, 8, /*seed=*/3);
   MembershipCoordinator m(p, 8, {});
   for (NodeId d = 0; d < p.num_docs(); ++d) {
-    EXPECT_EQ(p.peer_of(d), m.ring().successor_of_key(document_guid(d)));
+    EXPECT_EQ(p.peer_of(d),
+              m.ring().members().successor_of_key(document_guid(d)));
   }
   EXPECT_TRUE(m.quiescent());
   m.validate();
@@ -180,7 +181,8 @@ std::vector<HandoffRow> full_rewalk(
   for (NodeId d = 0; d < owners.size(); ++d) {
     const PeerId old_owner = owners[d];
     if (m.undetected_crash(old_owner)) continue;
-    const PeerId now = m.ring().successor_of_key(document_guid(d));
+    const PeerId now =
+        m.ring().members().successor_of_key(document_guid(d));
     if (now == old_owner) continue;
     owners[d] = now;
     Reason reason;
@@ -253,7 +255,7 @@ TEST(MembershipCoordinator, JoinInsideAnUndetectedCrashArc) {
   // so the join moves nothing there and the declaration hands the part
   // of the arc below 8's id to the joiner.
   Placement p = dht_placement(2000, 8, 9);
-  const PeerId victim = SelfHealingRing(8).successor_of_key(peer_guid(8));
+  const PeerId victim = ChordRing(8).successor_of_key(peer_guid(8));
   MembershipCoordinator m(p, 8,
                           {{1, Kind::kCrash, victim}, {2, Kind::kJoin, 8}});
   const auto history = check_against_rewalk(m, p, 12);
@@ -278,7 +280,7 @@ TEST(MembershipCoordinator, JoinAndLeaveInTheSamePass) {
   // pass: the joiner's arc is both a joiner arc and a leaver's documents,
   // and each of its documents must move once.
   Placement p = dht_placement(2000, 8, 9);
-  const PeerId host = SelfHealingRing(8).successor_of_key(peer_guid(8));
+  const PeerId host = ChordRing(8).successor_of_key(peer_guid(8));
   MembershipCoordinator m(p, 8,
                           {{2, Kind::kJoin, 8}, {2, Kind::kLeave, host}});
   const auto history = check_against_rewalk(m, p, 6);

@@ -39,7 +39,8 @@ TEST(MassAuditor, StartsConservedAtInitialState) {
       effective[e] = 1.0 / static_cast<double>(deg);
     }
   }
-  const auto report = auditor.audit(effective);
+  const auto report =
+      auditor.audit([&effective](EdgeId e) { return effective[e]; });
   EXPECT_TRUE(report.conserved(1e-9));
   EXPECT_DOUBLE_EQ(report.mass_ratio, 1.0);
   EXPECT_EQ(report.leaking_edges, 0u);
@@ -54,12 +55,13 @@ TEST(MassAuditor, DetectsAndLocatesLeaks) {
     effective[e] = 0.25;
   }
   effective[2] = 0.0;  // a lost contribution
-  const auto report = auditor.audit(effective);
+  const auto effective_of = [&effective](EdgeId e) { return effective[e]; };
+  const auto report = auditor.audit(effective_of);
   EXPECT_FALSE(report.conserved(1e-9));
   EXPECT_EQ(report.leaking_edges, 1u);
   EXPECT_NEAR(report.leaked, 0.25, 1e-15);
   EXPECT_LT(report.mass_ratio, 1.0);
-  EXPECT_EQ(auditor.leaking_edges(effective), (std::vector<EdgeId>{2}));
+  EXPECT_EQ(auditor.leaking_edges(effective_of), (std::vector<EdgeId>{2}));
   EXPECT_DOUBLE_EQ(auditor.expected(2), 0.25);
 }
 
@@ -74,10 +76,6 @@ TEST(MassAuditor, KnownLossIsACheapCounter) {
 
 TEST(MassAuditor, RejectsMismatchedEffectiveVector) {
   const Digraph g = figure2_graph();
-  MassAuditor auditor(g, std::vector<double>(g.num_nodes(), 1.0));
-  const std::vector<double> wrong(g.num_edges() + 1, 0.0);
-  EXPECT_THROW((void)auditor.audit(wrong), std::invalid_argument);
-  EXPECT_THROW((void)auditor.leaking_edges(wrong), std::invalid_argument);
   // The start vector covers documents, not edges.
   EXPECT_THROW(MassAuditor(g, std::vector<double>(g.num_nodes() + 1, 1.0)),
                std::invalid_argument);

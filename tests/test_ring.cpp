@@ -4,12 +4,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <map>
 #include <set>
 #include <stdexcept>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "run_digest.hpp"
 
 namespace dprank {
 namespace {
@@ -222,6 +224,11 @@ class RingModel {
     const auto it = by_id_.upper_bound(id);
     return it == by_id_.end() ? by_id_.begin()->second : it->second;
   }
+  [[nodiscard]] PeerId predecessor_peer(Guid id) const {
+    auto it = by_id_.lower_bound(id);
+    if (it == by_id_.begin()) it = by_id_.end();
+    return std::prev(it)->second;
+  }
   [[nodiscard]] PeerId finger(PeerId peer, int k) const {
     return successor_of_key(id_of(peer) + U128::pow2(k));
   }
@@ -295,10 +302,10 @@ class RingModelBuilder {
   std::set<PeerId> used_;
 };
 
-/// Every query of `ring` must equal `model`'s: membership order, owner
-/// and successor of each probe key, the route (destination and every
-/// hop) and the lookup (destination and hop count) from random origins,
-/// and all 128 fingers. Probe keys are 0,
+/// Every query of `ring` must equal `model`'s: membership order, owner,
+/// successor and predecessor of each probe key, the route (destination
+/// and every hop) and the lookup (destination and hop count) from random
+/// origins, and all 128 fingers. Probe keys are 0,
 /// 2^128 - 1, random keys, and each sampled peer's id and id +- 1; at
 /// most `sampled_peers` peers give boundary keys and finger checks.
 void expect_same_ring(const ChordRing& ring, const RingModel& model, Rng& rng,
@@ -308,6 +315,7 @@ void expect_same_ring(const ChordRing& ring, const RingModel& model, Rng& rng,
   ASSERT_EQ(ring.size(), peers.size());
   if (peers.empty()) {
     EXPECT_THROW((void)ring.successor_of_key(Guid{1, 2}), std::logic_error);
+    EXPECT_THROW((void)ring.predecessor_peer(Guid{1, 2}), std::logic_error);
     EXPECT_THROW((void)ring.route(0, Guid{1, 2}), std::logic_error);
     return;
   }
@@ -327,6 +335,7 @@ void expect_same_ring(const ChordRing& ring, const RingModel& model, Rng& rng,
   for (const Guid key : keys) {
     ASSERT_EQ(ring.successor_of_key(key), model.successor_of_key(key));
     ASSERT_EQ(ring.successor_peer(key), model.successor_peer(key));
+    ASSERT_EQ(ring.predecessor_peer(key), model.predecessor_peer(key));
     for (int o = 0; o < 3; ++o) {
       const PeerId from = peers[rng.bounded(peers.size())];
       const ChordRing::Route got = ring.route(from, key);
@@ -426,8 +435,8 @@ INSTANTIATE_TEST_SUITE_P(Sizes, RingModelTest,
 PeerId healing_brute_owner(const SelfHealingRing& ring, Guid key) {
   PeerId best = kInvalidPeer;
   U128 best_dist = U128::max();
-  for (const PeerId p : ring.peers_in_ring_order()) {
-    const U128 dist = ring_distance(key, ring.id_of(p));
+  for (const PeerId p : ring.members().peers_in_ring_order()) {
+    const U128 dist = ring_distance(key, ring.members().id_of(p));
     if (best == kInvalidPeer || dist < best_dist) {
       best = p;
       best_dist = dist;
@@ -440,7 +449,7 @@ PeerId healing_brute_owner(const SelfHealingRing& ring, Guid key) {
 /// owner (the routability contract validate() also asserts).
 void expect_routable(const SelfHealingRing& ring, std::uint64_t seed,
                      int samples = 100) {
-  const auto live = ring.peers_in_ring_order();
+  const auto live = ring.members().peers_in_ring_order();
   Rng rng(seed);
   for (int i = 0; i < samples; ++i) {
     const PeerId from = live[rng.bounded(live.size())];
@@ -457,7 +466,7 @@ TEST(SelfHealingRing, StartsConvergedAndRoutable) {
   ring.validate(64);
   expect_routable(ring, 51);
   // Successor lists match the converged oracle.
-  const auto order = ring.peers_in_ring_order();
+  const auto order = ring.members().peers_in_ring_order();
   for (std::size_t i = 0; i < order.size(); ++i) {
     const auto succ = ring.successors_of(order[i]);
     ASSERT_EQ(succ.size(), SelfHealingRing::kSuccessors);
@@ -472,7 +481,7 @@ TEST(SelfHealingRing, SurvivesKSuccessiveCrashes) {
   // failures: kill 3 ring-adjacent peers at once, stabilize, and every
   // key must resolve to the live oracle owner again.
   SelfHealingRing ring(32);
-  const auto order = ring.peers_in_ring_order();
+  const auto order = ring.members().peers_in_ring_order();
   for (std::size_t k = 0; k < SelfHealingRing::kSuccessors; ++k) {
     ring.crash(order[(5 + k) % order.size()]);
   }
@@ -487,14 +496,14 @@ TEST(SelfHealingRing, SurvivesKSuccessiveCrashes) {
 
 TEST(SelfHealingRing, RoutesDuringDisruptionSkippingDeadPointers) {
   SelfHealingRing ring(32);
-  const auto order = ring.peers_in_ring_order();
+  const auto order = ring.members().peers_in_ring_order();
   ring.crash(order[10]);
   // Before any stabilization, pointers at other peers still name the
   // victim; lookups skip them (counted as dead probes) and keep making
   // clockwise progress instead of failing.
   std::size_t dead_probes = 0;
   Rng rng(57);
-  const auto live = ring.peers_in_ring_order();
+  const auto live = ring.members().peers_in_ring_order();
   for (int i = 0; i < 200; ++i) {
     const PeerId from = live[rng.bounded(live.size())];
     const auto probe = ring.route(from, Guid{rng(), rng()});
@@ -507,7 +516,7 @@ TEST(SelfHealingRing, RoutesDuringDisruptionSkippingDeadPointers) {
 TEST(SelfHealingRing, JoinConvergesThroughStabilization) {
   SelfHealingRing ring(16);
   ring.join(100, peer_guid(100));
-  EXPECT_TRUE(ring.contains(100));
+  EXPECT_TRUE(ring.members().contains(100));
   // The joiner bootstrapped its own tables; neighbors converge in a
   // round or two of stabilization.
   (void)ring.stabilize(8);
@@ -515,12 +524,12 @@ TEST(SelfHealingRing, JoinConvergesThroughStabilization) {
   ring.validate(64);
   expect_routable(ring, 59);
   // The joiner now owns the arc ending at its id.
-  EXPECT_EQ(ring.successor_of_key(peer_guid(100)), 100u);
+  EXPECT_EQ(ring.members().successor_of_key(peer_guid(100)), 100u);
 }
 
 TEST(SelfHealingRing, GracefulLeaveNeverBreaksRouting) {
   SelfHealingRing ring(16);
-  const auto order = ring.peers_in_ring_order();
+  const auto order = ring.members().peers_in_ring_order();
   ring.leave(order[4]);
   // The leaver repaired its immediate neighbors on the way out: routing
   // works before stabilization even runs.
@@ -535,7 +544,7 @@ TEST(SelfHealingRing, HealsEvenBeyondSuccessorListDepth) {
   // guarantee; finger fallback (and, in the limit, the oracle
   // re-bootstrap) still heals the ring.
   SelfHealingRing ring(24);
-  const auto order = ring.peers_in_ring_order();
+  const auto order = ring.members().peers_in_ring_order();
   for (std::size_t k = 0; k < SelfHealingRing::kSuccessors + 2; ++k) {
     ring.crash(order[(3 + k) % order.size()]);
   }
@@ -549,15 +558,77 @@ TEST(SelfHealingRing, CrashDownToTwoPeersStillHeals) {
   // Degenerate shrink: crash all but two peers, one event per
   // stabilization window (the supported regime).
   SelfHealingRing ring(8);
-  const auto order = ring.peers_in_ring_order();
+  const auto order = ring.members().peers_in_ring_order();
   for (std::size_t i = 0; i + 2 < order.size(); ++i) {
     ring.crash(order[i]);
     (void)ring.stabilize(8);
     EXPECT_TRUE(ring.converged()) << "after crash " << i;
   }
-  EXPECT_EQ(ring.size(), 2u);
+  EXPECT_EQ(ring.members().size(), 2u);
   ring.validate(16);
   expect_routable(ring, 71, 50);
+}
+
+TEST(SelfHealingRing, MaintenanceGoldenDigest) {
+  // Pins every count and pointer the maintenance protocol produces over a
+  // seeded history: runs of up to kSuccessors + 2 ring-adjacent crashes,
+  // graceful leaves and joins with fresh ids, up to three events back to
+  // back before each stabilize(8). The digest folds the round count,
+  // repair and re-bootstrap totals, convergence, every live peer's
+  // successor list and predecessor, and 50 sampled routes (destination,
+  // ok, dead probes, hop list) before and after each stabilization.
+  Fnv f;
+  for (const PeerId n : {PeerId{24}, PeerId{64}}) {
+    SelfHealingRing ring(n);
+    Rng rng(0x6E1D + n);
+    PeerId fresh = n;
+    const auto mix_routes = [&] {
+      const std::vector<PeerId> live = ring.members().peers_in_ring_order();
+      for (int i = 0; i < 50; ++i) {
+        const PeerId from = live[rng.bounded(live.size())];
+        const SelfHealingRing::Route r = ring.route(from, Guid{rng(), rng()});
+        f.mix_value(r.destination);
+        f.mix_value(r.ok);
+        f.mix_value(r.dead_probes);
+        f.mix_value(r.hops.size());
+        f.mix(r.hops.data(), r.hops.size() * sizeof(PeerId));
+      }
+    };
+    for (int step = 0; step < 10; ++step) {
+      const std::uint64_t events = 1 + rng.bounded(3);
+      for (std::uint64_t e = 0; e < events; ++e) {
+        const std::vector<PeerId> live = ring.members().peers_in_ring_order();
+        const std::uint64_t kind = rng.bounded(3);
+        if (kind == 0 && live.size() > 12) {
+          const std::size_t run =
+              1 + rng.bounded(SelfHealingRing::kSuccessors + 2);
+          const std::size_t at = rng.bounded(live.size());
+          for (std::size_t k = 0; k < run; ++k) {
+            ring.crash(live[(at + k) % live.size()]);
+          }
+        } else if (kind == 1 && live.size() > 12) {
+          ring.leave(live[rng.bounded(live.size())]);
+        } else {
+          ring.join(fresh, peer_guid(fresh));
+          ++fresh;
+        }
+      }
+      mix_routes();
+      f.mix_value(ring.stabilize(8));
+      f.mix_value(ring.repairs());
+      f.mix_value(ring.emergency_rebootstraps());
+      f.mix_value(ring.converged());
+      for (const PeerId p : ring.members().peers_in_ring_order()) {
+        const std::vector<PeerId> succ = ring.successors_of(p);
+        f.mix_value(p);
+        f.mix_value(succ.size());
+        f.mix(succ.data(), succ.size() * sizeof(PeerId));
+        f.mix_value(ring.predecessor_of(p));
+      }
+      mix_routes();
+    }
+  }
+  EXPECT_EQ(f.value(), 0xa7885a6e7a406a17ULL);
 }
 
 TEST(ChordRing, RoutingAfterChurn) {
