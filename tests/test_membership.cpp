@@ -3,16 +3,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
+#include <ios>
 #include <stdexcept>
 #include <tuple>
 #include <vector>
 
 #include "common/guid.hpp"
 #include "fault/campaign.hpp"
+#include "fault/fault_plan.hpp"
 #include "graph/generator.hpp"
 #include "p2p/placement.hpp"
+#include "p2p/replication.hpp"
 #include "pagerank/distributed_engine.hpp"
 #include "pagerank/options.hpp"
+#include "run_digest.hpp"
 
 namespace dprank {
 namespace {
@@ -355,6 +361,117 @@ TEST(MembershipCoordinator, AttachmentGuards) {
   FaultPlan plan(fpc);
   engine.attach_fault_plan(plan);
   EXPECT_THROW((void)engine.run(), std::invalid_argument);
+}
+
+/// digest_core plus every digest_full field except PassStats::crashes,
+/// which drops a membership crash when a fault plan rides along.
+std::uint64_t digest_membership_run(const DistributedPagerank& engine,
+                                    const DistributedRunResult& run) {
+  Fnv f;
+  mix_core(f, engine, run);
+  f.mix_value(run.mass_ratio);
+  f.mix_value(run.repair_rounds);
+  for (const PassStats& s : engine.pass_history()) {
+    f.mix_value(s.recovered_docs);
+    f.mix_value(s.retransmissions);
+    f.mix_value(s.repair_messages);
+    f.mix_value(s.docs_deferred);
+    f.mix_value(s.handoff_docs);
+    f.mix_value(s.stale_owner_queries);
+  }
+  for (const std::uint64_t c :
+       {engine.replica_messages(), engine.replica_stale_skips(),
+        engine.dropped_messages(), engine.duplicated_messages(),
+        engine.crashes(), engine.recovered_docs(), engine.replica_restores(),
+        engine.recovery_messages(), engine.repair_messages(),
+        engine.partition_deferrals(), engine.retransmissions(),
+        engine.stale_rejected(), engine.duplicates_suppressed(),
+        engine.gave_up(), engine.handoff_docs(),
+        engine.stale_owner_queries(), engine.outbox_dropped_dead()}) {
+    f.mix_value(c);
+  }
+  return f.value();
+}
+
+// Membership events under an acked, lossy fault plan, with one replica
+// per document and the mass audit: a seeded schedule of joins, a graceful
+// leave and crashes (16 initial peers), 5% drops. Recorded before the
+// engine composed each pass's presence in one step.
+constexpr std::uint64_t kMembershipFaultGolden = 0xae9751675503c76dULL;
+
+TEST(MembershipEngine, PassHistoryGoldenWithFaultPlan) {
+  const Digraph g = paper_graph(500, 11);
+  ChaosCampaignConfig cc;
+  cc.initial_peers = 16;
+  cc.events = 6;
+  cc.min_live = 6;
+  cc.event_gap_max = 1;
+  cc.seed = 1;
+  const std::vector<MembershipEvent> schedule = make_chaos_schedule(cc);
+  const PeerId capacity = chaos_peer_capacity(cc.initial_peers, schedule);
+  const auto count_kind = [&](Kind kind) {
+    return std::count_if(schedule.begin(), schedule.end(),
+                         [kind](const MembershipEvent& e) {
+                           return e.kind == kind;
+                         });
+  };
+  ASSERT_GT(count_kind(Kind::kJoin), 0);
+  ASSERT_EQ(count_kind(Kind::kLeave), 1);
+  ASSERT_GT(count_kind(Kind::kCrash), 0);
+  const auto placement = [&] {
+    return Placement::by_dht(g.num_nodes(), ChordRing(cc.initial_peers));
+  };
+  for (const std::uint32_t threads : {1u, 4u}) {
+    Placement p = placement();
+    // Replicas are drawn over the initial population, before the
+    // placement grows to cover the joiners.
+    const ReplicaRegistry replicas = ReplicaRegistry::uniform(p, 1, 5);
+    p.grow_peers(capacity);
+    MembershipCoordinator m(p, cc.initial_peers, schedule);
+    FaultPlanConfig fpc;
+    fpc.drop_probability = 0.05;
+    fpc.acked_delivery = true;
+    fpc.retry_max_attempts = 6;
+    fpc.seed = 17;
+    FaultPlan plan(fpc);
+    PagerankOptions opt;
+    opt.epsilon = 1e-3;
+    opt.threads = threads;
+    DistributedPagerank engine(g, p, opt);
+    engine.attach_membership(m);
+    engine.attach_replicas(replicas);
+    engine.attach_fault_plan(plan);
+    engine.enable_mass_audit();
+    const DistributedRunResult run = engine.run();
+
+    ASSERT_TRUE(run.converged) << "threads=" << threads;
+    EXPECT_EQ(run.mass_ratio, 1.0);
+    EXPECT_GT(engine.stale_owner_queries(), 0u);
+    EXPECT_GT(engine.retransmissions(), 0u);
+    EXPECT_GT(engine.replica_restores(), 0u);
+    // The coordinator's history does not depend on the engine: a twin
+    // driven through the same passes names the handoffs the run made.
+    Placement twin_placement = placement();
+    twin_placement.grow_peers(capacity);
+    MembershipCoordinator twin(twin_placement, cc.initial_peers, schedule);
+    std::array<std::uint64_t, 3> by_reason{};
+    std::uint64_t handoffs = 0;
+    for (std::uint64_t pass = 0; pass < run.passes; ++pass) {
+      for (const Handoff& h : twin.begin_pass(pass).handoffs) {
+        ++by_reason[static_cast<std::size_t>(h.reason)];
+        ++handoffs;
+      }
+    }
+    EXPECT_EQ(handoffs, engine.handoff_docs());
+    EXPECT_GT(by_reason[static_cast<std::size_t>(Reason::kJoinPull)], 0u);
+    EXPECT_GT(by_reason[static_cast<std::size_t>(Reason::kLeavePush)], 0u);
+    EXPECT_GT(by_reason[static_cast<std::size_t>(Reason::kReconstruct)], 0u);
+
+    const std::uint64_t digest = digest_membership_run(engine, run);
+    EXPECT_EQ(digest, kMembershipFaultGolden)
+        << std::hex << "digest 0x" << digest << std::dec
+        << " threads=" << threads;
+  }
 }
 
 }  // namespace
