@@ -113,11 +113,4 @@ SendFate FaultPlan::fate_for_send() {
   return fate;
 }
 
-std::uint64_t FaultPlan::retry_interval(std::uint32_t attempt) const {
-  std::uint64_t interval = config_.ack_timeout_passes;
-  const std::uint64_t cap = std::max<std::uint64_t>(1, config_.retry_backoff_cap);
-  for (std::uint32_t i = 0; i < attempt && interval < cap; ++i) interval *= 2;
-  return std::min(interval, cap);
-}
-
 }  // namespace dprank

@@ -130,10 +130,6 @@ class FaultPlan {
   /// call in deterministic send order.
   [[nodiscard]] SendFate fate_for_send();
 
-  /// Exponential-backoff retransmission interval for the given retry
-  /// attempt (0 = first retry): ack_timeout * 2^attempt, capped.
-  [[nodiscard]] std::uint64_t retry_interval(std::uint32_t attempt) const;
-
   [[nodiscard]] const FaultPlanConfig& config() const { return config_; }
   [[nodiscard]] std::uint64_t crashes_injected() const {
     return crashes_injected_;

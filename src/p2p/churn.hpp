@@ -45,8 +45,6 @@ class ChurnSchedule {
       std::uint64_t pass);
 
   [[nodiscard]] PeerId num_peers() const { return num_peers_; }
-  [[nodiscard]] double availability() const { return availability_; }
-  [[nodiscard]] ChurnModel model() const { return model_; }
   /// kResample: peers present each pass (exact). kSessions: the
   /// stationary expectation, floor(f * P).
   [[nodiscard]] PeerId present_per_pass() const { return present_count_; }

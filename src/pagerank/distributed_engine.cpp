@@ -236,13 +236,12 @@ void DistributedPagerank::mark_dirty_now(NodeId s) {
 }
 
 void DistributedPagerank::send_to_replicas(PeerId src, NodeId v,
-                                           const std::vector<bool>& presence,
                                            PassStats& stats) {
   for (const PeerId rp : replicas_->replicas_of(v)) {
     if (rp == src) {
       ++bill_.local;
       ++stats.local_updates;
-    } else if (presence[rp]) {
+    } else if (present_[rp]) {
       // Replica addresses are pointers held at the source (§2.3):
       // replica sends are always direct.
       ++bill_.messages;
@@ -342,9 +341,7 @@ NodeId DistributedPagerank::edge_source(EdgeId e) const {
 
 void DistributedPagerank::prepare_fault_state() {
   if (plan_ != nullptr) {
-    const PeerId num_peers = placement_.num_peers();
-    crashed_until_.assign(num_peers, 0);
-    needs_recovery_.assign(num_peers, false);
+    down_until_.assign(placement_.num_peers(), 0);
     if (plan_->config().acked_delivery) {
       channel_ = std::make_unique<ReliableChannel>(
           ReliableChannel::Config{plan_->config().ack_timeout_passes,
@@ -366,12 +363,13 @@ void DistributedPagerank::prepare_fault_state() {
   }
 }
 
-void DistributedPagerank::crash_peer(PeerId p, std::uint64_t pass) {
+void DistributedPagerank::crash_peer(PeerId p, std::uint64_t pass,
+                                     PassStats& stats) {
   ++crashes_seen_;
+  ++stats.crashes;
   const std::uint32_t downtime =
       std::max<std::uint32_t>(1, plan_->config().crash_downtime_passes);
-  crashed_until_[p] = pass + downtime;
-  needs_recovery_[p] = true;
+  down_until_[p] = pass + downtime;
   if (tracer_ != nullptr) {
     tracer_->instant("peer.crash", "fault", p,
                      {{"pass", static_cast<double>(pass)},
@@ -436,16 +434,13 @@ void DistributedPagerank::wipe_peer(PeerId p) {
   }
 }
 
-void DistributedPagerank::recover_peer(PeerId p,
-                                       const std::vector<bool>& presence,
-                                       PassStats& stats) {
-  needs_recovery_[p] = false;
+void DistributedPagerank::recover_peer(PeerId p, PassStats& stats) {
+  down_until_[p] = 0;
   if (tracer_ != nullptr) tracer_->instant("peer.recover", "fault", p, {});
-  rebuild_docs(docs_of(p), presence, stats);
+  rebuild_docs(docs_of(p), stats);
 }
 
 void DistributedPagerank::rebuild_docs(const std::vector<NodeId>& docs,
-                                       const std::vector<bool>& presence,
                                        PassStats& stats) {
   // Step 1: restore document ranks — from a live replica copy where one
   // exists (one fetch message per document), from the initial value
@@ -456,7 +451,7 @@ void DistributedPagerank::rebuild_docs(const std::vector<NodeId>& docs,
     bool restored = false;
     if (!replica_value_.empty()) {
       for (const PeerId rp : replicas_->replicas_of(v)) {
-        if (presence[rp] && reachable(rp, owner)) {
+        if (present_[rp] && reachable(rp, owner)) {
           ranks_[s] = replica_value_[s];
           meter_.record_message(PagerankUpdate::kWireBytes);
           ++replica_restores_;
@@ -487,7 +482,7 @@ void DistributedPagerank::rebuild_docs(const std::vector<NodeId>& docs,
         // outbox drain later this pass delivers it.
         continue;
       }
-      if (pu != owner && (!presence[pu] || !reachable(pu, owner))) {
+      if (pu != owner && (!present_[pu] || !reachable(pu, owner))) {
         // Source unreachable: the cell stays empty until the source's
         // next emission, its outbox, or the mass audit repairs it.
         continue;
@@ -535,8 +530,6 @@ void DistributedPagerank::drain_gave_up() {
 void DistributedPagerank::apply_membership(
     const MembershipCoordinator::PassPlan& mplan, std::uint64_t pass,
     PassStats& stats) {
-  const std::vector<bool>& presence = membership_->presence();
-
   // The coordinator already moved ownership in the shared placement:
   // mirror it. A moved document keeps its slot, so its cells and
   // out-links stay where they are.
@@ -614,7 +607,7 @@ void DistributedPagerank::apply_membership(
   }
   // Overlay and membership are mutually exclusive, so send_hops bills
   // every reconstruction pull one hop, as a direct message.
-  rebuild_docs(reconstruct, presence, stats);
+  rebuild_docs(reconstruct, stats);
 
   // 5. Re-file parked entries whose target changed owner: the outbox
   //    files every parked edge under the peer owning its target
@@ -644,15 +637,52 @@ void DistributedPagerank::apply_membership(
   }
 }
 
+void DistributedPagerank::begin_pass(std::uint64_t pass,
+                                     ChurnSchedule* churn, PassStats& stats) {
+  const auto copy_mask = [this](const std::vector<bool>& mask) {
+    std::copy(mask.begin(), mask.end(), present_.begin());
+  };
+  if (membership_ != nullptr) {
+    // Scheduled events strike, heartbeats feed the detector, the ring
+    // stabilizes and ownership moves; the engine then moves, wipes and
+    // rebuilds the matching state against the coordinator's new mask.
+    const MembershipCoordinator::PassPlan& mplan =
+        membership_->begin_pass(pass);
+    copy_mask(membership_->presence());
+    apply_membership(mplan, pass, stats);
+  } else if (churn != nullptr) {
+    copy_mask(churn->presence_for_pass(pass));
+  } else {
+    std::fill(present_.begin(), present_.end(), 1);
+  }
+  if (plan_ == nullptr) return;
+
+  // Fault-plan crashes on top: partitions advance, crashes strike, and a
+  // peer inside its downtime is absent whatever the base mask says.
+  const PeerId num_peers = placement_.num_peers();
+  for (const PeerId p : plan_->begin_pass(pass, num_peers)) {
+    crash_peer(p, pass, stats);
+  }
+  for (PeerId p = 0; p < num_peers; ++p) {
+    if (down_until_[p] > pass) present_[p] = 0;
+  }
+  // Crashed peers whose downtime ended and whom the base mask brought
+  // back run recovery before any delivery touches them.
+  for (PeerId p = 0; p < num_peers; ++p) {
+    if (down_until_[p] != 0 && present_[p]) recover_peer(p, stats);
+  }
+  deliver_delayed(pass, stats);
+  process_retries(pass, stats);
+}
+
 void DistributedPagerank::deliver_delayed(std::uint64_t pass,
-                                          const std::vector<bool>& presence,
                                           PassStats& stats) {
   auto it = delayed_.begin();
   while (it != delayed_.end() && it->first <= pass) {
     for (const DelayedMsg& m : it->second) {
       const NodeId v = graph_.out_target(m.edge);
       const PeerId pv = placement_.peer_of(v);
-      if (presence[pv] && reachable(m.src, pv)) {
+      if (present_[pv] && reachable(m.src, pv)) {
         // Traffic was billed at send time.
         const bool applied = apply_update(m.edge, edge_target(m.edge), m.value,
                                           m.seq, /*now=*/true);
@@ -667,7 +697,6 @@ void DistributedPagerank::deliver_delayed(std::uint64_t pass,
 }
 
 void DistributedPagerank::process_retries(std::uint64_t pass,
-                                          const std::vector<bool>& presence,
                                           PassStats& stats) {
   if (channel_ == nullptr) return;
   const std::uint64_t before = channel_->retransmissions();
@@ -675,7 +704,7 @@ void DistributedPagerank::process_retries(std::uint64_t pass,
     const EdgeId e = pend.slot;
     const NodeId v = graph_.out_target(e);
     const PeerId pv = placement_.peer_of(v);
-    if (!presence[pv] || !reachable(pend.src, pv)) {
+    if (!present_[pv] || !reachable(pend.src, pv)) {
       // Destination offline or partitioned: hand the message to the §3.1
       // store-and-resend outbox instead of burning retries.
       park(e, pend.src, pv, pend.value, pend.seq, pend.trace, stats);
@@ -723,11 +752,10 @@ MassAuditReport DistributedPagerank::audit_ledger() const {
                          kAuditSlack);
 }
 
-bool DistributedPagerank::audit_and_repair(const std::vector<bool>& presence,
-                                           PassStats& stats) {
+bool DistributedPagerank::audit_and_repair(PassStats& stats) {
   const MassAuditReport report = audit_ledger();
   if (report.conserved(audit_tolerance_)) {
-    last_audit_ = report;
+    last_mass_ratio_ = report.mass_ratio;
     return true;
   }
   // Proportional re-injection: re-send exactly the contributions the
@@ -742,7 +770,7 @@ bool DistributedPagerank::audit_and_repair(const std::vector<bool>& presence,
     const double value = auditor_->expected(e);
     const std::uint32_t seq =
         channel_ != nullptr ? channel_->next_seq(e) : 0;
-    if (presence[pv] && reachable(pu, pv)) {
+    if (present_[pv] && reachable(pu, pv)) {
       (void)apply_update(e, edge_target(e), value, seq, /*now=*/false);
       meter_.record_resend(PagerankUpdate::kWireBytes);
       ++repair_messages_;
@@ -765,11 +793,8 @@ void DistributedPagerank::prepare_pipeline(bool churn) {
   // owners, ledger losses), and the residual schedule folds per-update
   // deltas: all of them take the full delivery. Plain fifo runs keep the
   // inline cell writes and bulk billing.
-  if (has_attachments() || residual_mode_) {
-    delivery_ = Delivery::kFull;
-  } else {
-    delivery_ = churn ? Delivery::kParkable : Delivery::kDirect;
-  }
+  delivery_ = has_attachments() || residual_mode_ ? Delivery::kFull
+                                                  : Delivery::kDirect;
   // Updates park only for an absent or unreachable peer (churn, crashes,
   // membership, partitions) or for an audit repair that cannot land; a
   // run without any of these never touches the outbox.
@@ -787,6 +812,7 @@ void DistributedPagerank::prepare_pipeline(bool churn) {
     pending_.assign(m, 0);
   }
   deferred_by_peer_.resize(num_peers);
+  present_.assign(num_peers, 1);
   // Per-slot state starts from the start vector, now in slot order.
   in_dirty_.assign(n, 1);
   dirty_.resize(n);
@@ -886,23 +912,22 @@ void DistributedPagerank::build_slots(bool keep_doc_slot) {
   }
 }
 
-void DistributedPagerank::run_pass(const std::vector<bool>& presence,
-                                   std::uint64_t pass, PassStats& stats,
+void DistributedPagerank::run_pass(std::uint64_t pass, PassStats& stats,
                                    obs::Histogram* batch_hist) {
   group_dirty();
   if (pool_ != nullptr) {
     pool_->run(static_cast<unsigned>(segments_.size()),
                [&](unsigned shard, unsigned) {
-                 recompute_segment(segments_[shard], presence);
+                 recompute_segment(segments_[shard]);
                });
   } else {
-    for (Segment& s : segments_) recompute_segment(s, presence);
+    for (Segment& s : segments_) recompute_segment(s);
   }
   // Merge in peer order. Documents on absent peers, residual deferrals
   // and held emissions keep their dirty flags and are queued for the
   // next pass.
   for (const Segment& s : segments_) {
-    if (!presence[s.peer]) {
+    if (!present_[s.peer]) {
       next_dirty_.insert(next_dirty_.end(), grouped_.data() + s.begin,
                          grouped_.data() + s.end);
       continue;
@@ -914,16 +939,10 @@ void DistributedPagerank::run_pass(const std::vector<bool>& presence,
                        senders_.data() + s.end);
   }
   prev_max_rel_ = stats.max_rel_change;
-  switch (delivery_) {
-    case Delivery::kDirect:
-      emit<Delivery::kDirect>(presence, pass, stats, batch_hist);
-      break;
-    case Delivery::kParkable:
-      emit<Delivery::kParkable>(presence, pass, stats, batch_hist);
-      break;
-    case Delivery::kFull:
-      emit<Delivery::kFull>(presence, pass, stats, batch_hist);
-      break;
+  if (delivery_ == Delivery::kFull) {
+    emit<Delivery::kFull>(pass, stats, batch_hist);
+  } else {
+    emit<Delivery::kDirect>(pass, stats, batch_hist);
   }
 }
 
@@ -950,9 +969,8 @@ void DistributedPagerank::group_dirty() {
   for (const Segment& s : segments_) peer_cursor_[s.peer] = 0;
 }
 
-void DistributedPagerank::recompute_segment(Segment& s,
-                                            const std::vector<bool>& presence) {
-  if (!presence[s.peer]) return;  // slots stay dirty; requeued by the merge
+void DistributedPagerank::recompute_segment(Segment& s) {
+  if (!present_[s.peer]) return;  // slots stay dirty; requeued by the merge
   NodeId* const slots = grouped_.data() + s.begin;
   std::uint64_t n = s.end - s.begin;
   const double d = options_.damping;
@@ -1018,7 +1036,7 @@ void DistributedPagerank::recompute_segment(Segment& s,
       // A live replica mirrors the recomputation (§2.3: replicas
       // receive the same updates) — the copy crash recovery restores.
       for (const PeerId rp : replicas_->replicas_of(slot_doc_[v])) {
-        if (presence[rp]) {
+        if (present_[rp]) {
           replica_value_[v] = newrank;
           break;
         }
@@ -1053,8 +1071,7 @@ void DistributedPagerank::recompute_segment(Segment& s,
 }
 
 template <DistributedPagerank::Delivery kMode>
-void DistributedPagerank::emit(const std::vector<bool>& presence,
-                               std::uint64_t pass, PassStats& stats,
+void DistributedPagerank::emit(std::uint64_t pass, PassStats& stats,
                                obs::Histogram* batch_hist) {
   // Peers ascending, each peer's senders in recompute order, each
   // sender's out-links in edge order: the canonical order fault-plan RNG
@@ -1073,8 +1090,10 @@ void DistributedPagerank::emit(const std::vector<bool>& presence,
   std::uint64_t ones = 0;
   MassAuditor* const auditor = auditor_.get();
   // Only parking, the full delivery and the ledger name an update by its
-  // out-edge id; plain runs never read the graph here.
-  const bool need_edge = kMode != Delivery::kDirect || auditor != nullptr;
+  // out-edge id (only runs that can park allocate the outbox); plain
+  // runs never read the graph here.
+  const bool need_edge =
+      kMode == Delivery::kFull || !pending_.empty() || auditor != nullptr;
   const bool fan_out = replicas_ != nullptr && !replicas_->empty();
   for (const Segment& s : segments_) {
     const PeerId p = s.peer;
@@ -1097,8 +1116,8 @@ void DistributedPagerank::emit(const std::vector<bool>& presence,
         const PeerId pv = slot_owner_[t.slot];
         const EdgeId e = e0 + (pos - out_first);
         if (auditor != nullptr) auditor->on_emit(e, c);
-        if constexpr (kMode != Delivery::kFull) {
-          if (kMode == Delivery::kDirect || presence[pv]) {
+        if constexpr (kMode == Delivery::kDirect) {
+          if (present_[pv]) {
             contrib_[t.cell] = c;
             mark_dirty(t.slot);
             if (pv == p) {
@@ -1119,7 +1138,7 @@ void DistributedPagerank::emit(const std::vector<bool>& presence,
             contrib_[t.cell] = c;
             mark_dirty(t.slot);
             ++local_total;
-          } else if (presence[pv] && reachable(p, pv)) {
+          } else if (present_[pv] && reachable(p, pv)) {
             const NodeId v = slot_doc_[t.slot];
             const std::uint32_t seq =
                 channel_ != nullptr ? channel_->next_seq(e) : 0;
@@ -1176,7 +1195,7 @@ void DistributedPagerank::emit(const std::vector<bool>& presence,
               }
             }
           } else {
-            if (plan_ != nullptr && presence[pv]) ++partition_deferrals_;
+            if (plan_ != nullptr && present_[pv]) ++partition_deferrals_;
             if (membership_ != nullptr && membership_->undetected_crash(pv)) {
               // The sender does not know the owner is gone yet: the query
               // goes out to the stale owner and parks until the verdict.
@@ -1191,8 +1210,8 @@ void DistributedPagerank::emit(const std::vector<bool>& presence,
                     : obs::kNoTrace;
             park(e, p, pv, c, seq, tid, stats);
           }
-          if (replica_eligible && fan_out && presence[pv]) {
-            send_to_replicas(p, slot_doc_[t.slot], presence, stats);
+          if (replica_eligible && fan_out && present_[pv]) {
+            send_to_replicas(p, slot_doc_[t.slot], stats);
           }
         }
       }
@@ -1221,12 +1240,11 @@ void DistributedPagerank::emit(const std::vector<bool>& presence,
   stats.local_updates += local_total;
 }
 
-void DistributedPagerank::deliver_deferred(const std::vector<bool>& presence,
-                                           PassStats& stats) {
+void DistributedPagerank::deliver_deferred(PassStats& stats) {
   const bool selective = plan_ != nullptr && plan_->partition_active();
   for (PeerId p = 0; p < deferred_by_peer_.size(); ++p) {
     auto& entries = deferred_by_peer_[p];
-    if (!presence[p] || entries.empty()) continue;
+    if (!present_[p] || entries.empty()) continue;
     std::size_t kept = 0;
     for (std::size_t i = 0; i < entries.size(); ++i) {
       const auto [e, src_peer] = entries[i];
@@ -1254,7 +1272,7 @@ void DistributedPagerank::deliver_deferred(const std::vector<bool>& presence,
         trace_terminal(t, applied, p);
       }
       if (replicas_ != nullptr && !replicas_->empty()) {
-        send_to_replicas(src_peer, v, presence, stats);
+        send_to_replicas(src_peer, v, stats);
       }
     }
     entries.resize(kept);
@@ -1452,6 +1470,7 @@ void DistributedPagerank::validate_state() const {
   if (channel_ != nullptr) channel_->validate();
   graph_.validate();
   if (ring_ != nullptr) ring_->validate(/*route_samples=*/16);
+  if (membership_ != nullptr) membership_->validate();
 
   // Rank-mass conservation identity (§2.3): on fault-free runs every
   // emitted contribution is applied or parked, nothing else — the ledger
@@ -1510,8 +1529,6 @@ DistributedRunResult DistributedPagerank::run(ChurnSchedule* churn,
 void DistributedPagerank::run_passes(ChurnSchedule* churn,
                                      const PassObserver& observer,
                                      DistributedRunResult& result) {
-  const PeerId num_peers = placement_.num_peers();
-  const std::vector<bool> all_present(num_peers, true);
   obs::Histogram* pass_wall =
       metrics_ != nullptr ? &metrics_->histogram("pagerank.pass_wall_us")
                           : nullptr;
@@ -1528,43 +1545,10 @@ void DistributedPagerank::run_passes(ChurnSchedule* churn,
     const auto wall_start = std::chrono::steady_clock::now();
     PassStats stats;
     stats.pass = pass;
-    const std::vector<bool>* presence =
-        churn != nullptr ? &churn->presence_for_pass(pass) : &all_present;
-
-    if (membership_ != nullptr) {
-      // Membership pass hook: scheduled events strike, heartbeats feed
-      // the detector, the ring stabilizes, ownership moves — then the
-      // engine moves/wipes/rebuilds the corresponding state. The
-      // coordinator's mask is the pass's base presence (a fault plan's
-      // temporary effects compose on top below).
-      apply_membership(membership_->begin_pass(pass), pass, stats);
-      presence = &membership_->presence();
-      if (contracts::enabled()) membership_->validate();
-    }
-
-    if (plan_ != nullptr) {
-      // Fault-plan pass hook: partitions advance, crashes strike.
-      const std::vector<PeerId> crashing = plan_->begin_pass(pass, num_peers);
-      for (const PeerId p : crashing) crash_peer(p, pass);
-      stats.crashes = crashing.size();
-      presence_eff_ = *presence;
-      for (PeerId p = 0; p < num_peers; ++p) {
-        if (crashed_until_[p] > pass) presence_eff_[p] = false;
-      }
-      presence = &presence_eff_;
-      // Crashed peers whose downtime ended and whom churn brought back
-      // run recovery before any delivery touches them.
-      for (PeerId p = 0; p < num_peers; ++p) {
-        if (needs_recovery_[p] && presence_eff_[p]) {
-          recover_peer(p, presence_eff_, stats);
-        }
-      }
-      deliver_delayed(pass, *presence, stats);
-      process_retries(pass, *presence, stats);
-    }
+    begin_pass(pass, churn, stats);
 
     // Phase 0: outbox drains for peers that are present this pass.
-    if (total_pending_ != 0) deliver_deferred(*presence, stats);
+    if (total_pending_ != 0) deliver_deferred(stats);
 
     // Phases 1-4, one pipeline (see the header comment): recompute the
     // documents that received updates — those on absent peers stay dirty
@@ -1579,7 +1563,7 @@ void DistributedPagerank::run_passes(ChurnSchedule* churn,
               ? std::max(options_.epsilon, std::min(0.05, prev_max_rel_ / 8.0))
               : options_.epsilon;
     }
-    run_pass(*presence, pass, stats, batch_hist);
+    run_pass(pass, stats, batch_hist);
     bill_pass();
 
     // Quiescence: nothing to recompute, nothing parked, nothing in
@@ -1588,15 +1572,10 @@ void DistributedPagerank::run_passes(ChurnSchedule* churn,
     bool quiescent = next_dirty_.empty() && total_pending_ == 0;
     if (plan_ != nullptr && quiescent) {
       quiescent = delayed_total_ == 0 &&
-                  (channel_ == nullptr || channel_->idle());
-      if (quiescent) {
-        for (PeerId p = 0; p < num_peers; ++p) {
-          if (needs_recovery_[p]) {
-            quiescent = false;
-            break;
-          }
-        }
-      }
+                  (channel_ == nullptr || channel_->idle()) &&
+                  std::ranges::all_of(down_until_, [](std::uint64_t until) {
+                    return until == 0;
+                  });
     }
     if (membership_ != nullptr && quiescent) {
       // Convergence is meaningless while events remain scheduled or a
@@ -1604,9 +1583,7 @@ void DistributedPagerank::run_passes(ChurnSchedule* churn,
       // parked): the run idles forward until membership settles.
       quiescent = membership_->quiescent();
     }
-    if (quiescent && audit_enabled_) {
-      quiescent = audit_and_repair(*presence, stats);
-    }
+    if (quiescent && audit_enabled_) quiescent = audit_and_repair(stats);
 
     if (tracer_ != nullptr) {
       // One span per pass on the engine track (pid 0); the clock decides
@@ -1664,8 +1641,8 @@ void DistributedPagerank::run_passes(ChurnSchedule* churn,
   if (options_.validate_every_n_passes != 0) validate_state();
   if (audit_enabled_) {
     // Ran out of passes: report the leak as it stands.
-    if (!result.converged) last_audit_ = audit_ledger();
-    result.mass_ratio = last_audit_.mass_ratio;
+    if (!result.converged) last_mass_ratio_ = audit_ledger().mass_ratio;
+    result.mass_ratio = last_mass_ratio_;
   }
 }
 

@@ -43,20 +43,24 @@
 //    sequential sender-major loop emits: peers ascending, each peer's
 //    senders in recompute order — the order fault-plan RNG draws, IP
 //    cache warms and trace events consume. The loop is templated on
-//    what the run needs (direct delivery, outbox parking under churn, or
-//    the full fault/overlay/trace/replica/membership/audit/residual
-//    machinery). Shards touch only their own segment and slots, so
-//    ranks, pass history, residual series and traffic tables are
-//    bit-identical for every thread count.
+//    what the run needs (direct delivery, which parks an update only
+//    for an absent peer, or the full fault/overlay/trace/replica/
+//    membership/audit/residual machinery). Shards touch only their own
+//    segment and slots, so ranks, pass history, residual series and
+//    traffic tables are bit-identical for every thread count.
 //  * Same-peer updates are applied locally without network messages
 //    (Fig. 1 step b); cross-peer updates are counted in the traffic
 //    meter, which every delivery mode bills once per pass from a local
 //    tally.
-//  * Churn (§3.1, §4.3): documents on absent peers neither compute nor
-//    receive. Updates addressed to an absent peer wait in the sender's
-//    per-edge outbox (newest value wins) and are delivered on the first
-//    pass the destination peer is present. Messages are counted once, at
-//    delivery.
+//  * Presence (§3.1, §4.3): documents on absent peers neither compute
+//    nor receive. Updates addressed to an absent peer wait in the
+//    sender's per-edge outbox (newest value wins) and are delivered on
+//    the first pass the destination peer is present. Messages are
+//    counted once, at delivery. One per-peer mask says who is present;
+//    the first step of every pass writes it: the membership
+//    coordinator's mask, else the churn schedule's, else every peer,
+//    then fault-plan crashes (peers still inside their downtime) masked
+//    on top. Every later step of the pass reads that mask.
 //  * Convergence: no document has a pending recompute and no update is
 //    waiting in any outbox — the paper's "error in all the documents is
 //    less than the error threshold" criterion. With a fault plan
@@ -115,8 +119,8 @@ struct PassStats {
   std::uint64_t local_updates = 0;
   std::uint64_t max_peer_messages = 0;  // busiest sender, for Eq. 4
   double max_rel_change = 0.0;
-  // Fault-plan extensions (all zero without an attached plan).
-  std::uint64_t crashes = 0;            // peers crashing at pass start
+  // Fault extensions (all zero without a fault plan or membership).
+  std::uint64_t crashes = 0;            // fault-plan and membership crashes
   std::uint64_t recovered_docs = 0;     // documents rebuilt this pass
   std::uint64_t retransmissions = 0;    // acked-delivery retries this pass
   std::uint64_t repair_messages = 0;    // mass-audit re-injections
@@ -221,10 +225,12 @@ class DistributedPagerank {
   /// document handoff moves parked state to the new owner (join/leave)
   /// or reconstructs the range from replicas and live sources
   /// (kReconstruct). The coordinator must share this engine's Placement
-  /// object and must outlive it; call before run(). Mutually exclusive
-  /// with attach_overlay (a static converged ring), a ChurnSchedule
-  /// (both own the presence mask) and fault-plan crashes (separate crash
-  /// vocabularies — schedule crashes as membership events).
+  /// object and must outlive it; call before run(). Its mask is each
+  /// pass's base presence, so run() refuses a ChurnSchedule beside it. A
+  /// fault plan's message faults and partitions compose with it, but
+  /// run() refuses fault-plan crashes (temporary, documents stay put):
+  /// schedule crashes as membership events. attach_overlay (a static
+  /// converged ring) and this reject each other.
   void attach_membership(MembershipCoordinator& membership);
 
   /// Enable the rank-mass conservation audit: at every would-be
@@ -277,7 +283,6 @@ class DistributedPagerank {
   /// separately by Digraph::memory_bytes(); both feed the mem.* gauges
   /// and the scale bench's bytes-per-edge figure.
   [[nodiscard]] std::uint64_t memory_bytes() const;
-  [[nodiscard]] const PagerankOptions& options() const { return options_; }
   [[nodiscard]] std::uint64_t replica_messages() const {
     return replica_messages_;
   }
@@ -335,15 +340,11 @@ class DistributedPagerank {
   [[nodiscard]] const MassAuditor* mass_auditor() const {
     return auditor_.get();
   }
-  /// The final quiescence audit (valid after run() with audit enabled).
-  [[nodiscard]] const MassAuditReport& last_audit() const {
-    return last_audit_;
-  }
 
   /// Full engine invariant walk (contracts.hpp; subsystem "pagerank"),
   /// plus a cascade into the attached subsystems (graph, overlay ring,
-  /// reliable channel). Checks, at a pass boundary (before run(), only
-  /// the start vector's size):
+  /// reliable channel, membership coordinator). Checks, at a pass
+  /// boundary (before run(), only the start vector's size):
   ///  * per-edge array sizing matches the graph;
   ///  * the slot layout — slot -> document and document -> slot are
   ///    inverse maps, the owner mirror equals the placement, cell and
@@ -383,8 +384,13 @@ class DistributedPagerank {
     std::uint32_t cell = 0;
   };
 
-  void deliver_deferred(const std::vector<bool>& presence,
-                        PassStats& stats);
+  /// The pass's first step: write present_ (the coordinator's mask after
+  /// its plan is applied, else the churn schedule's, else every peer),
+  /// then strike fault-plan crashes, mask the peers still down, rebuild
+  /// the peers back from downtime and deliver delayed and retried sends.
+  void begin_pass(std::uint64_t pass, ChurnSchedule* churn,
+                  PassStats& stats);
+  void deliver_deferred(PassStats& stats);
   /// Queue slot s for the next pass (mark_dirty) or this one.
   void mark_dirty(NodeId s);
   void mark_dirty_now(NodeId s);
@@ -393,9 +399,7 @@ class DistributedPagerank {
   [[nodiscard]] std::uint64_t send_hops(PeerId src, PeerId holder,
                                         NodeId target_doc);
   /// Fan an update for document v out to its cached copies (§2.3).
-  void send_to_replicas(PeerId src, NodeId v,
-                        const std::vector<bool>& presence,
-                        PassStats& stats);
+  void send_to_replicas(PeerId src, NodeId v, PassStats& stats);
   /// Bill this pass's tally into the traffic meter and reset it.
   void bill_pass();
 
@@ -414,9 +418,8 @@ class DistributedPagerank {
   /// dirty for the current pass instead of the next.
   bool apply_update(EdgeId e, EdgeTarget t, double value, std::uint32_t seq,
                     bool now);
-  void crash_peer(PeerId p, std::uint64_t pass);
-  void recover_peer(PeerId p, const std::vector<bool>& presence,
-                    PassStats& stats);
+  void crash_peer(PeerId p, std::uint64_t pass, PassStats& stats);
+  void recover_peer(PeerId p, PassStats& stats);
   /// The documents `p` owns, ascending.
   [[nodiscard]] std::vector<NodeId> docs_of(PeerId p) const;
   /// Fail-stop wipe of `p` (fault-plan and membership crashes alike).
@@ -430,8 +433,7 @@ class DistributedPagerank {
   /// live replica where one is reachable from the owner, else the initial
   /// value — then re-request each in-link's current contribution, so the
   /// rebuild reads consistent source ranks whatever the document order.
-  void rebuild_docs(const std::vector<NodeId>& docs,
-                    const std::vector<bool>& presence, PassStats& stats);
+  void rebuild_docs(const std::vector<NodeId>& docs, PassStats& stats);
   /// Mass-audit + trace the channel records that reached the `gave_up`
   /// terminal outcome since the last drain.
   void drain_gave_up();
@@ -439,14 +441,11 @@ class DistributedPagerank {
   /// evictions, leaver state transfer, document handoffs).
   void apply_membership(const MembershipCoordinator::PassPlan& mplan,
                         std::uint64_t pass, PassStats& stats);
-  void deliver_delayed(std::uint64_t pass,
-                       const std::vector<bool>& presence, PassStats& stats);
-  void process_retries(std::uint64_t pass,
-                       const std::vector<bool>& presence, PassStats& stats);
+  void deliver_delayed(std::uint64_t pass, PassStats& stats);
+  void process_retries(std::uint64_t pass, PassStats& stats);
   /// Quiescence audit; returns true when mass is conserved (converged),
   /// false after re-injecting leaked contributions (keep iterating).
-  bool audit_and_repair(const std::vector<bool>& presence,
-                        PassStats& stats);
+  bool audit_and_repair(PassStats& stats);
   /// The MassAuditor's view of edge e: its parked outbox value while it
   /// waits on an offline destination, else its applied cell.
   [[nodiscard]] double effective_value(EdgeId e) const;
@@ -486,7 +485,7 @@ class DistributedPagerank {
   bool audit_enabled_ = false;
   double audit_tolerance_ = 1e-9;
   static constexpr double kAuditSlack = 1e-12;
-  MassAuditReport last_audit_;
+  double last_mass_ratio_ = 1.0;  // the last conserving audit's ratio
   std::uint64_t dropped_ = 0;
   std::uint64_t duplicated_ = 0;
   std::uint64_t crashes_seen_ = 0;
@@ -497,16 +496,14 @@ class DistributedPagerank {
   std::uint64_t repair_rounds_ = 0;
   std::uint64_t partition_deferrals_ = 0;
 
-  // Crash bookkeeping (sized on first use).
-  std::vector<std::uint64_t> crashed_until_;  // peer offline through pass-1
-  std::vector<std::uint8_t> needs_recovery_;
+  // Per peer: 1 when present this pass. Written by begin_pass() alone,
+  // between parallel regions; recompute shards only read it.
+  std::vector<std::uint8_t> present_;
+  // Per peer, fault-plan runs only: the first pass after a crash's
+  // downtime; 0 once the peer is up and recovered.
+  std::vector<std::uint64_t> down_until_;
   // Replica rank store (crash-recovery path), per slot.
   std::vector<double> replica_value_;   // last rank a live replica holds
-  // Churn presence minus crashed peers. vector<bool> is safe here:
-  // written only by the coordinator between parallel regions, and read
-  // through const access inside them.
-  // dprank-analyze: allow(vector-bool) -- written only between regions
-  std::vector<bool> presence_eff_;
 
   // Delivery-delay buffer: pass -> messages arriving at its start. A
   // node-based ordered map is right here: the fault path is cold, only
@@ -563,12 +560,12 @@ class DistributedPagerank {
 
   // ---- the pass pipeline (see the header comment) ----
   /// How the emission loop delivers an update; fixed for the run by
-  /// prepare_pipeline() from what is attached, the schedule and churn.
+  /// prepare_pipeline() from what is attached and the schedule.
   enum class Delivery : std::uint8_t {
-    kDirect,    // fifo, nothing attached, no churn: inline cell writes
-    kParkable,  // kDirect plus outbox parking for absent peers (churn)
-    kFull,      // a fault plan, tracer, overlay, replicas, membership,
-                // the mass audit or the residual schedule is in play
+    kDirect,  // fifo, nothing attached: inline cell writes, or the outbox
+              // for an absent peer (churn)
+    kFull,    // a fault plan, tracer, overlay, replicas, membership, the
+              // mass audit or the residual schedule is in play
   };
   /// One active peer's slice of the pass. Its dirty slots sit at
   /// grouped_[begin, end); the recompute step writes the senders to the
@@ -590,7 +587,8 @@ class DistributedPagerank {
   /// the mass audit is attached.
   [[nodiscard]] bool has_attachments() const;
   /// Fixes the delivery mode, builds the slot layout (which permutes
-  /// ranks_ into slot order) and sizes the per-run state.
+  /// ranks_ into slot order) and sizes the per-run state. `churn`: a
+  /// churn schedule drives presence, so updates can park.
   void prepare_pipeline(bool churn);
   void build_slots(bool keep_doc_slot);
   /// The passes themselves, with ranks_ in slot order.
@@ -603,19 +601,18 @@ class DistributedPagerank {
   [[nodiscard]] NodeId edge_source(EdgeId e) const;
   /// One pass through the pipeline: group, recompute (sharded on the
   /// pool when there is one), merge the segments in peer order, emit.
-  void run_pass(const std::vector<bool>& presence, std::uint64_t pass,
-                PassStats& stats, obs::Histogram* batch_hist);
+  void run_pass(std::uint64_t pass, PassStats& stats,
+                obs::Histogram* batch_hist);
   /// Step 1: counting sort of dirty_ into peer-major segments (peers
   /// ascending, dirty_ order within a peer).
   void group_dirty();
   /// Steps 2 and 3 for one segment: residual selection, fold, epilogue.
   /// Touches only the segment's slices and its own slots, so segments
   /// recompute concurrently.
-  void recompute_segment(Segment& s, const std::vector<bool>& presence);
+  void recompute_segment(Segment& s);
   /// Step 4: the sender-major emission loop.
   template <Delivery kMode>
-  void emit(const std::vector<bool>& presence, std::uint64_t pass,
-            PassStats& stats, obs::Histogram* batch_hist);
+  void emit(std::uint64_t pass, PassStats& stats, obs::Histogram* batch_hist);
 
   std::unique_ptr<ThreadPool> pool_;   // only when options_.threads > 1
   Delivery delivery_ = Delivery::kDirect;

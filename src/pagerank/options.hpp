@@ -79,9 +79,11 @@ struct PagerankOptions {
   /// Run the engine's full invariant walk (DistributedPagerank
   /// validate_state(); see common/contracts.hpp) every n-th pass boundary
   /// and once more at termination. 0 disables periodic validation. The
-  /// checks are no-ops when contracts are compiled out
-  /// (DPRANK_CHECK_INVARIANTS=OFF), so leaving this set in release builds
-  /// costs nothing. CLI: --check-invariants [n].
+  /// walk cascades into the attached subsystems, so this cadence also
+  /// sets how often an attached membership coordinator's ownership sweep
+  /// runs (at 0, never). The checks are no-ops when contracts are
+  /// compiled out (DPRANK_CHECK_INVARIANTS=OFF), so leaving this set in
+  /// release builds costs nothing. CLI: --check-invariants [n].
   std::uint64_t validate_every_n_passes = 0;
 };
 

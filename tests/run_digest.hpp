@@ -70,6 +70,22 @@ inline void mix_core(Fnv& f, const DistributedPagerank& engine,
   return f.value();
 }
 
+/// The engine's run totals: every fault, replica, membership and audit
+/// counter it exposes.
+inline void mix_counters(Fnv& f, const DistributedPagerank& engine) {
+  for (const std::uint64_t c :
+       {engine.replica_messages(), engine.replica_stale_skips(),
+        engine.dropped_messages(), engine.duplicated_messages(),
+        engine.crashes(), engine.recovered_docs(), engine.replica_restores(),
+        engine.recovery_messages(), engine.repair_messages(),
+        engine.partition_deferrals(), engine.retransmissions(),
+        engine.stale_rejected(), engine.duplicates_suppressed(),
+        engine.gave_up(), engine.handoff_docs(),
+        engine.stale_owner_queries(), engine.outbox_dropped_dead()}) {
+    f.mix_value(c);
+  }
+}
+
 /// digest_core plus the scheduler, fault, replica, membership and audit
 /// observables, for runs with something attached.
 [[nodiscard]] inline std::uint64_t digest_full(
@@ -87,17 +103,7 @@ inline void mix_core(Fnv& f, const DistributedPagerank& engine,
     f.mix_value(s.handoff_docs);
     f.mix_value(s.stale_owner_queries);
   }
-  for (const std::uint64_t c :
-       {engine.replica_messages(), engine.replica_stale_skips(),
-        engine.dropped_messages(), engine.duplicated_messages(),
-        engine.crashes(), engine.recovered_docs(), engine.replica_restores(),
-        engine.recovery_messages(), engine.repair_messages(),
-        engine.partition_deferrals(), engine.retransmissions(),
-        engine.stale_rejected(), engine.duplicates_suppressed(),
-        engine.gave_up(), engine.handoff_docs(),
-        engine.stale_owner_queries(), engine.outbox_dropped_dead()}) {
-    f.mix_value(c);
-  }
+  mix_counters(f, engine);
   return f.value();
 }
 

@@ -232,16 +232,6 @@ TEST(FaultPlanTest, PartitionSplitsThenHeals) {
   EXPECT_EQ(plan.partitions_activated(), 1u);
 }
 
-TEST(FaultPlanTest, RetryIntervalBacksOffExponentially) {
-  FaultPlan plan({.ack_timeout_passes = 1, .retry_backoff_cap = 16});
-  EXPECT_EQ(plan.retry_interval(0), 1u);
-  EXPECT_EQ(plan.retry_interval(1), 2u);
-  EXPECT_EQ(plan.retry_interval(2), 4u);
-  EXPECT_EQ(plan.retry_interval(3), 8u);
-  EXPECT_EQ(plan.retry_interval(4), 16u);
-  EXPECT_EQ(plan.retry_interval(9), 16u);  // capped
-}
-
 TEST(Faults, DoubleAttachRejected) {
   const Digraph g = figure2_graph();
   const auto p = Placement::random(6, 2, 1);

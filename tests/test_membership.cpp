@@ -14,6 +14,7 @@
 #include "fault/campaign.hpp"
 #include "fault/fault_plan.hpp"
 #include "graph/generator.hpp"
+#include "obs/metrics.hpp"
 #include "p2p/placement.hpp"
 #include "p2p/replication.hpp"
 #include "pagerank/distributed_engine.hpp"
@@ -364,7 +365,7 @@ TEST(MembershipCoordinator, AttachmentGuards) {
 }
 
 /// digest_core plus every digest_full field except PassStats::crashes,
-/// which drops a membership crash when a fault plan rides along.
+/// which PassStatsCountCrashesUnderAFaultPlan checks on its own.
 std::uint64_t digest_membership_run(const DistributedPagerank& engine,
                                     const DistributedRunResult& run) {
   Fnv f;
@@ -379,17 +380,7 @@ std::uint64_t digest_membership_run(const DistributedPagerank& engine,
     f.mix_value(s.handoff_docs);
     f.mix_value(s.stale_owner_queries);
   }
-  for (const std::uint64_t c :
-       {engine.replica_messages(), engine.replica_stale_skips(),
-        engine.dropped_messages(), engine.duplicated_messages(),
-        engine.crashes(), engine.recovered_docs(), engine.replica_restores(),
-        engine.recovery_messages(), engine.repair_messages(),
-        engine.partition_deferrals(), engine.retransmissions(),
-        engine.stale_rejected(), engine.duplicates_suppressed(),
-        engine.gave_up(), engine.handoff_docs(),
-        engine.stale_owner_queries(), engine.outbox_dropped_dead()}) {
-    f.mix_value(c);
-  }
+  mix_counters(f, engine);
   return f.value();
 }
 
@@ -471,6 +462,43 @@ TEST(MembershipEngine, PassHistoryGoldenWithFaultPlan) {
     EXPECT_EQ(digest, kMembershipFaultGolden)
         << std::hex << "digest 0x" << digest << std::dec
         << " threads=" << threads;
+  }
+}
+
+TEST(MembershipEngine, PassStatsCountCrashesUnderAFaultPlan) {
+  // Membership crashes count in the pass that strikes them whether or not
+  // a fault plan rides along (one that schedules no crashes of its own).
+  const Digraph g = paper_graph(500, 11);
+  for (const bool with_plan : {false, true}) {
+    Placement p = Placement::by_dht(g.num_nodes(), ChordRing(16));
+    MembershipCoordinator m(p, 16,
+                            {{3, Kind::kCrash, 5}, {6, Kind::kCrash, 9}});
+    FaultPlanConfig fpc;
+    fpc.acked_delivery = true;
+    FaultPlan plan(fpc);
+    PagerankOptions opt;
+    opt.epsilon = 1e-3;
+    DistributedPagerank engine(g, p, opt);
+    engine.attach_membership(m);
+    if (with_plan) engine.attach_fault_plan(plan);
+    engine.enable_mass_audit();
+    obs::MetricsRegistry registry;
+    engine.attach_metrics(registry);
+    const DistributedRunResult run = engine.run();
+
+    EXPECT_TRUE(run.converged) << "plan=" << with_plan;
+    EXPECT_EQ(engine.crashes(), 2u) << "plan=" << with_plan;
+    std::uint64_t per_pass = 0;
+    for (const PassStats& s : engine.pass_history()) per_pass += s.crashes;
+    EXPECT_EQ(per_pass, engine.crashes()) << "plan=" << with_plan;
+    const obs::MetricsSnapshot snap = registry.snapshot();
+    double timeline = 0.0;
+    const auto it = snap.series.find("pagerank.crash_events");
+    if (it != snap.series.end()) {
+      for (const auto& [pass, crashes] : it->second) timeline += crashes;
+    }
+    EXPECT_EQ(timeline, 2.0) << "plan=" << with_plan;
+    EXPECT_EQ(snap.counters.at("pagerank.crashes"), 2u);
   }
 }
 

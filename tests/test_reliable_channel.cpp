@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+
 #include "net/message.hpp"
 #include "net/traffic_meter.hpp"
 
@@ -128,6 +131,26 @@ TEST(ReliableChannel, TracksAndRetriesWithBackoff) {
   EXPECT_TRUE(ch.take_due(2).empty());
   ASSERT_EQ(ch.take_due(3).size(), 1u);
   EXPECT_EQ(ch.retransmissions(), 2u);
+}
+
+TEST(ReliableChannel, RetryIntervalBacksOffExponentially) {
+  // ack_timeout * 2^attempt passes, capped: a record tracked after
+  // `attempt` retries comes due exactly `interval` passes later.
+  ReliableChannel ch(ReliableChannel::Config{.ack_timeout_passes = 1,
+                                             .retry_backoff_cap = 16});
+  const std::pair<std::uint32_t, std::uint64_t> steps[] = {
+      {0, 1}, {1, 2}, {2, 4}, {3, 8}, {4, 16}, {9, 16}};  // 9: capped
+  std::uint64_t pass = 0;
+  for (const auto& [attempt, interval] : steps) {
+    ch.track({.slot = 3, .dest = 1, .src = 0, .value = 0.5, .seq = 1,
+              .attempt = attempt},
+             pass);
+    EXPECT_TRUE(ch.take_due(pass + interval - 1).empty())
+        << "attempt " << attempt;
+    EXPECT_EQ(ch.take_due(pass + interval).size(), 1u)
+        << "attempt " << attempt;
+    pass += interval;
+  }
 }
 
 TEST(ReliableChannel, NewerEmissionSupersedesInFlight) {

@@ -10,7 +10,9 @@
 //           [--schedule fifo|residual] [--adaptive-epsilon]
 //           [--check-invariants [N]]
 //           run the distributed pagerank computation (the paper's
-//           chaotic iteration, fifo by default); --schedule residual
+//           chaotic iteration, fifo by default); --availability F in
+//           (0, 1] keeps that fraction of the peers present each pass
+//           (below 1, per-pass churn); --schedule residual
 //           enables residual-prioritized scheduling (fewer update
 //           messages, ranks within epsilon of fifo) and
 //           --adaptive-epsilon additionally loosens the emission
@@ -258,6 +260,13 @@ int cmd_rank(const Args& args) {
   const auto peers = args.get_uint<PeerId>("peers", 500);
   const double epsilon = args.get_tolerance("epsilon", 1e-3);
   const double availability = args.get_double("availability", 1.0);
+  if (!(availability > 0.0 && availability <= 1.0)) {
+    // Refused here, not by ChurnSchedule after the graph has loaded: its
+    // message would not name the flag, and above 1 it runs without churn.
+    throw std::invalid_argument(
+        "--availability: expected a fraction in (0, 1], got '" +
+        args.get("availability", "") + "'");
+  }
   const auto seed = args.get_uint("seed", 42);
   const std::string placement_mode = args.get("placement", "random");
   const Digraph g = load_graph(args.require("graph"));
