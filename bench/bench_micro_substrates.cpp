@@ -171,11 +171,9 @@ BENCHMARK(BM_IndexBuild)->Unit(benchmark::kMillisecond);
 // One write's index refresh at search_mixed scale (11k docs, 1880 terms,
 // 50 peers): 24 documents each take a new rank, 1% up or down, under all
 // their terms, as P2PSystem::refresh_index does after an insert. Ranks
-// come from the paper graph's pagerank. Arg 0 reads no list after
-// publish_ranks, so every list is in document order; arg 1 reads every
-// list first, so every update moves entries in rank order.
+// come from the paper graph's pagerank. Each update moves one entry of
+// the index's one rank order; no list keeps state of its own.
 void BM_IndexUpdateRank(benchmark::State& state) {
-  const bool read_all = state.range(0) != 0;
   const CorpusParams cp;
   const Corpus corpus = Corpus::synthesize(cp);
   const ChordRing ring(50);
@@ -187,9 +185,6 @@ void BM_IndexUpdateRank(benchmark::State& state) {
   std::vector<PeerId> owner(cp.num_docs);
   for (PeerId& o : owner) o = static_cast<PeerId>(rng.bounded(50));
   index.publish_ranks(ranks, owner);
-  if (read_all) {
-    for (TermId t = 0; t < corpus.vocabulary(); ++t) (void)index.postings(t);
-  }
   std::vector<NodeId> docs;
   while (docs.size() < 24) {
     const auto d = static_cast<NodeId>(rng.bounded(cp.num_docs));
@@ -207,9 +202,8 @@ void BM_IndexUpdateRank(benchmark::State& state) {
   benchmark::DoNotOptimize(meter.messages());
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(docs.size()));
-  state.SetLabel(read_all ? "every list read" : "no list read");
 }
-BENCHMARK(BM_IndexUpdateRank)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_IndexUpdateRank)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace dprank

@@ -7,7 +7,6 @@
 
 #include "net/message.hpp"
 #include "pagerank/distributed_engine.hpp"
-#include "pagerank/incremental.hpp"
 
 namespace dprank {
 
@@ -20,6 +19,8 @@ P2PSystem::P2PSystem(const Digraph& initial_graph, const Corpus& corpus,
                                    config.num_peers, config.seed)),
       live_(initial_graph.num_nodes(), true),
       ranks_(initial_graph.num_nodes(), 0.0),
+      prior_ranks_(ranks_),
+      engine_(graph_, ranks_, config.pagerank, &placement_),
       index_(corpus, ring_),
       rng_(config.seed ^ 0x5157E0ULL) {
   if (corpus.num_docs() != initial_graph.num_nodes()) {
@@ -43,6 +44,7 @@ std::uint64_t P2PSystem::converge() {
   for (NodeId d = 0; d < graph_.num_nodes(); ++d) {
     if (!live_[d]) ranks_[d] = 0.0;
   }
+  prior_ranks_ = ranks_;
   meter_.merge(engine.traffic());
 
   std::vector<PeerId> owners(graph_.num_nodes());
@@ -72,27 +74,28 @@ NodeId P2PSystem::add_document(const std::vector<TermId>& doc_terms,
   if (std::adjacent_find(distinct.begin(), distinct.end()) != distinct.end()) {
     throw std::invalid_argument("P2PSystem::add_document: repeated term");
   }
+  if (!distinct.empty() && distinct.back() >= vocabulary()) {
+    throw std::invalid_argument(
+        "P2PSystem::add_document: term " + std::to_string(distinct.back()) +
+        " beyond the vocabulary of " + std::to_string(vocabulary()));
+  }
   const NodeId id = graph_.add_document(out_links);
   placement_.add_document(
       id, static_cast<PeerId>(rng_.bounded(config_.num_peers)));
   terms_.push_back(doc_terms);
   live_.push_back(true);
-  // Taken before the new document has a rank, so refresh_index leaves it
-  // to the one posting below.
-  const std::vector<double> before = ranks_;
   ranks_.push_back(config_.pagerank.initial_rank);
 
   // §3.1: seed with the initial constant, send updates to out-links,
   // then reconverge the new document itself (no in-links => rank 1-d).
-  IncrementalPagerank engine(graph_, ranks_, config_.pagerank, &placement_);
   std::vector<NodeId> touched;
-  const auto stats = engine.integrate_insert(id, &touched);
+  const auto stats = engine_.integrate_insert(id, &touched);
   meter_.record_messages(stats.cross_peer_messages,
                          PagerankUpdate::kWireBytes);
 
   index_.post_document(id, doc_terms, ranks_[id], placement_.peer_of(id),
                        &meter_);
-  refresh_index(std::move(touched), before);
+  refresh_index(std::move(touched));
   return id;
 }
 
@@ -103,12 +106,10 @@ void P2PSystem::remove_document(NodeId doc) {
   if (doc >= graph_.num_nodes() || !live_[doc]) {
     throw std::invalid_argument("P2PSystem::remove_document: not live");
   }
-  const std::vector<double> before = ranks_;
-  IncrementalPagerank engine(graph_, ranks_, config_.pagerank, &placement_);
-  const auto stats = engine.propagate_delete(doc);
+  const auto stats = engine_.propagate_delete(doc);
   meter_.record_messages(stats.cross_peer_messages,
                          PagerankUpdate::kWireBytes);
-  std::vector<NodeId> touched = engine.last_touched();
+  std::vector<NodeId> touched = engine_.last_touched();
 
   graph_.isolate_node(doc);
   ranks_[doc] = 0.0;
@@ -116,7 +117,7 @@ void P2PSystem::remove_document(NodeId doc) {
   index_.remove_document(doc, terms_[doc], placement_.peer_of(doc),
                          &meter_);
   terms_[doc].clear();
-  refresh_index(std::move(touched), before);
+  refresh_index(std::move(touched));
 }
 
 QueryOutcome P2PSystem::search(const std::vector<TermId>& query_terms,
@@ -136,13 +137,18 @@ std::vector<std::string> P2PSystem::validate() const {
 
   const NodeId n = graph_.num_nodes();
   if (placement_.num_docs() != n || live_.size() != n ||
-      ranks_.size() != n || terms_.size() != n) {
+      ranks_.size() != n || prior_ranks_.size() != n || terms_.size() != n) {
     complain("container sizes disagree with the graph");
     return issues;  // everything below would index out of bounds
   }
 
   const double floor_rank = 1.0 - config_.pagerank.damping;
   for (NodeId d = 0; d < n; ++d) {
+    if (prior_ranks_[d] != ranks_[d]) {
+      complain("doc " + std::to_string(d) + " has rank " +
+               std::to_string(ranks_[d]) + " but the last write left " +
+               std::to_string(prior_ranks_[d]));
+    }
     if (live_[d]) {
       if (converged_ && ranks_[d] < floor_rank * 0.5) {
         complain("live doc " + std::to_string(d) + " has rank " +
@@ -161,15 +167,14 @@ std::vector<std::string> P2PSystem::validate() const {
     }
   }
 
-  // The index's own order invariants, then its agreement with liveness
-  // and terms, over the lists as stored (reading them through postings()
-  // would sort them).
+  // The index's own invariants, then its agreement with liveness and
+  // terms.
   for (const std::string& issue : index_.validate()) {
     complain("index: " + issue);
   }
   std::vector<std::uint64_t> postings_per_doc(n, 0);
   for (TermId t = 0; t < index_.num_terms(); ++t) {
-    for (const NodeId d : index_.stored_postings(t)) {
+    for (const NodeId d : index_.members(t)) {
       if (d >= n) {
         complain("posting for unknown doc " + std::to_string(d));
         continue;
@@ -191,21 +196,25 @@ std::vector<std::string> P2PSystem::validate() const {
   return issues;
 }
 
-void P2PSystem::refresh_index(std::vector<NodeId> touched,
-                              const std::vector<double>& before) {
+void P2PSystem::refresh_index(std::vector<NodeId> touched) {
   // An insert's cascades may each touch the same document: update it
   // once.
   std::sort(touched.begin(), touched.end());
   touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
   for (const NodeId v : touched) {
-    if (v >= before.size()) continue;  // the new document: already posted
-    if (!live_[v]) continue;
-    if (relative_change(before[v], ranks_[v]) >
-        config_.index_refresh_threshold) {
+    if (v >= prior_ranks_.size()) continue;  // the new document: posted
+    if (live_[v] && relative_change(prior_ranks_[v], ranks_[v]) >
+                        config_.index_refresh_threshold) {
       index_.update_rank(v, terms_[v], ranks_[v], placement_.peer_of(v),
                          &meter_);
     }
+    prior_ranks_[v] = ranks_[v];
   }
+  // A document the write added joins at its rank.
+  prior_ranks_.insert(prior_ranks_.end(),
+                      ranks_.begin() + static_cast<std::ptrdiff_t>(
+                                           prior_ranks_.size()),
+                      ranks_.end());
 }
 
 }  // namespace dprank

@@ -34,6 +34,7 @@
 #include "graph/mutable_digraph.hpp"
 #include "net/traffic_meter.hpp"
 #include "p2p/placement.hpp"
+#include "pagerank/incremental.hpp"
 #include "pagerank/options.hpp"
 #include "search/corpus.hpp"
 #include "search/distributed_index.hpp"
@@ -58,6 +59,10 @@ class P2PSystem {
   /// immediately, ranks are zero until converge().
   P2PSystem(const Digraph& initial_graph, const Corpus& corpus,
             const P2PSystemConfig& config);
+  // The engine holds references to this system's graph, ranks and
+  // placement.
+  P2PSystem(const P2PSystem&) = delete;
+  P2PSystem& operator=(const P2PSystem&) = delete;
 
   /// Run the initial distributed pagerank computation to convergence and
   /// publish every rank into the index. Returns the number of passes.
@@ -66,7 +71,7 @@ class P2PSystem {
   /// Insert a document with the given index terms and out-links
   /// (§3.1 + §4.7). Returns its id. Requires converge() first. Throws
   /// std::invalid_argument, before any mutation, on an out-link to a
-  /// missing document or a repeated term.
+  /// missing document, a repeated term or a term beyond vocabulary().
   NodeId add_document(const std::vector<TermId>& terms,
                       const std::vector<NodeId>& out_links);
 
@@ -106,9 +111,9 @@ class P2PSystem {
   /// violations (empty = healthy). Verifies that ranks, liveness, graph
   /// state and the index's posted ids agree, and appends the index's own
   /// findings (DistributedIndex::validate) — the invariant set every
-  /// mutation must preserve. Reads the id lists as stored, without
-  /// sorting them. O(total postings); intended for tests, the CLI
-  /// doctor, and debugging sessions.
+  /// mutation must preserve. Reads each term's members in document
+  /// order. O(total postings); intended for tests, the CLI doctor, and
+  /// debugging sessions.
   [[nodiscard]] std::vector<std::string> validate() const;
 
   [[nodiscard]] TermId vocabulary() const {
@@ -119,11 +124,11 @@ class P2PSystem {
   friend struct TestCorruptor;  // negative invariant tests corrupt privates
 
   /// Update the recorded rank of the live documents a write's cascades
-  /// moved past the refresh threshold, each once whatever the number of
-  /// cascades that touched it. Documents beyond `before` are skipped:
-  /// the caller posts a new document itself.
-  void refresh_index(std::vector<NodeId> touched,
-                     const std::vector<double>& before);
+  /// moved past the refresh threshold since prior_ranks_, each once
+  /// whatever the number of cascades that touched it, then bring
+  /// prior_ranks_ level with ranks_. A document the write added is
+  /// skipped: the caller posts it itself.
+  void refresh_index(std::vector<NodeId> touched);
 
   P2PSystemConfig config_;
   MutableDigraph graph_;
@@ -132,6 +137,10 @@ class P2PSystem {
   std::vector<std::vector<TermId>> terms_;
   std::vector<bool> live_;
   std::vector<double> ranks_;
+  // ranks_ as the last write left it: a write changes only the documents
+  // its cascades touch, so those alone are compared and brought level.
+  std::vector<double> prior_ranks_;
+  IncrementalPagerank<MutableDigraph> engine_;
   DistributedIndex index_;
   TrafficMeter meter_;
   Rng rng_;

@@ -20,12 +20,23 @@ IncrementalPagerank<Graph>::IncrementalPagerank(
   if (ranks.size() != g.num_nodes()) {
     throw std::invalid_argument("IncrementalPagerank: rank vector size");
   }
-  covered_epoch_.assign(g.num_nodes(), 0);
 }
 
 template <typename Graph>
 void IncrementalPagerank<Graph>::begin_cascade() {
-  ++epoch_;
+  // The graph may have grown since the last cascade: the markers grow
+  // with it, and the new entries start unmarked.
+  const std::size_t n = graph_.num_nodes();
+  if (ranks_.size() != n) {
+    throw std::invalid_argument("IncrementalPagerank: rank vector size");
+  }
+  covered_epoch_.resize(n, 0);
+  if (++epoch_ == 0) {
+    // Wrapped: clear every marker, so none can match an epoch reissued.
+    std::fill(covered_epoch_.begin(), covered_epoch_.end(), 0);
+    for (Pending& p : pending_) p.queued_epoch = 0;
+    epoch_ = 1;
+  }
   undo_log_.clear();
   last_touched_.clear();
   messages_.clear();
@@ -126,8 +137,8 @@ PropagationStats IncrementalPagerank<Graph>::seed_and_propagate(NodeId node) {
   if (node >= graph_.num_nodes()) {
     throw std::out_of_range("seed_and_propagate: bad node");
   }
-  ranks_[node] = options_.initial_rank;
   begin_cascade();
+  ranks_[node] = options_.initial_rank;
   const std::uint64_t cross = enqueue_seeds(node, options_.initial_rank);
   auto stats = run_cascade<false>(false);
   stats.cross_peer_messages += cross;
@@ -140,9 +151,9 @@ PropagationStats IncrementalPagerank<Graph>::probe_insert(NodeId node) {
   if (node >= graph_.num_nodes()) {
     throw std::out_of_range("probe_insert: bad node");
   }
+  begin_cascade();
   const double old = ranks_[node];
   ranks_[node] = options_.initial_rank;
-  begin_cascade();
   const std::uint64_t cross = enqueue_seeds(node, options_.initial_rank);
   auto stats = run_cascade<false>(true);
   stats.cross_peer_messages += cross;
@@ -240,8 +251,8 @@ PropagationStats IncrementalPagerank<Graph>::inject_batch(
       throw std::out_of_range("inject_batch: bad node");
     }
   }
-  pending_.resize(graph_.num_nodes());  // no-op after the first batch
   begin_cascade();
+  pending_.resize(graph_.num_nodes());  // grows with the graph
   for (const auto& [node, delta] : deltas) enqueue<true>(node, delta, 0);
   return run_cascade<true>(false);
 }

@@ -50,9 +50,11 @@
 // graph. MutableDigraph keeps its adjacency lists ascending, so both
 // walks visit the same neighbours in the same order and agree bit for
 // bit with a cascade over the live graph's freeze(). The engine reads its
-// graph through a reference and sizes its bookkeeping to the node count
-// at construction: a live engine is valid only until the graph's next
-// mutation (propagate_full_delete's own isolation ends it too).
+// graph and rank vector through references and grows its bookkeeping to
+// the node count at the start of every cascade, so one engine serves a
+// live graph across its mutations (P2PSystem and the stream coordinator
+// each keep one) as long as the rank vector keeps the graph's size; a
+// cascade throws std::invalid_argument otherwise.
 
 #include <cstdint>
 #include <utility>
@@ -172,7 +174,8 @@ class IncrementalPagerank {
   };
   static_assert(sizeof(Pending) == 16, "one 16-byte record per node");
 
-  /// Start a cascade: new epoch, empty queues, empty touched list.
+  /// Start a cascade: markers sized to the graph, new epoch, empty
+  /// queues, empty touched list.
   void begin_cascade();
   /// Send `delta` to `node`: a new message, or (kCoalesce) an addition
   /// to the node's pending sum that queues the node on first arrival.
@@ -193,13 +196,14 @@ class IncrementalPagerank {
   PagerankOptions options_;
   const Placement* placement_;
 
-  // probe bookkeeping: first-touch undo log + covered markers
+  // probe bookkeeping: first-touch undo log + covered markers (sized by
+  // begin_cascade; a marker equal to epoch_ is current)
   std::vector<std::pair<NodeId, double>> undo_log_;
   std::vector<std::uint32_t> covered_epoch_;
   std::uint32_t epoch_ = 0;
   std::vector<NodeId> last_touched_;
   // The queue: whole messages, or node ids whose sums wait in pending_
-  // (sized on the first coalesced cascade, reset by epoch).
+  // (sized by each coalesced cascade, reset by epoch).
   std::vector<WorkItem> messages_;
   std::vector<NodeId> fifo_;
   std::vector<Pending> pending_;

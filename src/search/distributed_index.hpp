@@ -10,22 +10,18 @@
 // sent, and the pagerank is noted in the index."
 //
 // Terms are partitioned across peers by hashing the term GUID onto the
-// DHT ring. A posting list holds document ids only (4 B an entry); the
-// index stores each document's pagerank once, and index peers sort hits
-// by it without contacting the owners.
+// DHT ring. The index stores each document's pagerank once, and index
+// peers sort hits by it without contacting the owners.
 //
-// Each posting list is always in one of two total orders:
-//   * document order (id ascending), from construction or
-//     publish_ranks() until the list's first read;
-//   * rank order (recorded rank descending, then id ascending), from that
-//     read on.
-// So postings() sorts a list at most once per publish_ranks(). A rank
-// update leaves a document-ordered list untouched, since its order does
-// not depend on ranks. In a rank-ordered list it finds the entry by
-// binary search on the document's old rank and gallops from there to its
-// new place: O(log L + log d) for a move of d places, plus the shift of
-// the entries it passes. Index updates are billed one per (document,
-// term), to the meter once per call.
+// Every term's hits are read in one order, the same for all terms:
+// recorded rank descending, then id ascending. So the index keeps that
+// order once, as one vector of every posted document, and a term's
+// posting list is a membership bitmap indexed by document id. A term's
+// hits in rank order are the members met on a scan of the one order. A
+// rank update moves one entry in that vector; posting or removing a
+// document inserts or erases one entry and flips one bit per term.
+// Index updates are billed one per (document, term), to the meter once
+// per call. DESIGN.md §15 has the costs and the memory.
 
 #include <cstdint>
 #include <string>
@@ -40,6 +36,13 @@ namespace dprank {
 
 class DistributedIndex {
  public:
+  /// Bytes of membership bitmaps for `docs` documents over `terms` terms:
+  /// one 64-bit word per term for every 64 document ids.
+  [[nodiscard]] static std::uint64_t bitmap_bytes(std::uint64_t docs,
+                                                  std::uint64_t terms) {
+    return (docs + 63) / 64 * terms * sizeof(std::uint64_t);
+  }
+
   /// Build the index for `corpus`, partitioning terms over `ring`.
   /// Initial pageranks are zero until publish_ranks() runs.
   DistributedIndex(const Corpus& corpus, const ChordRing& ring);
@@ -48,27 +51,26 @@ class DistributedIndex {
   /// posting on a different peer than the document's owner costs one
   /// index update message (§2.4.2), tallied into `meter` when provided.
   /// `doc_owner(doc)` names the peer holding the document. Throws
-  /// std::out_of_range, before any change, when `ranks` does not cover
-  /// every document the index holds. Returns every list to document
-  /// order.
+  /// std::out_of_range, before any change, when `ranks` (or, with a
+  /// meter, `doc_owner`) does not cover every document the index holds.
   void publish_ranks(const std::vector<double>& ranks,
                      const std::vector<PeerId>& doc_owner,
                      TrafficMeter* meter = nullptr);
 
-  /// Post a new document under `terms` at `rank`, each entry at its place
-  /// in its list's current order. The document must not be posted under
-  /// any term yet. Throws std::invalid_argument, before any change, when
-  /// `terms` repeats a term or the document is already posted under one
-  /// of them.
+  /// Post a document under `terms` at `rank`. A document already posted
+  /// under other terms moves to its new rank for all of them. Throws
+  /// std::invalid_argument, before any change, when `terms` repeats a
+  /// term, names one at or beyond num_terms(), or the document is already
+  /// posted under one of them.
   void post_document(NodeId doc, const std::vector<TermId>& terms,
                      double rank, PeerId doc_owner,
                      TrafficMeter* meter = nullptr);
 
   /// Record a posted document's new rank (after an incremental update).
   /// `terms` must be exactly the distinct terms the document is posted
-  /// under. Throws std::invalid_argument, before any change, when the
-  /// document was never posted or a rank-ordered list of `terms` lacks
-  /// it: an update never posts.
+  /// under; each is billed. Throws std::invalid_argument, before any
+  /// change, when the document is not posted under one of `terms`: an
+  /// update never posts.
   void update_rank(NodeId doc, const std::vector<TermId>& terms, double rank,
                    PeerId doc_owner, TrafficMeter* meter = nullptr);
 
@@ -82,17 +84,30 @@ class DistributedIndex {
     return term_peer_[term];
   }
 
-  /// A term's document ids, by descending recorded rank (ties by id).
-  /// The first read after publish_ranks() sorts the list; writes keep it
-  /// sorted from then on.
-  [[nodiscard]] const std::vector<NodeId>& postings(TermId term) const;
-
-  /// A term's list as stored, never sorted by the call: document order
-  /// until its first postings() read, rank order after.
-  [[nodiscard]] const std::vector<NodeId>& stored_postings(
-      TermId term) const {
-    return postings_[term];
+  /// How many documents are posted under `term`.
+  [[nodiscard]] std::uint32_t term_size(TermId term) const {
+    return term_size_[term];
   }
+
+  /// Replace `out` with the first `k` documents posted under `term` in
+  /// rank order (all of them when k >= term_size(term)): one scan of the
+  /// rank order that stops at the k-th member.
+  void top_postings(TermId term, std::size_t k,
+                    std::vector<NodeId>& out) const;
+
+  /// Keep the ids of `ids` posted under `term`, in their order. Every id
+  /// must be below doc_bound().
+  void keep_members(TermId term, std::vector<NodeId>& ids) const;
+
+  /// A term's document ids, by descending recorded rank (ties by id).
+  [[nodiscard]] std::vector<NodeId> postings(TermId term) const {
+    std::vector<NodeId> out;
+    top_postings(term, term_size_[term], out);
+    return out;
+  }
+
+  /// A term's document ids, ascending: its bitmap read in id order.
+  [[nodiscard]] std::vector<NodeId> members(TermId term) const;
 
   /// The rank the index records for `doc` (below doc_bound()).
   [[nodiscard]] double rank_of(NodeId doc) const { return doc_rank_[doc]; }
@@ -104,28 +119,42 @@ class DistributedIndex {
   [[nodiscard]] std::uint64_t total_postings() const {
     return total_postings_;
   }
-  [[nodiscard]] std::size_t num_terms() const { return postings_.size(); }
+  [[nodiscard]] std::size_t num_terms() const { return term_peer_.size(); }
 
-  /// Check the stored lists without sorting them; returns human-readable
-  /// violations (empty = healthy). Each id must be below doc_bound(), each
-  /// list strictly in its current order, and total_postings() must equal
-  /// the summed list sizes.
+  /// Check the rank order and the bitmaps; returns human-readable
+  /// violations (empty = healthy). The rank order must hold each posted
+  /// document once, strictly in order, with ids below doc_bound(); no
+  /// bit may be set at or beyond doc_bound(); each term's size must equal
+  /// its bitmap's count, each document's term count its bits, and
+  /// total_postings() their sum.
   [[nodiscard]] std::vector<std::string> validate() const;
 
  private:
   friend struct TestCorruptor;  // negative invariant tests corrupt privates
 
-  /// Where `doc`, keyed by `rank`, sits (or would sit) in term `t`'s list,
-  /// searched in the list's current order.
-  [[nodiscard]] std::vector<NodeId>::iterator locate(TermId t, NodeId doc,
-                                                     double rank);
+  /// The bitmap word holding (term, doc): block-major, one word per term
+  /// for every 64 document ids, so a new block appends at the end.
+  [[nodiscard]] std::size_t word_of(TermId term, NodeId doc) const {
+    return (doc >> 6) * term_peer_.size() + term;
+  }
+  /// Whether `doc` (below doc_bound()) is posted under `term`; false for
+  /// a term beyond num_terms().
+  [[nodiscard]] bool has(TermId term, NodeId doc) const {
+    return term < num_terms() &&
+           ((bits_[word_of(term, doc)] >> (doc & 63)) & 1) != 0;
+  }
+  /// Where `doc` at `rank` sits, or would sit, in the rank order.
+  [[nodiscard]] std::vector<NodeId>::iterator place_of(NodeId doc,
+                                                       double rank);
+  /// Move posted `doc` to `rank`, within the rank order.
+  void rerank(NodeId doc, double rank);
 
-  // postings() sorts a list on its first read; the two mutable members
-  // are that one-time sort's state.
-  mutable std::vector<std::vector<NodeId>> postings_;  // by term
-  mutable std::vector<bool> rank_ordered_;             // by term
   std::vector<PeerId> term_peer_;
-  std::vector<double> doc_rank_;  // by document: the one stored rank
+  std::vector<std::uint32_t> term_size_;  // by term: its members
+  std::vector<double> doc_rank_;          // by document: the one stored rank
+  std::vector<std::uint32_t> doc_terms_;  // by document: terms posted under
+  std::vector<NodeId> order_;             // posted documents, rank order
+  std::vector<std::uint64_t> bits_;       // membership, see word_of()
   std::uint64_t total_postings_ = 0;
 };
 

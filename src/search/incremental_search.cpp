@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <unordered_set>
@@ -24,21 +23,6 @@ std::size_t forward_count(std::size_t n, const SearchPolicy& policy) {
   return want;
 }
 
-/// Intersect `incoming` with `local`, preserving local's rank order.
-/// `marked` is a per-document array, all zero on entry and on return.
-std::vector<NodeId> intersect(std::span<const NodeId> incoming,
-                              std::span<const NodeId> local,
-                              std::vector<std::uint8_t>& marked) {
-  for (const NodeId d : incoming) marked[d] = 1;
-  std::vector<NodeId> out;
-  out.reserve(std::min(incoming.size(), local.size()));
-  for (const NodeId d : local) {
-    if (marked[d] != 0) out.push_back(d);
-  }
-  for (const NodeId d : incoming) marked[d] = 0;
-  return out;
-}
-
 }  // namespace
 
 QueryOutcome SearchEngine::run_query(const std::vector<TermId>& terms,
@@ -52,63 +36,72 @@ QueryOutcome SearchEngine::run_query(const std::vector<TermId>& terms,
         "SearchEngine::run_query: forward_fraction must be >= 0, got " +
         std::to_string(policy.forward_fraction));
   }
+  // A term beyond the vocabulary has no bitmap to read.
+  for (const TermId t : terms) {
+    if (t >= index_.num_terms()) {
+      throw std::invalid_argument("SearchEngine::run_query: term " +
+                                  std::to_string(t) +
+                                  " beyond the vocabulary");
+    }
+  }
   QueryOutcome out;
-  // The first hop forwards straight from the index's list; each later
-  // hop from the intersection the previous one left in `working`.
-  std::span<const NodeId> current = index_.postings(terms[0]);
-  std::vector<NodeId> working;
-  std::vector<std::uint8_t> marked(terms.size() > 1 ? index_.doc_bound() : 0);
+  // The holder's hit set has `held` ids in rank order, and `hits` holds
+  // the top of it that the next hop forwards: the first term's list read
+  // from the index's one rank order, then what each hop kept. Every list
+  // shares that order, so keeping the forwarded ids that the next term
+  // holds, in forwarded order, is the intersection in the next list's
+  // order.
+  std::vector<NodeId>& hits = out.hits;
+  std::size_t held = index_.term_size(terms[0]);
+  index_.top_postings(
+      terms[0], terms.size() > 1 ? forward_count(held, policy) : held, hits);
   PeerId holder = index_.peer_of_term(terms[0]);
 
   for (std::size_t i = 1; i < terms.size(); ++i) {
     const PeerId next_peer = index_.peer_of_term(terms[i]);
     const bool free_hop =
         policy.free_same_peer_hops && next_peer == holder;
-    const std::span<const NodeId> forwarded =
-        current.first(forward_count(current.size(), policy));
-    out.forwarded_per_hop.push_back(
-        static_cast<std::uint32_t>(forwarded.size()));
+    hits.resize(forward_count(held, policy));
+    out.forwarded_per_hop.push_back(static_cast<std::uint32_t>(hits.size()));
     if (tracer_ != nullptr) {
       tracer_->instant("search.forward", "search", next_peer,
                        {{"hop", static_cast<double>(i)},
-                        {"forwarded", static_cast<double>(forwarded.size())}});
+                        {"forwarded", static_cast<double>(hits.size())}});
     }
 
     if (policy.bloom_prefilter) {
       // Coordinator keeps the working set; it ships a Bloom filter of the
       // (filtered) set, the term peer replies with matching candidate
       // ids, and exact intersection locally removes false positives.
-      BloomFilter filter(forwarded.size(), policy.bloom_bits_per_item);
-      for (const NodeId d : forwarded) filter.insert(d);
-      std::vector<NodeId> candidates;
-      for (const NodeId d : index_.postings(terms[i])) {
-        if (filter.possibly_contains(d)) candidates.push_back(d);
+      BloomFilter filter(hits.size(), policy.bloom_bits_per_item);
+      for (const NodeId d : hits) filter.insert(d);
+      std::uint64_t candidates = 0;
+      for (const NodeId d : index_.members(terms[i])) {
+        if (filter.possibly_contains(d)) ++candidates;
       }
       if (!free_hop) {
         const std::uint64_t filter_ids =
             (filter.byte_count() + policy.bytes_per_doc_id - 1) /
             policy.bytes_per_doc_id;
-        out.ids_transferred += filter_ids + candidates.size();
-        out.wire_bytes += filter.byte_count() +
-                          candidates.size() * policy.bytes_per_doc_id;
+        out.ids_transferred += filter_ids + candidates;
+        out.wire_bytes +=
+            filter.byte_count() + candidates * policy.bytes_per_doc_id;
       }
-      working = intersect(candidates, forwarded, marked);
       // holder unchanged: the coordinator retains the working set.
     } else {
       if (!free_hop) {
-        out.ids_transferred += forwarded.size();
-        out.wire_bytes += forwarded.size() * policy.bytes_per_doc_id;
+        out.ids_transferred += hits.size();
+        out.wire_bytes += hits.size() * policy.bytes_per_doc_id;
       }
-      working = intersect(forwarded, index_.postings(terms[i]), marked);
       holder = next_peer;
     }
-    current = working;
+    index_.keep_members(terms[i], hits);
+    held = hits.size();
   }
 
   // Final transfer of the surviving hits back to the querying user.
-  out.ids_transferred += current.size();
-  out.wire_bytes += current.size() * policy.bytes_per_doc_id;
-  out.hits.assign(current.begin(), current.end());
+  out.ids_transferred += hits.size();
+  out.wire_bytes += hits.size() * policy.bytes_per_doc_id;
 
   if (metrics_ != nullptr) {
     metrics_->counter("search.queries").add(1);

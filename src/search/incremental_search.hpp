@@ -68,7 +68,8 @@ class SearchEngine {
 
   /// Run a boolean AND query over `terms` (2 and 3 terms in the paper's
   /// evaluation; any count >= 1 works). Throws std::invalid_argument on
-  /// no terms or a NaN or negative forward fraction.
+  /// no terms, a term beyond the index's vocabulary, or a NaN or
+  /// negative forward fraction.
   [[nodiscard]] QueryOutcome run_query(const std::vector<TermId>& terms,
                                        const SearchPolicy& policy) const;
 

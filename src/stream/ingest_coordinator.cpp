@@ -79,10 +79,8 @@ IngestCoordinator::IngestCoordinator(MutableDigraph graph,
     : graph_(std::move(graph)),
       ranks_(std::move(ranks)),
       config_(std::move(config)),
-      metrics_(metrics) {
-  if (ranks_.size() != graph_.num_nodes()) {
-    throw std::invalid_argument("IngestCoordinator: rank vector size");
-  }
+      metrics_(metrics),
+      engine_(graph_, ranks_, config_.options) {  // refuses a size mismatch
   if (config_.batch_size == 0) {
     throw std::invalid_argument("IngestCoordinator: zero batch_size");
   }
@@ -165,17 +163,15 @@ IngestBatchStats IngestCoordinator::flush() {
   }
 
   out.events = pending_.size();
-  // The cascade walks the live graph; the engine dies before the next
-  // mutation.
-  IncrementalPagerank engine(graph_, ranks_, config_.options);
-  out.cascade = engine.inject_batch(deltas);
+  // The cascade walks the live graph.
+  out.cascade = engine_.inject_batch(deltas);
 
   // The engine's covered markers keep the list free of duplicates: the
   // cascade's documents in delivery order, then the inserts and deletes
   // it did not reach.
-  for (const NodeId id : inserted) engine.touch_seed(id);
-  for (const NodeId v : deleted_now) engine.touch_seed(v);
-  last_batch_touched_ = engine.last_touched();
+  for (const NodeId id : inserted) engine_.touch_seed(id);
+  for (const NodeId v : deleted_now) engine_.touch_seed(v);
+  last_batch_touched_ = engine_.last_touched();
 
   events_applied_ += pending_.size();
   pending_.clear();

@@ -27,9 +27,9 @@
 //     the sum once per pop. The cascade walks the live
 //     MutableDigraph in place: no CSR is rebuilt per batch. Its lists
 //     are kept ascending, so the walk is bit-identical to one over
-//     freeze(). The engine is built after the batch's mutations and
-//     dropped before the next one (a live engine is valid only until
-//     the graph's next mutation). Deltas aimed at deleted documents
+//     freeze(). One engine serves every batch: it grows its markers
+//     and pending records with the graph instead of zero-filling them
+//     per batch. Deltas aimed at deleted documents
 //     are dropped (their mass leaves with the document; see
 //     pagerank/incremental.hpp). Inserted documents enter at their
 //     no-in-link fixed point (1-d);
@@ -138,6 +138,9 @@ class IngestCoordinator {
   IngestCoordinator(MutableDigraph graph, std::vector<double> ranks,
                     IngestConfig config,
                     obs::MetricsRegistry* metrics = nullptr);
+  // The engine holds references to this coordinator's graph and ranks.
+  IngestCoordinator(const IngestCoordinator&) = delete;
+  IngestCoordinator& operator=(const IngestCoordinator&) = delete;
 
   /// Enqueue one event; flushes when the batch fills and reconverges at
   /// the configured offered-event marks.
@@ -239,6 +242,9 @@ class IngestCoordinator {
   std::uint32_t batch_epoch_ = 0;
   std::vector<std::uint32_t> snap_epoch_;
   std::uint32_t batches_since_sweep_ = 0;
+
+  // Walks graph_ and updates ranks_ for every batch's cascade.
+  IncrementalPagerank<MutableDigraph> engine_;
 };
 
 }  // namespace dprank

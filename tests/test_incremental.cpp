@@ -6,6 +6,7 @@
 #include <cmath>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "graph/generator.hpp"
 #include "pagerank/centralized.hpp"
 #include "pagerank/quality.hpp"
@@ -225,6 +226,65 @@ TEST(Incremental, RankVectorSizeValidated) {
   std::vector<double> wrong(5, 1.0);
   EXPECT_THROW(IncrementalPagerank(g, wrong, opts(1e-3)),
                std::invalid_argument);
+}
+
+TEST(Incremental, OneEngineFollowsAGrowingGraph) {
+  // One engine kept across the inserts, deletes and batches of a live
+  // graph agrees bit for bit with a fresh engine built for each write,
+  // and refuses a cascade once the rank vector falls out of step.
+  const Digraph base = paper_graph(1000, 12);
+  MutableDigraph kept_graph(base);
+  MutableDigraph fresh_graph(base);
+  std::vector<double> kept_ranks = centralized_pagerank(base, 0.85).ranks;
+  std::vector<double> fresh_ranks = kept_ranks;
+  const PagerankOptions o = opts(1e-4);
+  IncrementalPagerank kept(kept_graph, kept_ranks, o);
+  Rng rng(12);
+  for (int write = 0; write < 60; ++write) {
+    const auto n = kept_graph.num_nodes();
+    const auto kind = rng.bounded(3);
+    if (kind == 0) {
+      std::vector<NodeId> links;
+      while (links.size() < 3) {
+        const auto v = static_cast<NodeId>(rng.bounded(n));
+        if (std::find(links.begin(), links.end(), v) == links.end()) {
+          links.push_back(v);
+        }
+      }
+      const NodeId id = kept_graph.add_document(links);
+      ASSERT_EQ(fresh_graph.add_document(links), id);
+      kept_ranks.push_back(o.initial_rank);
+      fresh_ranks.push_back(o.initial_rank);
+      std::vector<NodeId> kept_touched;
+      std::vector<NodeId> fresh_touched;
+      (void)kept.integrate_insert(id, &kept_touched);
+      IncrementalPagerank fresh(fresh_graph, fresh_ranks, o);
+      (void)fresh.integrate_insert(id, &fresh_touched);
+      ASSERT_EQ(kept_touched, fresh_touched) << "insert " << write;
+    } else if (kind == 1) {
+      const auto victim = static_cast<NodeId>(rng.bounded(n));
+      (void)kept.propagate_full_delete(kept_graph, victim);
+      IncrementalPagerank fresh(fresh_graph, fresh_ranks, o);
+      (void)fresh.propagate_full_delete(fresh_graph, victim);
+      ASSERT_EQ(kept.last_touched(), fresh.last_touched())
+          << "delete " << write;
+    } else {
+      std::vector<std::pair<NodeId, double>> deltas;
+      for (int i = 0; i < 4; ++i) {
+        deltas.emplace_back(static_cast<NodeId>(rng.bounded(n)),
+                            rng.uniform(-0.05, 0.05));
+      }
+      (void)kept.inject_batch(deltas);
+      IncrementalPagerank fresh(fresh_graph, fresh_ranks, o);
+      (void)fresh.inject_batch(deltas);
+      ASSERT_EQ(kept.last_touched(), fresh.last_touched())
+          << "batch " << write;
+    }
+    ASSERT_EQ(kept_ranks, fresh_ranks) << "after write " << write;
+  }
+  EXPECT_GT(kept_graph.num_nodes(), base.num_nodes());
+  kept_ranks.push_back(1.0);
+  EXPECT_THROW((void)kept.inject(0, 0.1), std::invalid_argument);
 }
 
 TEST(Incremental, LastTouchedPopulatedByEveryMutatingEntryPoint) {

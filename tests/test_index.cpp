@@ -3,12 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <set>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "net/message.hpp"
+#include "search/bloom.hpp"
+#include "search/incremental_search.hpp"
 
 namespace dprank {
 namespace {
@@ -110,7 +114,7 @@ TEST_F(IndexTest, PublishOneUpdatesSingleDocument) {
   EXPECT_EQ(meter.messages() + meter.local_updates(), terms.size());
   EXPECT_DOUBLE_EQ(index_.rank_of(doc), 99.0);
   for (const TermId t : terms) {
-    // Sorted on read: the updated doc now leads its lists.
+    // The updated doc now leads its lists.
     EXPECT_EQ(index_.postings(t).front(), doc);
   }
 }
@@ -138,51 +142,68 @@ TEST_F(IndexTest, PublishRanksValidatesSize) {
   EXPECT_THROW(index_.publish_ranks(too_small, owner), std::out_of_range);
 }
 
-TEST_F(IndexTest, ValidateReadsListsWithoutSortingThem) {
+TEST_F(IndexTest, MembersComeInDocumentOrder) {
+  // A term's members are its bitmap read by id: the corpus's documents
+  // for the term, ascending, whatever the ranks.
   Rng rng(3);
   std::vector<double> ranks(corpus_.num_docs());
   for (auto& r : ranks) r = rng.uniform(0.1, 10.0);
   index_.publish_ranks(ranks, std::vector<PeerId>(corpus_.num_docs(), 0));
   EXPECT_TRUE(index_.validate().empty());
-  // Still in document order: the validator sorted nothing.
+  std::vector<std::vector<NodeId>> expected(corpus_.vocabulary());
+  for (NodeId d = 0; d < corpus_.num_docs(); ++d) {
+    for (const TermId t : corpus_.terms_of(d)) expected[t].push_back(d);
+  }
   for (TermId t = 0; t < corpus_.vocabulary(); ++t) {
-    const auto& plist = index_.stored_postings(t);
-    EXPECT_TRUE(std::is_sorted(plist.begin(), plist.end()));
+    ASSERT_EQ(index_.members(t), expected[t]) << "term " << t;
+    ASSERT_EQ(index_.term_size(t), expected[t].size()) << "term " << t;
   }
 }
 
-/// Every stored list, copied.
-std::vector<std::vector<NodeId>> stored_lists(const DistributedIndex& index) {
+/// Every term's list in rank order, copied.
+std::vector<std::vector<NodeId>> read_lists(const DistributedIndex& index) {
   std::vector<std::vector<NodeId>> lists;
   for (TermId t = 0; t < index.num_terms(); ++t) {
-    lists.push_back(index.stored_postings(t));
+    lists.push_back(index.postings(t));
   }
   return lists;
 }
 
-TEST_F(IndexTest, RankUpdateLeavesDocumentOrderedListsAsStored) {
+/// Term `t`'s members sorted by `ranks` descending, ties by id: the list
+/// a fresh sort would give.
+std::vector<NodeId> sorted_by_rank(const DistributedIndex& index, TermId t,
+                                   const std::vector<double>& ranks) {
+  std::vector<NodeId> expected = index.members(t);
+  std::sort(expected.begin(), expected.end(), [&](NodeId a, NodeId b) {
+    return ranks[a] != ranks[b] ? ranks[a] > ranks[b] : a < b;
+  });
+  return expected;
+}
+
+TEST_F(IndexTest, RankUpdatesKeepMembersAndReorderEveryList) {
   Rng rng(4);
   std::vector<double> ranks(corpus_.num_docs());
   for (auto& r : ranks) r = rng.uniform(0.1, 10.0);
   const std::vector<PeerId> owner(corpus_.num_docs(), 0);
   index_.publish_ranks(ranks, owner);
-  const auto before = stored_lists(index_);
+  std::vector<std::vector<NodeId>> members;
+  for (TermId t = 0; t < corpus_.vocabulary(); ++t) {
+    members.push_back(index_.members(t));
+  }
   for (NodeId d = 0; d < corpus_.num_docs(); d += 7) {
     ranks[d] = rng.uniform(0.1, 10.0);
     index_.update_rank(d, corpus_.terms_of(d), ranks[d], owner[d]);
   }
-  EXPECT_EQ(stored_lists(index_), before);
   for (NodeId d = 0; d < corpus_.num_docs(); ++d) {
     ASSERT_EQ(index_.rank_of(d), ranks[d]);
   }
-  // The first read sorts by the updated ranks.
+  // A rank update moves no member; every list reads in the new order.
   for (TermId t = 0; t < corpus_.vocabulary(); ++t) {
-    std::vector<NodeId> expected = index_.stored_postings(t);
-    std::sort(expected.begin(), expected.end(), [&](NodeId a, NodeId b) {
-      return ranks[a] != ranks[b] ? ranks[a] > ranks[b] : a < b;
-    });
-    ASSERT_EQ(index_.postings(t), expected) << "term " << t;
+    ASSERT_EQ(index_.members(t), members[t]) << "term " << t;
+    ASSERT_EQ(index_.postings(t), sorted_by_rank(index_, t, ranks))
+        << "term " << t;
   }
+  EXPECT_TRUE(index_.validate().empty());
 }
 
 TEST_F(IndexTest, RankOrderedListsHandleLongMovesAndTies) {
@@ -193,19 +214,14 @@ TEST_F(IndexTest, RankOrderedListsHandleLongMovesAndTies) {
   }
   const std::vector<PeerId> owner(corpus_.num_docs(), 0);
   index_.publish_ranks(ranks, owner);
-  for (TermId t = 0; t < corpus_.vocabulary(); ++t) (void)index_.postings(t);
 
-  // Every list is rank-ordered, so each update moves entries in all the
-  // document's lists; check them all against a fresh sort.
+  // Each update moves the document in the one rank order, so in every
+  // list it is in; check them all against a fresh sort.
   const auto update_and_check = [&](NodeId doc, double rank) {
     ranks[doc] = rank;
     index_.update_rank(doc, corpus_.terms_of(doc), rank, owner[doc]);
     for (TermId t = 0; t < corpus_.vocabulary(); ++t) {
-      std::vector<NodeId> expected = index_.stored_postings(t);
-      std::sort(expected.begin(), expected.end(), [&](NodeId a, NodeId b) {
-        return ranks[a] != ranks[b] ? ranks[a] > ranks[b] : a < b;
-      });
-      ASSERT_EQ(index_.stored_postings(t), expected)
+      ASSERT_EQ(index_.postings(t), sorted_by_rank(index_, t, ranks))
           << "term " << t << " after doc " << doc << " moved to " << rank;
     }
     ASSERT_TRUE(index_.validate().empty());
@@ -249,15 +265,13 @@ TEST_F(IndexTest, RankUpdateUnderAMissingTermThrows) {
   std::vector<TermId> terms = corpus_.terms_of(doc);
   TermId absent = 0;
   while (std::binary_search(terms.begin(), terms.end(), absent)) ++absent;
-  for (const TermId t : terms) (void)index_.postings(t);
-  (void)index_.postings(absent);
   terms.push_back(absent);
 
-  const auto before = stored_lists(index_);
+  const auto before = read_lists(index_);
   const auto postings_before = index_.total_postings();
   EXPECT_THROW(index_.update_rank(doc, terms, 50.0, 0), std::invalid_argument);
   // Nothing moved and nothing was posted.
-  EXPECT_EQ(stored_lists(index_), before);
+  EXPECT_EQ(read_lists(index_), before);
   EXPECT_EQ(index_.total_postings(), postings_before);
   EXPECT_EQ(index_.rank_of(doc), ranks[doc]);
   EXPECT_TRUE(index_.validate().empty());
@@ -273,8 +287,7 @@ TEST_F(IndexTest, RepostingAPostedDocumentThrows) {
   index_.publish_ranks(ranks, std::vector<PeerId>(corpus_.num_docs(), 0));
   const NodeId doc = 23;
   const auto& terms = corpus_.terms_of(doc);
-  (void)index_.postings(terms.front());  // one list in each order
-  const auto before = stored_lists(index_);
+  const auto before = read_lists(index_);
   const auto postings_before = index_.total_postings();
   EXPECT_THROW(index_.post_document(doc, {terms.front()}, 3.0, 0),
                std::invalid_argument);
@@ -284,10 +297,42 @@ TEST_F(IndexTest, RepostingAPostedDocumentThrows) {
   const NodeId fresh = corpus_.num_docs();
   EXPECT_THROW(index_.post_document(fresh, {4, 9, 4}, 3.0, 0),
                std::invalid_argument);
-  EXPECT_EQ(stored_lists(index_), before);
+  // Nor one beyond the vocabulary, which has no bitmap.
+  EXPECT_THROW(index_.post_document(fresh, {4, corpus_.vocabulary()}, 3.0, 0),
+               std::invalid_argument);
+  EXPECT_EQ(index_.doc_bound(), corpus_.num_docs());
+  EXPECT_EQ(read_lists(index_), before);
   EXPECT_EQ(index_.total_postings(), postings_before);
   EXPECT_EQ(index_.rank_of(doc), ranks[doc]);
   EXPECT_TRUE(index_.validate().empty());
+}
+
+TEST_F(IndexTest, RepostingAtANewRankKeepsEveryListInRankOrder) {
+  Rng rng(10);
+  std::vector<double> ranks(corpus_.num_docs());
+  for (auto& r : ranks) r = rng.uniform(0.1, 10.0);
+  index_.publish_ranks(ranks, std::vector<PeerId>(corpus_.num_docs(), 0));
+  for (TermId t = 0; t < corpus_.vocabulary(); ++t) (void)index_.postings(t);
+  // A posted document gains a term at a rank above every other: it must
+  // lead the new term's list and every list it was already in.
+  const NodeId doc = 23;
+  const std::vector<TermId>& terms = corpus_.terms_of(doc);
+  TermId absent = 0;
+  while (std::binary_search(terms.begin(), terms.end(), absent)) ++absent;
+  index_.post_document(doc, {absent}, 20.0, 0);
+  ranks[doc] = 20.0;
+  const auto issues = index_.validate();
+  EXPECT_TRUE(issues.empty()) << issues.size() << " findings, the first: "
+                              << issues.front();
+  EXPECT_EQ(index_.rank_of(doc), 20.0);
+  EXPECT_EQ(index_.postings(absent).front(), doc);
+  for (const TermId t : terms) {
+    EXPECT_EQ(index_.postings(t).front(), doc) << "term " << t;
+  }
+  for (TermId t = 0; t < corpus_.vocabulary(); ++t) {
+    ASSERT_EQ(index_.postings(t), sorted_by_rank(index_, t, ranks))
+        << "term " << t;
+  }
 }
 
 // ---- equivalence with the re-sort-on-read index ----
@@ -370,6 +415,8 @@ class ReferenceIndex {
     return total;
   }
 
+  [[nodiscard]] PeerId peer_of_term(TermId t) const { return term_peer_[t]; }
+
  private:
   void bill(PeerId owner, TermId t, TrafficMeter& meter) const {
     if (owner == term_peer_[t]) {
@@ -395,11 +442,97 @@ bool same_postings(const DistributedIndex& index, TermId t,
                     });
 }
 
+/// How often the reference query took each path.
+struct QueryPaths {
+  std::uint64_t truncated = 0;   // forwarded the top x% of a longer set
+  std::uint64_t escaped = 0;     // forwarded all under min_forward
+  std::uint64_t bloom_hops = 0;
+  std::uint64_t free_hops = 0;
+};
+
+/// A query over the reference's lists the way each index peer runs it
+/// on a list of its own: forward the top of the hits, then intersect
+/// them in the next term's list order (or, with the Bloom prefilter,
+/// keep the forwarded ids among the next list's candidates).
+QueryOutcome reference_query(ReferenceIndex& reference,
+                             const std::vector<TermId>& terms,
+                             const SearchPolicy& policy, QueryPaths& paths) {
+  const auto forward_count = [&](std::size_t n) {
+    if (policy.forward_fraction >= 1.0) return n;
+    const auto want = static_cast<std::size_t>(
+        std::ceil(policy.forward_fraction * static_cast<double>(n)));
+    if (want < policy.min_forward) {
+      if (want < n) ++paths.escaped;
+      return n;
+    }
+    if (want < n) ++paths.truncated;
+    return want;
+  };
+  const auto ids_of = [&](TermId t) {
+    std::vector<NodeId> ids;
+    for (const auto& p : reference.postings(t)) ids.push_back(p.doc);
+    return ids;
+  };
+  // The entries of `local` that `incoming` holds, in local's order.
+  const auto intersect = [](const std::vector<NodeId>& incoming,
+                            const std::vector<NodeId>& local) {
+    const std::set<NodeId> in(incoming.begin(), incoming.end());
+    std::vector<NodeId> out;
+    for (const NodeId d : local) {
+      if (in.contains(d)) out.push_back(d);
+    }
+    return out;
+  };
+
+  QueryOutcome out;
+  std::vector<NodeId> current = ids_of(terms[0]);
+  PeerId holder = reference.peer_of_term(terms[0]);
+  for (std::size_t i = 1; i < terms.size(); ++i) {
+    const PeerId next = reference.peer_of_term(terms[i]);
+    const bool free_hop = policy.free_same_peer_hops && next == holder;
+    if (free_hop) ++paths.free_hops;
+    current.resize(forward_count(current.size()));
+    out.forwarded_per_hop.push_back(static_cast<std::uint32_t>(current.size()));
+    const std::vector<NodeId> local = ids_of(terms[i]);
+    if (policy.bloom_prefilter) {
+      ++paths.bloom_hops;
+      BloomFilter filter(current.size(), policy.bloom_bits_per_item);
+      for (const NodeId d : current) filter.insert(d);
+      std::vector<NodeId> candidates;
+      for (const NodeId d : local) {
+        if (filter.possibly_contains(d)) candidates.push_back(d);
+      }
+      if (!free_hop) {
+        const std::uint64_t filter_ids =
+            (filter.byte_count() + policy.bytes_per_doc_id - 1) /
+            policy.bytes_per_doc_id;
+        out.ids_transferred += filter_ids + candidates.size();
+        out.wire_bytes += filter.byte_count() +
+                          candidates.size() * policy.bytes_per_doc_id;
+      }
+      current = intersect(candidates, current);
+    } else {
+      if (!free_hop) {
+        out.ids_transferred += current.size();
+        out.wire_bytes += current.size() * policy.bytes_per_doc_id;
+      }
+      current = intersect(current, local);
+      holder = next;
+    }
+  }
+  out.ids_transferred += current.size();
+  out.wire_bytes += current.size() * policy.bytes_per_doc_id;
+  out.hits = current;
+  return out;
+}
+
 // Seeded random sequences of publish_ranks, rank updates of posted
 // documents, new documents, remove_document and reads. Ranks come from a
 // coarse grid half the time, so ties, and the doc-id tie-break, are
 // common. Every read, the posting count and the ledger must match the
-// reference exactly.
+// reference exactly. Each read also runs a 1-3-term query, drawn from a
+// stream of its own, through SearchEngine and through reference_query,
+// under one of six policies; the outcomes must be equal.
 class IndexModelTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(IndexModelTest, MatchesReSortOnReadReference) {
@@ -427,6 +560,42 @@ TEST_P(IndexModelTest, MatchesReSortOnReadReference) {
   }
   std::vector<NodeId> live(corpus.num_docs());
   for (NodeId d = 0; d < corpus.num_docs(); ++d) live[d] = d;
+
+  SearchPolicy top10;
+  top10.forward_fraction = 0.10;
+  SearchPolicy no_escape = top10;
+  no_escape.min_forward = 0;
+  SearchPolicy bloom = top10;
+  bloom.bloom_prefilter = true;
+  SearchPolicy free_hops = top10;
+  free_hops.free_same_peer_hops = true;
+  SearchPolicy bloom_free{.forward_fraction = 0.25,
+                          .min_forward = 4,
+                          .free_same_peer_hops = true,
+                          .bloom_prefilter = true};
+  const SearchPolicy policies[] = {top10, kForwardEverything, no_escape,
+                                   bloom, free_hops, bloom_free};
+  const SearchEngine engine(index);
+  Rng query_rng(GetParam() ^ 0x5EA2C4ULL);
+  QueryPaths paths;
+  const auto check_query = [&](int op) {
+    std::vector<TermId> q(1 + query_rng.bounded(3));
+    for (TermId& t : q) {
+      // Half from the most frequent terms, whose lists are long enough
+      // for the top 10% to cut them.
+      t = static_cast<TermId>(query_rng.bounded(2) == 0
+                                  ? query_rng.bounded(10)
+                                  : query_rng.bounded(vocab));
+    }
+    const SearchPolicy& policy = policies[query_rng.bounded(6)];
+    const QueryOutcome got = engine.run_query(q, policy);
+    const QueryOutcome want = reference_query(reference, q, policy, paths);
+    ASSERT_EQ(got.hits, want.hits) << "after op " << op;
+    ASSERT_EQ(got.ids_transferred, want.ids_transferred) << "after op " << op;
+    ASSERT_EQ(got.wire_bytes, want.wire_bytes) << "after op " << op;
+    ASSERT_EQ(got.forwarded_per_hop, want.forwarded_per_hop)
+        << "after op " << op;
+  };
 
   std::uint64_t reads = 0;
   for (int op = 0; op < 4000; ++op) {
@@ -472,11 +641,17 @@ TEST_P(IndexModelTest, MatchesReSortOnReadReference) {
       ASSERT_TRUE(same_postings(index, t, reference.postings(t)))
           << "term " << t << " differs after op " << op;
       ++reads;
+      check_query(op);
+      if (HasFatalFailure()) return;
     }
     ASSERT_EQ(index.total_postings(), reference.total_postings())
         << "after op " << op;
   }
   EXPECT_GT(reads, 1000u);
+  EXPECT_GT(paths.truncated, 100u);
+  EXPECT_GT(paths.escaped, 100u);
+  EXPECT_GT(paths.bloom_hops, 100u);
+  EXPECT_GT(paths.free_hops, 20u);
   const auto issues = index.validate();
   EXPECT_TRUE(issues.empty()) << issues.front();
   for (TermId t = 0; t < vocab; ++t) {

@@ -196,6 +196,16 @@ TEST_F(SearchTest, EmptyQueryRejected) {
                std::invalid_argument);
 }
 
+TEST_F(SearchTest, TermBeyondVocabularyRejected) {
+  // Such a term has no bitmap: reading one would read another term's.
+  SearchEngine engine(index_);
+  const auto beyond = static_cast<TermId>(corpus_.vocabulary());
+  EXPECT_THROW(engine.run_query({beyond}, kForwardEverything),
+               std::invalid_argument);
+  EXPECT_THROW(engine.run_query({0, beyond}, kForwardEverything),
+               std::invalid_argument);
+}
+
 TEST_F(SearchTest, NegativeOrNanFractionRejected) {
   // A negative fraction would wrap to a huge forward count and read past
   // the posting list.

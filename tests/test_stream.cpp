@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <utility>
@@ -309,14 +310,19 @@ TEST(IngestCoordinator, WarmStartedMarksAgreeAcrossBatchSizes) {
   // solution of the graph at the mark.
   constexpr std::uint64_t kEvery = 40;
   const StreamSourceConfig sc = source_config(150, 31);
-  std::vector<IngestCoordinator> coords;
-  std::vector<StreamSource> sources;
-  for (const std::uint32_t batch : {1u, 8u, 32u}) {
+  const auto config = [&](std::uint32_t batch) {
     IngestConfig ic = ingest_config(batch);
     ic.reconverge_every_events = kEvery;
-    coords.push_back(make_coordinator(150, 31, ic));
-    sources.emplace_back(sc);
-  }
+    return ic;
+  };
+  // Built in place: a coordinator's engine is bound to its own graph, so
+  // coordinators do not move.
+  std::array<IngestCoordinator, 3> coords{
+      make_coordinator(150, 31, config(1)),
+      make_coordinator(150, 31, config(8)),
+      make_coordinator(150, 31, config(32))};
+  std::vector<StreamSource> sources;
+  for (std::size_t c = 0; c < coords.size(); ++c) sources.emplace_back(sc);
   for (std::uint64_t mark = 1; mark <= 3; ++mark) {
     for (std::size_t c = 0; c < coords.size(); ++c) {
       for (const StreamEvent& ev : sources[c].take(kEvery)) {

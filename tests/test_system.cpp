@@ -151,6 +151,20 @@ TEST_F(SystemTest, RepeatedTermRejectedBeforeAnyMutation) {
   EXPECT_TRUE(system_.validate().empty());
 }
 
+// A term id beyond the vocabulary names no term's bitmap: refused before
+// the graph, the ranks or the index change.
+TEST_F(SystemTest, TermBeyondVocabularyRejectedBeforeAnyMutation) {
+  (void)system_.converge();
+  const std::vector<double> ranks_before = system_.ranks();
+  const auto messages_before = system_.traffic().messages();
+  EXPECT_THROW(system_.add_document({3, system_.vocabulary()}, {1, 2}),
+               std::invalid_argument);
+  EXPECT_EQ(system_.num_documents(), 1500u);
+  EXPECT_EQ(system_.ranks(), ranks_before);
+  EXPECT_EQ(system_.traffic().messages(), messages_before);
+  EXPECT_TRUE(system_.validate().empty());
+}
+
 TEST_F(SystemTest, IndexRefreshTracksCascadedRankChanges) {
   (void)system_.converge();
   const auto msgs_before = system_.traffic().messages();

@@ -110,22 +110,29 @@ struct TestCorruptor {
     // two maps stop being inverses.
     std::swap(engine.doc_slot_[0], engine.doc_slot_[1]);
   }
-  static void swap_postings(DistributedIndex& index, TermId term) {
-    // Swap a list's first two entries: every document keeps its rank,
-    // only the list's order is broken.
-    std::swap(index.postings_[term][0], index.postings_[term][1]);
+  static void swap_in_rank_order(DistributedIndex& index, std::size_t i) {
+    // Swap the rank order's entries i and i + 1: every document keeps its
+    // rank and its bits, only the order is broken.
+    std::swap(index.order_[i], index.order_[i + 1]);
+  }
+  static const std::vector<NodeId>& rank_order(const DistributedIndex& index) {
+    return index.order_;
   }
   static void set_doc_rank(DistributedIndex& index, NodeId doc,
                            double rank) {
-    // Change a posted document's one stored rank without moving any
-    // entry: the lists that hold it in rank order no longer are.
+    // Change a posted document's one stored rank without moving its
+    // entry: the rank order no longer is.
     index.doc_rank_[doc] = rank;
   }
-  static void post_unknown_doc(DistributedIndex& index, TermId term) {
-    // Overwrite a list's last entry with an id far beyond doc_bound():
-    // the posting count holds, but the id has no rank to read.
-    index.postings_[term].back() =
-        static_cast<NodeId>(index.doc_rank_.size() + (1U << 24));
+  static void post_beyond_bound(DistributedIndex& index, TermId term) {
+    // Set the term's bit for doc_bound() itself, in the last block's
+    // spare bits: every count holds, but the id has no rank to read.
+    const auto doc = static_cast<NodeId>(index.doc_rank_.size());
+    ASSERT_NE(doc % 64, 0u) << "the last block has no spare bits";
+    index.bits_[index.word_of(term, doc)] |= std::uint64_t{1} << (doc % 64);
+  }
+  static void miscount_term(DistributedIndex& index, TermId term) {
+    ++index.term_size_[term];
   }
   static DistributedIndex& index_of(P2PSystem& system) {
     return system.index_;
@@ -313,18 +320,30 @@ CorpusParams small_corpus() {
   return p;
 }
 
-// An index with distinct published ranks and term 0's list read, so
-// term 0 is in rank order and term 1 still in document order.
+// An index with published ranks, three documents to each rank value, so
+// the rank order has ties broken by id.
 DistributedIndex published_index(const Corpus& corpus,
                                  const ChordRing& ring) {
   DistributedIndex index(corpus, ring);
   std::vector<double> ranks(corpus.num_docs());
   for (NodeId d = 0; d < corpus.num_docs(); ++d) {
-    ranks[d] = 0.15 + 0.01 * static_cast<double>((d * 37) % 300);
+    ranks[d] = 0.15 + 0.01 * static_cast<double>((d * 37) % 100);
   }
   index.publish_ranks(ranks, std::vector<PeerId>(corpus.num_docs(), 0));
-  (void)index.postings(0);
   return index;
+}
+
+/// The first i whose rank-order entries i and i + 1 have equal (`tied`)
+/// or different ranks.
+std::size_t adjacent_pair(const DistributedIndex& index, bool tied) {
+  const std::vector<NodeId>& order = TestCorruptor::rank_order(index);
+  for (std::size_t i = 0; i + 1 < order.size(); ++i) {
+    if ((index.rank_of(order[i]) == index.rank_of(order[i + 1])) == tied) {
+      return i;
+    }
+  }
+  ADD_FAILURE() << "no such pair";
+  return 0;
 }
 
 bool mentions(const std::vector<std::string>& issues, const char* what) {
@@ -339,7 +358,7 @@ TEST(ValidatorNegative, IndexCatchesSwappedPairInRankOrder) {
   const ChordRing ring(8);
   DistributedIndex index = published_index(corpus, ring);
   ASSERT_TRUE(index.validate().empty());
-  TestCorruptor::swap_postings(index, 0);
+  TestCorruptor::swap_in_rank_order(index, adjacent_pair(index, false));
   const auto issues = index.validate();
   ASSERT_EQ(issues.size(), 1u);
   EXPECT_NE(issues[0].find("break rank order"), std::string::npos)
@@ -347,10 +366,11 @@ TEST(ValidatorNegative, IndexCatchesSwappedPairInRankOrder) {
 }
 
 TEST(ValidatorNegative, IndexCatchesSwappedPairInDocumentOrder) {
+  // Among equal ranks the order is by id.
   const Corpus corpus = Corpus::synthesize(small_corpus());
   const ChordRing ring(8);
   DistributedIndex index = published_index(corpus, ring);
-  TestCorruptor::swap_postings(index, 1);
+  TestCorruptor::swap_in_rank_order(index, adjacent_pair(index, true));
   const auto issues = index.validate();
   ASSERT_EQ(issues.size(), 1u);
   EXPECT_NE(issues[0].find("break document order"), std::string::npos)
@@ -361,8 +381,8 @@ TEST(ValidatorNegative, IndexCatchesRankOutOfOrder) {
   const Corpus corpus = Corpus::synthesize(small_corpus());
   const ChordRing ring(8);
   DistributedIndex index = published_index(corpus, ring);
-  // Term 0's last document jumps to the top rank behind the index's back.
-  const NodeId last = index.stored_postings(0).back();
+  // The last document jumps to the top rank behind the index's back.
+  const NodeId last = TestCorruptor::rank_order(index).back();
   TestCorruptor::set_doc_rank(index, last, 1e9);
   const auto issues = index.validate();
   ASSERT_EQ(issues.size(), 1u);
@@ -374,12 +394,21 @@ TEST(ValidatorNegative, IndexCatchesUnknownDoc) {
   const Corpus corpus = Corpus::synthesize(small_corpus());
   const ChordRing ring(8);
   DistributedIndex index = published_index(corpus, ring);
-  // In the rank-ordered list, where checking the order reads ranks.
-  TestCorruptor::post_unknown_doc(index, 0);
+  TestCorruptor::post_beyond_bound(index, 0);
   const auto issues = index.validate();
   ASSERT_EQ(issues.size(), 1u);
   EXPECT_NE(issues[0].find("beyond doc_bound()"), std::string::npos)
       << issues[0];
+}
+
+TEST(ValidatorNegative, IndexCatchesTermSizeAgainstItsBitmap) {
+  const Corpus corpus = Corpus::synthesize(small_corpus());
+  const ChordRing ring(8);
+  DistributedIndex index = published_index(corpus, ring);
+  TestCorruptor::miscount_term(index, 3);
+  const auto issues = index.validate();
+  ASSERT_EQ(issues.size(), 1u);
+  EXPECT_NE(issues[0].find("term 3: size"), std::string::npos) << issues[0];
 }
 
 TEST(ValidatorNegative, SystemAppendsIndexFindings) {
@@ -391,7 +420,7 @@ TEST(ValidatorNegative, SystemAppendsIndexFindings) {
   (void)system.converge();
   (void)system.search({0, 1}, kForwardEverything);
   ASSERT_TRUE(system.validate().empty());
-  TestCorruptor::swap_postings(TestCorruptor::index_of(system), 0);
+  TestCorruptor::miscount_term(TestCorruptor::index_of(system), 0);
   EXPECT_TRUE(mentions(system.validate(), "index: term 0"));
 }
 

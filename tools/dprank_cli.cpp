@@ -25,11 +25,13 @@
 //   search  [--docs N] [--peers P] [--queries Q] [--terms T] [--top PCT]
 //           [--seed S]
 //           corpus + distributed index + incremental search (Q >= 1,
-//           PCT in (0, 100])
+//           PCT in (0, 100], N at most ~4.5M: the index's term bitmaps,
+//           N x 1880 bits, may take at most 1 GiB)
 //   system  [--docs N] [--vocab V] [--peers P] [--ops K] [--epsilon E]
 //           [--seed S]
 //           full-system lifecycle and consistency doctor (V >= 200, a
-//           document's largest term set)
+//           document's largest term set, and N x V bits of term bitmaps
+//           at most 1 GiB)
 //   stream  [--docs N] [--events E] [--batch B] [--reconverge-every R]
 //           [--peers P] [--rate EPS] [--epsilon E] [--seed S] [--top K]
 //           continuous ingest through the live-rank service: a seeded
@@ -390,9 +392,30 @@ int cmd_insert(const Args& args) {
   return 0;
 }
 
+/// The largest keyword index search and system build: its term bitmaps
+/// hold one bit per (term, document).
+constexpr std::uint64_t kMaxIndexBytes = std::uint64_t{1} << 30;
+
+/// Refuses, naming `flag`, a corpus whose index bitmaps would exceed
+/// kMaxIndexBytes; called before anything is built.
+void check_index_size(const CorpusParams& cp, const std::string& flag,
+                      const Args& args) {
+  const std::uint64_t bytes =
+      DistributedIndex::bitmap_bytes(cp.num_docs, cp.vocabulary);
+  if (bytes > kMaxIndexBytes) {
+    throw std::invalid_argument(
+        "--" + flag + ": " + std::to_string(cp.num_docs) +
+        " documents over " + std::to_string(cp.vocabulary) + " terms need " +
+        std::to_string(bytes >> 20) +
+        " MiB of index bitmaps, above the 1 GiB cap, got '" +
+        args.get(flag, "") + "'");
+  }
+}
+
 int cmd_search(const Args& args) {
   CorpusParams cp;
   cp.num_docs = args.get_uint<std::uint32_t>("docs", 11'000);
+  check_index_size(cp, "docs", args);
   cp.seed = args.get_uint("seed", 42);
   const auto peers = args.get_uint<PeerId>("peers", 50);
   const auto num_queries = args.get_uint<std::uint32_t>("queries", 20);
@@ -475,6 +498,13 @@ int cmd_system(const Args& args) {
         " (a document's largest term set), got '" + args.get("vocab", "") +
         "'");
   }
+  // --docs when no vocabulary would fit, else --vocab.
+  check_index_size(cp,
+                   DistributedIndex::bitmap_bytes(cp.num_docs, cp.max_terms) >
+                           kMaxIndexBytes
+                       ? "docs"
+                       : "vocab",
+                   args);
   cp.seed = args.get_uint("seed", 42);
   const auto ops = args.get_uint("ops", 20);
   const double epsilon = args.get_tolerance("epsilon", 1e-4);
